@@ -118,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "dfs only: prune schedules with dynamic partial-order reduction "
             "(sleep/persistent sets over per-decision footprints plus "
-            "configuration merging); finds the identical violation set in "
-            "far fewer runs, but is refused with --fault"
+            "configuration merging that stops each run at an explored "
+            "configuration); finds the identical violation set in far fewer "
+            "runs; serial only, and refused with --fault"
         ),
     )
     parser.add_argument(
@@ -169,8 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "how runs are executed (see --list-executors; 'process' shards "
-            "over a worker pool): swarm/fuzz probes, and dfs/dpor frontier "
-            "runs — the dfs/dpor report stays bit-identical to a serial run"
+            "over a worker pool): swarm/fuzz probes, and dfs frontier runs — "
+            "the dfs report stays bit-identical to a serial run; --dpor is "
+            "serial only"
         ),
     )
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -284,7 +286,7 @@ EXPLORATION_MODES = {
     "dfs": "bounded exhaustive depth-first search over scheduling decisions",
     "dfs --dpor": (
         "dfs with dynamic partial-order reduction: identical violation set, "
-        "exponentially fewer schedules (refused with --fault)"
+        "exponentially fewer schedules (serial; refused with --fault)"
     ),
     "swarm": "seeded random schedule sampling, shardable across processes",
     "fuzz": "swarm over seeded *generated* scenarios with derived oracles",
@@ -543,6 +545,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "commutativity every reduction step relies on; run plain dfs "
             "or --mode chaos for fault exploration"
         )
+    if args.dpor and (args.executor != "serial" or (args.jobs or 1) > 1):
+        raise SystemExit(
+            "--dpor runs serially: each run stops at the first configuration "
+            "another run already explored, and only the serial search holds "
+            "that set; drop --executor/--jobs (plain dfs and swarm can shard)"
+        )
     if args.replay is not None:
         result = replay_repro(args.replay)
         print(result.describe())
@@ -616,8 +624,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     task,
                     max_schedules=args.schedules,
                     max_depth=args.max_depth,
-                    executor=args.executor,
-                    jobs=args.jobs,
                 )
             elif args.mode == "dfs":
                 report = explore_dfs(

@@ -15,7 +15,16 @@ Four reductions compose, each justified by a commutation argument:
    :meth:`Problem.state_projection`), every kernel thread's scheduling state
    plus a per-thread progress fingerprint, and all lock/condition queues —
    root isomorphic schedule subtrees, because every simulated thread is a
-   deterministic function of that state.  The subtree is explored once.
+   deterministic function of that state.  The subtree is explored once:
+   each run builds its configurations online, right after the oracles
+   checked each state, and *stops* at its first decision past its prefix
+   whose configuration is already known.  Everything after that point lies
+   in a subtree that is explored or on the frontier, so the stopped run is
+   classified ``ok`` without ``verify()``; the ``merged_configs`` counter
+   counts these stops.  Stopping is off under a starvation budget, whose
+   watcher depends on the path to a state, not only the state.  Because a
+   run stops against the live set of explored configurations, the search
+   is serial.
 2. **Symmetry.**  Threads declared interchangeable by
    :meth:`Problem.symmetry_classes` are canonically renamed before configs
    are compared, and alternatives that are automorphic images of an
@@ -48,9 +57,10 @@ from repro.explore.engine import (
     ExplorationReport,
     ExploreTask,
     ScheduleOutcome,
-    _make_pool,
+    StopRun,
     _merge_timings,
     run_prefix,
+    starvation_budget,
     task_runtime,
 )
 from repro.runtime.simulation.footprints import DecisionFootprint, independent
@@ -80,113 +90,6 @@ def abstract_value(value: object) -> object:
     if isinstance(value, dict):
         return tuple(sorted((key, abstract_value(item)) for key, item in value.items()))
     return ("obj", type(value).__name__)
-
-
-class _ConfigProbe:
-    """``run_schedule`` instrument: snapshot the abstract state everywhere.
-
-    One snapshot per scheduling decision (via ``observe``) plus one after
-    the run ended (via ``finish``), each capturing the monitor's public
-    variables twice — in full and through the problem's projection — and
-    the kernel's thread/lock/condition state.
-
-    ``skip`` suppresses the first *skip* decision snapshots: on a
-    shared-prefix re-execution the parent run already snapshotted (and
-    merged on) those decisions, so the replay skips the abstraction work
-    and ``snapshots[i]`` describes decision ``skip + i``.
-    """
-
-    def __init__(self, backend, monitor, project, skip: int = 0) -> None:
-        self._backend = backend
-        self._monitor = monitor
-        self._project = project
-        self._to_skip = skip
-        self.snapshots: List[tuple] = []
-
-    def _snap(self) -> None:
-        items = [
-            (name, value)
-            for name, value in sorted(vars(self._monitor).items())
-            if not name.startswith("_")
-        ]
-        vars_full = tuple((name, abstract_value(value)) for name, value in items)
-        project = self._project
-        if project is None:
-            vars_proj = vars_full
-        else:
-            # Re-abstract the projected value: projections concern themselves
-            # with *what detail to keep*, not with hashability or run
-            # stability, so an identity projection of an unhashable value
-            # still needs the conservative collapse.
-            vars_proj = tuple(
-                (name, abstract_value(project(name, value))) for name, value in items
-            )
-        threads, locks, conds = self._backend.sync_state()
-        self.snapshots.append((vars_full, vars_proj, threads, locks, conds))
-
-    def observe(self, point) -> None:
-        if self._to_skip:
-            self._to_skip -= 1
-            return
-        self._snap()
-
-    def finish(self) -> None:
-        self._snap()
-
-
-def _build_configs(
-    trace,
-    raw: Sequence[tuple],
-    start: int = 0,
-    fingerprints: Optional[Dict[int, int]] = None,
-) -> List[Optional[tuple]]:
-    """Per-decision abstract configurations from a run's raw snapshots.
-
-    ``configs[d]`` describes the state *at* decision ``d``:
-    ``(projected monitor vars, per-thread (tid, state, block_reason,
-    fingerprint), locks, conds)``.
-
-    ``start``/``fingerprints`` resume the construction mid-run for a
-    shared-prefix re-execution: ``raw[i]`` then describes decision
-    ``start + i``, per-thread fingerprint counting resumes from the
-    *fingerprints* mapping (extracted from the parent run's configuration
-    at that decision), and ``configs[d]`` is ``None`` for ``d < start`` —
-    the parent already merged on those decisions.
-
-    The fingerprint is the crux.  Thread state alone cannot distinguish "a
-    runnable producer that has put 1 item" from "a runnable producer that
-    has put 2": both look identical to the kernel, yet their futures differ.
-    Each thread's fingerprint counts its *effectful* slices — those that
-    changed some monitor variable or netted the thread a lock it did not
-    hold before.  Because every workload thread is a deterministic program
-    whose thread-local data feeds back only through monitor and kernel
-    state, that count pins the thread's position in its own program, which
-    is exactly what makes equal configurations root isomorphic subtrees.
-    Slices that wake up, find their predicate false, and re-park (the
-    futile-wakeup cascades of the broadcast baseline) net nothing and
-    advance nothing — which is what lets those cascades merge.
-    """
-    decisions = min(len(trace), start + max(len(raw) - 1, 0))
-    fps: Dict[int, int] = defaultdict(int)
-    if fingerprints:
-        fps.update(fingerprints)
-    configs: List[Optional[tuple]] = [None] * start
-    for d in range(start, decisions):
-        _vars_full, vars_proj, threads, locks, conds = raw[d - start]
-        entries = tuple(
-            (tid, state, reason, fps[tid]) for tid, state, reason in threads
-        )
-        configs.append((vars_proj, entries, locks, conds))
-        # Advance the chosen thread's fingerprint across slice d
-        # (the span between snapshot d and snapshot d+1).
-        chosen = trace[d].chosen
-        pre, post = raw[d - start], raw[d - start + 1]
-        wrote = pre[0] != post[0]
-        pre_owned = {i for i, owner, _q in pre[3] if owner == chosen}
-        post_owned = {i for i, owner, _q in post[3] if owner == chosen}
-        if wrote or (post_owned - pre_owned):
-            fps[chosen] += 1
-    return configs
 
 
 def _canonicalize(
@@ -220,6 +123,115 @@ def _canonicalize(
             best = key
             best_rename = dict(rename)
     return best, best_rename
+
+
+class _ConfigProbe:
+    """``run_schedule`` instrument: each decision's configuration, online.
+
+    At every decision from ``start`` up to the branching horizon (decision
+    ``max_depth + 1``, unbounded without a depth bound) — right after the
+    oracles checked that state — builds the abstract configuration
+    ``(projected monitor vars, per-thread (tid, state, block_reason,
+    fingerprint), locks, conds)``, then its canonical key and renaming.
+    ``configs[d]`` and ``canon[d]`` describe decision ``d``; both are None
+    below ``start``, where a shared-prefix re-execution replays decisions
+    the parent run already merged on.  Fingerprint counting then resumes
+    from the parent's *fingerprints* at the divergence point.
+
+    With ``stop_from`` set, the first decision at or past it (and within
+    ``max_depth``) whose key is already in ``seen`` stops the run with
+    :class:`~repro.explore.engine.StopRun`: its continuation lies in a
+    subtree that is already explored or on the frontier.
+
+    The fingerprint is the crux.  Thread state alone cannot distinguish "a
+    runnable producer that has put 1 item" from "a runnable producer that
+    has put 2": both look identical to the kernel, yet their futures differ.
+    Each thread's fingerprint counts its *effectful* slices — those that
+    changed some monitor variable or netted the thread a lock it did not
+    hold before.  Because every workload thread is a deterministic program
+    whose thread-local data feeds back only through monitor and kernel
+    state, that count pins the thread's position in its own program, which
+    is exactly what makes equal configurations root isomorphic subtrees.
+    Slices that wake up, find their predicate false, and re-park (the
+    futile-wakeup cascades of the broadcast baseline) net nothing and
+    advance nothing — which is what lets those cascades merge.
+    """
+
+    def __init__(
+        self,
+        backend,
+        monitor,
+        project,
+        sym: Tuple[Tuple[int, ...], ...],
+        seen: set,
+        start: int = 0,
+        fingerprints: Optional[Dict[int, int]] = None,
+        stop_from: Optional[int] = None,
+        max_depth: Optional[int] = None,
+    ) -> None:
+        self._backend = backend
+        self._monitor = monitor
+        self._project = project
+        self._sym = sym
+        self._seen = seen
+        self._start = start
+        self._stop_from = stop_from
+        self._horizon = max_depth + 1 if max_depth is not None else None
+        self._fps: Dict[int, int] = defaultdict(int)
+        if fingerprints:
+            self._fps.update(fingerprints)
+        #: (full monitor vars, locks, chosen tid) of the previous decision:
+        #: what advancing the chosen thread's fingerprint across its slice
+        #: compares against.
+        self._previous: Optional[tuple] = None
+        self.configs: List[Optional[tuple]] = [None] * start
+        self.canon: List[Optional[Tuple[tuple, Dict[int, int]]]] = [None] * start
+
+    def observe(self, point) -> None:
+        d = point.step
+        if d < self._start or (self._horizon is not None and d > self._horizon):
+            return
+        items = [
+            (name, value)
+            for name, value in sorted(vars(self._monitor).items())
+            if not name.startswith("_")
+        ]
+        vars_full = tuple((name, abstract_value(value)) for name, value in items)
+        project = self._project
+        if project is None:
+            vars_proj = vars_full
+        else:
+            # Re-abstract the projected value: projections concern themselves
+            # with *what detail to keep*, not with hashability or run
+            # stability, so an identity projection of an unhashable value
+            # still needs the conservative collapse.
+            vars_proj = tuple(
+                (name, abstract_value(project(name, value))) for name, value in items
+            )
+        threads, locks, conds = self._backend.sync_state()
+        fps = self._fps
+        previous = self._previous
+        if previous is not None:
+            # Advance the previous decision's chosen thread across its slice.
+            pre_vars, pre_locks, chosen = previous
+            if pre_vars != vars_full or (
+                {i for i, owner, _q in locks if owner == chosen}
+                - {i for i, owner, _q in pre_locks if owner == chosen}
+            ):
+                fps[chosen] += 1
+        self._previous = (vars_full, locks, point.chosen)
+        entries = tuple((tid, state, reason, fps[tid]) for tid, state, reason in threads)
+        config = (vars_proj, entries, locks, conds)
+        canonical = _canonicalize(config, self._sym)
+        self.configs.append(config)
+        self.canon.append(canonical)
+        if (
+            self._stop_from is not None
+            and d >= self._stop_from
+            and (self._horizon is None or d < self._horizon)
+            and canonical[0] in self._seen
+        ):
+            raise StopRun(f"decision {d} reached an already-explored configuration")
 
 
 def _automorphic_reps(
@@ -265,49 +277,6 @@ def _automorphic_reps(
 _SleepEntry = Tuple[int, Optional[DecisionFootprint]]
 
 
-def _dpor_worker(payload: tuple) -> tuple:
-    """Top-level (hence picklable) DPOR frontier worker entry point.
-
-    Computes the pure, expensive half of one frontier entry — the run plus
-    its raw abstract-state snapshots.  Everything order-sensitive
-    (configuration merging, sleep sets, the caches) stays in the serial
-    reduction loop, which is what keeps parallel reports bit-identical to
-    serial ones.
-    """
-    task_data, prefix, verified_depth, start = payload
-    task = ExploreTask.from_dict(task_data)
-    problem = task.resolve_problem()
-    project = problem.state_projection(
-        task.threads, task.total_ops, **dict(task.problem_params)
-    )
-    probes: List[_ConfigProbe] = []
-
-    def instrument(backend, spec):
-        probe = _ConfigProbe(backend, spec.monitor, project, skip=start)
-        probes.append(probe)
-        return probe
-
-    outcome = run_prefix(
-        task,
-        prefix,
-        instrument=instrument,
-        record_footprints=True,
-        verified_depth=verified_depth,
-        footprints_from=start,
-    )
-    return outcome, (probes[0].snapshots if probes else [])
-
-
-def _dpor_payload_fn(task_data: dict):
-    """Payload extractor for DPOR frontier entries (see :func:`_dpor_worker`)."""
-
-    def payload(entry: tuple) -> tuple:
-        prefix, _edge, _sleep, verified_depth, inherited = entry
-        start = len(prefix) - 1 if (prefix and inherited is not None) else 0
-        return (task_data, tuple(prefix), verified_depth, start)
-
-    return payload
-
 _STAT_KEYS = (
     "merged_configs",
     "cache_skips",
@@ -326,28 +295,28 @@ def explore_dpor(
     failure_limit: int = DEFAULT_FAILURE_LIMIT,
     stop_on_failure: bool = False,
     progress: Optional[Callable[[int, ScheduleOutcome], None]] = None,
-    executor: str = "serial",
-    jobs: Optional[int] = None,
 ) -> ExplorationReport:
     """Exhaustive DFS with dynamic partial-order reduction.
 
-    Drop-in for :func:`~repro.explore.engine.explore_dfs`: same signature,
-    same :class:`ExplorationReport`, same replayable failure prefixes —
-    only ``report.mode`` (``"dfs+dpor"``) and ``report.stats`` (pruning
-    counters) differ.  On any configuration both explorers exhaust, the
-    violation sets are identical; DPOR just reaches every inequivalent
-    schedule once instead of many times.
+    Drop-in for a serial :func:`~repro.explore.engine.explore_dfs`: same
+    :class:`ExplorationReport`, same replayable failure prefixes — only
+    ``report.mode`` (``"dfs+dpor"``), ``report.stats`` (pruning counters)
+    and the trace-length maxima (runs stop at merges) differ.  On any
+    configuration both explorers exhaust, the violation sets are
+    identical; DPOR just reaches every inequivalent schedule once instead
+    of many times.
 
     Frontier entries re-execute their parent's decision prefix on the
     fast replay path: oracle checks, footprint recording and abstract-state
     snapshotting are all skipped inside the already-verified prefix, with
     per-thread fingerprints inherited from the parent's configuration at
     the divergence point, so a child run costs O(suffix) abstraction work.
+    A run stops at its first decision past the prefix that reaches an
+    already-explored configuration, unless a starvation budget applies
+    (the watcher's verdict depends on the path, not only the state).
 
-    ``executor``/``jobs`` shard the frontier runs (run + raw snapshots)
-    through the executor registry; every reduction decision — merging,
-    sleep sets, caches — is made by this loop in its serial order, so the
-    report stays bit-identical to a serial run.
+    The search is serial by design: stopping needs the live set of explored
+    configurations, which a pool worker could not see.
 
     Raises ``ValueError`` for tasks with a fault plan — see the module
     docstring for why reduction is unsound under injected faults.
@@ -372,13 +341,10 @@ def explore_dpor(
         stats[key] = 0
 
     runtime = task_runtime(task)
-    pool = _make_pool(
-        task,
-        executor,
-        jobs,
-        worker=_dpor_worker,
-        payload_fn=_dpor_payload_fn(task.to_dict()),
-    )
+    # A starvation watcher counts decisions along the path, so two runs
+    # reaching one configuration can still get different verdicts: with a
+    # budget, runs are merged on but never stopped.
+    stop_runs = starvation_budget(task, problem) is None
     seen_configs: set = set()
     #: (canonical config key, canonical tid) -> (canonical child config key,
     #: footprint of that slice).  Lets a frontier entry whose destination was
@@ -414,27 +380,33 @@ def explore_dpor(
         # edge-cached by the runs that forced them; this run skips their
         # abstraction work entirely (snapshots, footprints, fingerprints).
         start = len(prefix) - 1 if (prefix and inherited is not None) else 0
-        result = pool.fetch(prefix) if pool is not None else None
-        if result is not None:
-            outcome, raw = result
-        else:
-            probes: List[_ConfigProbe] = []
+        probes: List[_ConfigProbe] = []
 
-            def instrument(backend, spec, _probes=probes):
-                probe = _ConfigProbe(backend, spec.monitor, project, skip=start)
-                _probes.append(probe)
-                return probe
-
-            outcome = run_prefix(
-                task,
-                prefix,
-                instrument=instrument,
-                record_footprints=True,
-                runtime=runtime,
-                verified_depth=verified_depth,
-                footprints_from=start,
+        def instrument(backend, spec, _probes=probes):
+            probe = _ConfigProbe(
+                backend,
+                spec.monitor,
+                project,
+                sym,
+                seen_configs,
+                start=start,
+                fingerprints=inherited,
+                stop_from=len(prefix) if stop_runs else None,
+                max_depth=max_depth,
             )
-            raw = probes[0].snapshots if probes else []
+            _probes.append(probe)
+            return probe
+
+        outcome = run_prefix(
+            task,
+            prefix,
+            instrument=instrument,
+            record_footprints=True,
+            runtime=runtime,
+            verified_depth=verified_depth,
+            footprints_from=start,
+        )
+        configs, canon = probes[0].configs, probes[0].canon
         report.schedules_visited += 1
         report.max_trace_steps = max(report.max_trace_steps, outcome.steps)
         report.max_decision_depth = max(
@@ -447,7 +419,6 @@ def explore_dpor(
 
         trace = outcome.trace
         footprints = trace.footprints or []
-        configs = _build_configs(trace, raw, start=start, fingerprints=inherited)
         choices = trace.choices()
         branch_until = len(choices)
         if max_depth is not None and branch_until > max_depth + 1:
@@ -458,14 +429,10 @@ def explore_dpor(
         # the final recorded state (the one a mid-run oracle fired on).
         child_cap = len(choices) if outcome.ok else max(len(choices) - 1, 0)
 
-        # Canonicalize every decision's config along the executed path (one
-        # past the branching horizon, for the cache's child keys).  Below
+        # Cache every edge along the executed path whose both ends the probe
+        # canonicalized (it stops one past the branching horizon).  Below
         # ``start`` the ancestors already cached identical edges (the replay
         # is deterministic), so the loops resume from there.
-        canon = [None] * start + [
-            _canonicalize(configs[d], sym)
-            for d in range(start, min(len(configs), branch_until + 1))
-        ]
         for d in range(start, min(branch_until, len(canon) - 1)):
             key, rename = canon[d]
             chosen = trace[d].chosen
@@ -484,8 +451,8 @@ def explore_dpor(
             fp_d = footprints[d] if d < len(footprints) else None
             if d >= len(prefix):
                 if d >= len(canon):
-                    # The run aborted (observer exception) before this
-                    # decision was snapshotted: no config to merge on, so
+                    # An oracle fired before the probe saw this decision:
+                    # no config to merge on, so
                     # branch every alternative unreduced — correctness
                     # before reduction.
                     stats["unmerged_decisions"] += 1
@@ -585,8 +552,6 @@ def explore_dpor(
                 )
             if stop_on_failure:
                 return report
-        if pool is not None:
-            pool.refill(frontier)
 
     report.complete = True
     return report

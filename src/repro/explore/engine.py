@@ -27,6 +27,7 @@ primitive; both report an :class:`ExplorationReport`.
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -54,6 +55,7 @@ from repro.runtime.simulation.schedulers import RandomScheduler, SchedulePoint
 
 __all__ = [
     "OracleViolationError",
+    "StopRun",
     "StarvationBudgetWatcher",
     "ExploreTask",
     "TaskRuntime",
@@ -81,6 +83,17 @@ class OracleViolationError(Exception):
         self.oracle_name = oracle_name
         self.oracle_kind = kind
         self.detail = message
+
+
+class StopRun(Exception):
+    """Raised by an instrument's ``observe`` to end a run early.
+
+    :func:`run_schedule` classifies the stopped run as ``ok`` without
+    calling ``verify()``: the instrument vouches that the run's
+    continuation from the current decision is explored by other runs (the
+    DPOR explorer raises it at an already-explored configuration).  The
+    oracles have checked the current state; the trace ends at it.
+    """
 
 
 class StarvationBudgetWatcher:
@@ -528,6 +541,28 @@ def clear_runtime_cache() -> None:
         _RUNTIME_CACHE.popitem()[1].close()
 
 
+def _forget_runtimes_after_fork() -> None:
+    """Empty the runtime cache in a forked child.
+
+    The cached backends dispatch to carrier threads that exist only in the
+    parent; a child dispatching to them would wait forever.  The entries are
+    dropped, not closed: retiring a carrier signals a thread the child does
+    not have.
+    """
+    _RUNTIME_CACHE.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_runtimes_after_fork)
+
+
+def starvation_budget(task: ExploreTask, problem: object) -> Optional[int]:
+    """The task's liveness budget, deferring to the problem's declaration."""
+    if task.starvation_budget is not None:
+        return task.starvation_budget
+    return problem.starvation_budget
+
+
 def run_schedule(
     task: ExploreTask,
     scheduler: Scheduler,
@@ -546,9 +581,10 @@ def run_schedule(
 
     ``instrument``, when given, is called with the fresh backend and built
     workload before the run; the object it returns may expose ``observe(point)``
-    (chained after the oracles at every decision) and ``finish()`` (called
-    once after the run, however it ended).  The DPOR explorer uses this to
-    snapshot abstract configurations at every decision point.
+    (chained after the oracles at every decision).  An ``observe`` that raises
+    :class:`StopRun` ends the run as ``ok`` at that decision, without
+    ``verify()``.  The DPOR explorer uses this to build abstract
+    configurations at every decision point and to stop at explored ones.
 
     ``record_footprints`` makes the kernel record per-decision read/write/
     lock/condition footprints and attaches them to the returned trace
@@ -595,9 +631,7 @@ def run_schedule(
             backend.set_deadlock_recovery(heal)
     backend.set_hang_inspector(_waiter_autopsy(spec.monitor))
     oracles = problem.oracles(spec.monitor)
-    budget = task.starvation_budget
-    if budget is None:
-        budget = problem.starvation_budget
+    budget = starvation_budget(task, problem)
     # `is not None` (not truthiness): a budget of 0 must hit the watcher's
     # >= 1 validation rather than silently disable liveness checking.
     watcher = (
@@ -608,11 +642,8 @@ def run_schedule(
         # must observe every decision, so prefix sharing cannot skip it.
         verified_depth = 0
     probe_observe = None
-    probe_finish = None
     if instrument is not None:
-        instrument_probe = instrument(backend, spec)
-        probe_observe = getattr(instrument_probe, "observe", None)
-        probe_finish = getattr(instrument_probe, "finish", None)
+        probe_observe = getattr(instrument(backend, spec), "observe", None)
 
     oracle_seconds = 0.0
 
@@ -639,6 +670,8 @@ def run_schedule(
     try:
         backend.run(spec.targets, spec.names)
         spec.verify()
+    except StopRun as exc:
+        message = str(exc)
     except OracleViolationError as exc:
         status, kind, message = "failure", f"oracle:{exc.oracle_name}", str(exc)
     except DeadlockError as exc:
@@ -666,8 +699,6 @@ def run_schedule(
     except Exception as exc:
         status, kind, message = "failure", f"error:{type(exc).__name__}", str(exc)
     t_ran = perf_counter()
-    if probe_finish is not None:
-        probe_finish()
     trace = backend.schedule_trace
     if record_footprints:
         trace.footprints = backend.schedule_footprints
@@ -731,60 +762,38 @@ def _pool_worker(payload: tuple) -> ScheduleOutcome:
     Runs one frontier entry exactly as the serial reduction loop would;
     worker processes warm their own TaskRuntime cache on first use.
     """
-    task_data, prefix, verified_depth, record_footprints = payload
+    task_data, prefix, verified_depth = payload
     return run_prefix(
-        ExploreTask.from_dict(task_data),
-        prefix,
-        record_footprints=record_footprints,
-        verified_depth=verified_depth,
+        ExploreTask.from_dict(task_data), prefix, verified_depth=verified_depth
     )
 
 
 class _OutcomePool:
     """Speculative outcome prefetcher for the work-sharing parallel frontier.
 
-    The reduction loop (DFS child generation, DPOR sleep sets and cache
-    skips) stays strictly serial, which makes the report bit-identical to a
-    serial run by construction; what parallelizes is the pure function
-    ``outcome = f(task, prefix, verified_depth)``.  Each ``refill`` takes a
-    wave of not-yet-computed entries from the top of the frontier stack —
-    the entries the serial loop pops next — and computes their outcomes
-    through the executor registry; ``fetch`` hands a precomputed outcome to
-    the serial loop at pop time (falling back to an inline run on a miss).
-    Speculative results for entries the loop later skips are simply
-    discarded, so speculation never changes the search.
+    The DFS loop's child generation stays strictly serial, which makes the
+    report bit-identical to a serial run by construction; what parallelizes
+    is the pure function ``outcome = f(task, prefix, verified_depth)``.
+    Each ``refill`` takes a wave of not-yet-computed entries from the top of
+    the frontier stack — the entries the serial loop pops next — and
+    computes their outcomes through the executor registry; ``fetch`` hands
+    a precomputed outcome to the serial loop at pop time (falling back to
+    an inline run on a miss).
     """
 
-    def __init__(
-        self,
-        task: ExploreTask,
-        executor: str,
-        jobs: Optional[int],
-        worker: Callable = None,
-        payload_fn: Callable = None,
-    ) -> None:
-        task_data = task.to_dict()
-        self._worker = worker if worker is not None else _pool_worker
-        self._payload_fn = (
-            payload_fn
-            if payload_fn is not None
-            else lambda entry: (task_data, tuple(entry[0]), entry[1], False)
-        )
+    def __init__(self, task: ExploreTask, executor: str, jobs: Optional[int]) -> None:
+        self._task_data = task.to_dict()
         self._executor = create_executor(executor, jobs=jobs)
         self._wave = max(2 * (jobs or 2), 4)
-        self._results: Dict[Tuple[int, ...], object] = {}
+        self._results: Dict[Tuple[int, ...], ScheduleOutcome] = {}
 
-    def fetch(self, prefix: Tuple[int, ...]) -> Optional[object]:
+    def fetch(self, prefix: Tuple[int, ...]) -> Optional[ScheduleOutcome]:
         return self._results.pop(prefix, None)
 
-    def refill(self, frontier: Sequence) -> None:
-        """Prefetch results for the top-of-stack frontier entries.
-
-        Frontier entries lead with the prefix tuple (``entry[0]``); the
-        payload function turns a full entry into the worker's picklable
-        argument.  The stack is popped from the end, so the wave is taken
-        from there.
-        """
+    def refill(self, frontier: Sequence[Tuple[Tuple[int, ...], int]]) -> None:
+        """Prefetch outcomes for the top-of-stack ``(prefix, verified_depth)``
+        frontier entries.  The stack is popped from the end, so the wave is
+        taken from there."""
         batch = []
         for entry in reversed(frontier):
             if entry[0] not in self._results:
@@ -793,25 +802,21 @@ class _OutcomePool:
                     break
         if not batch:
             return
-        payloads = [self._payload_fn(entry) for entry in batch]
-        results = self._executor.run_tasks(self._worker, payloads)
-        for entry, result in zip(batch, results):
+        payloads = [(self._task_data, tuple(prefix), depth) for prefix, depth in batch]
+        results = self._executor.run_tasks(_pool_worker, payloads)
+        for (prefix, _depth), result in zip(batch, results):
             if result is not None:
-                self._results[tuple(entry[0])] = result
+                self._results[tuple(prefix)] = result
 
 
 def _make_pool(
-    task: ExploreTask,
-    executor: str,
-    jobs: Optional[int],
-    worker: Callable = None,
-    payload_fn: Callable = None,
+    task: ExploreTask, executor: str, jobs: Optional[int]
 ) -> Optional[_OutcomePool]:
     """An :class:`_OutcomePool` when parallelism was requested, else None
     (the serial loop then runs with zero pool overhead)."""
     if (jobs is None or jobs <= 1) and executor in (None, "serial"):
         return None
-    return _OutcomePool(task, executor, jobs, worker=worker, payload_fn=payload_fn)
+    return _OutcomePool(task, executor, jobs)
 
 
 def explore_dfs(

@@ -42,6 +42,7 @@ from repro.harness.execution.registry import (
 from repro.harness.execution.serial import SerialExecutor
 from repro.harness.execution.process import (
     MAX_POOL_REBUILDS,
+    PoolTaskTimeout,
     ProcessExecutor,
     default_job_count,
 )
@@ -49,6 +50,7 @@ from repro.harness.execution.process import (
 __all__ = [
     "DEFAULT_RETRY_BACKOFF",
     "MAX_POOL_REBUILDS",
+    "PoolTaskTimeout",
     "call_with_retries",
     "Executor",
     "ProgressCallback",

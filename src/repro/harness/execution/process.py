@@ -20,7 +20,11 @@ failure never pays pool-rebuild costs.
 Completions are consumed in submission order (workers still execute out of
 order), which is what lets progress reporting honour the executor contract
 (one ordered callback per task, parent process only) without extra
-sequencing machinery.
+sequencing machinery.  Each result is awaited for at most
+:data:`RESULT_DEADLINE_S` seconds: a worker that never answers (wedged on
+a lock it inherited through ``fork``, say) fails the sweep with a
+:class:`PoolTaskTimeout` naming the task, and the pool's workers are
+terminated, instead of leaving the parent waiting forever.
 
 The ``fork`` start method is preferred where available (workers inherit
 the imported problem/policy registries instead of re-importing them);
@@ -34,6 +38,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -47,6 +52,8 @@ from repro.harness.execution.serial import SerialExecutor
 
 __all__ = [
     "MAX_POOL_REBUILDS",
+    "RESULT_DEADLINE_S",
+    "PoolTaskTimeout",
     "ProcessExecutor",
     "default_job_count",
     "serial_fallback_reason",
@@ -56,6 +63,34 @@ __all__ = [
 #: unfinished tasks resubmitted before the sweep fails.  Bounded: a task
 #: that *deterministically* kills its worker must not respawn pools forever.
 MAX_POOL_REBUILDS = 2
+
+#: Seconds ``run_tasks`` waits for any one task's result.  Results are
+#: consumed in submission order and the pool starts tasks in that order, so
+#: the wait covers the task's own run, never a queue behind later tasks.
+RESULT_DEADLINE_S = 1800.0
+
+
+class PoolTaskTimeout(TimeoutError):
+    """A pool worker produced no result for a task within
+    :data:`RESULT_DEADLINE_S`; the message names the task."""
+
+
+def _describe_task(index: int, task: Any, limit: int = 200) -> str:
+    text = repr(task)
+    if len(text) > limit:
+        text = text[: limit - 3] + "..."
+    return f"task {index} ({text})"
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Kill *pool*'s workers and shut it down without waiting.
+
+    ``shutdown(wait=True)`` would join a wedged worker forever; the
+    executor exposes its processes only through a private attribute.
+    """
+    for process in list(getattr(pool, "_processes", {}).values()):
+        process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def default_job_count() -> int:
@@ -129,7 +164,8 @@ class ProcessExecutor(Executor):
             jobs = min(self.jobs, len(pending))
             broken = False
             still_pending: List[int] = []
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+            try:
                 futures = [
                     (
                         index,
@@ -151,7 +187,7 @@ class ProcessExecutor(Executor):
                         still_pending.append(index)
                         continue
                     try:
-                        results[index] = future.result()
+                        results[index] = future.result(timeout=RESULT_DEADLINE_S)
                     except BrokenProcessPool:
                         # A worker died mid-task (not a task exception, which
                         # pickles back and propagates below): infrastructure
@@ -159,8 +195,18 @@ class ProcessExecutor(Executor):
                         broken = True
                         still_pending.append(index)
                         continue
+                    except FutureTimeout:
+                        raise PoolTaskTimeout(
+                            f"{_describe_task(index, tasks[index])} produced no "
+                            f"result within {RESULT_DEADLINE_S:g}s; its worker "
+                            "is stuck, so the pool was terminated"
+                        ) from None
                     if progress is not None:
                         progress(index, tasks[index], results[index])
+            except BaseException:
+                _terminate_workers(pool)
+                raise
+            pool.shutdown(wait=True)
             if not broken:
                 return results
             rebuilds += 1

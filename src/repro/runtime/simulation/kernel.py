@@ -1247,6 +1247,12 @@ class SimulationBackend(Backend):
         """
         sim_thread = self.current_thread()
         with self._lock:
+            if self._abort:
+                # Threads unwinding an aborted run race each other through
+                # the monitor's exit relay; counting or delivering their
+                # notifications would make the run's counters depend on
+                # which carrier the OS scheduled first.
+                raise _SimulationAbort()
             self._check_doomed_locked(sim_thread)
             if condition.lock.owner != sim_thread.tid:
                 raise SimulationError(
@@ -1259,7 +1265,7 @@ class SimulationBackend(Backend):
             else:
                 self.metrics.notifies += 1
                 count = min(count, len(condition.waiters))
-            if count and self._fault_injector is not None and not self._abort:
+            if count and self._fault_injector is not None:
                 try:
                     suppressed = self._fault_injector.on_notify(
                         self, condition, wake_all

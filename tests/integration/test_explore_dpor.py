@@ -25,8 +25,9 @@ from repro.explore import (
 )
 from repro.explore import engine as engine_module
 from repro.explore import shrink as shrink_module
+from repro.explore.__main__ import main as explore_main
 from repro.explore.dpor import DPOR_MODE
-from repro.explore.engine import ScheduleOutcome
+from repro.explore.engine import ScheduleOutcome, StopRun, run_prefix
 from repro.problems.base import all_mechanisms
 from repro.runtime.simulation.schedulers import SchedulePoint, ScheduleTrace
 
@@ -279,3 +280,104 @@ class TestDporFindsSeededDefects:
         assert replay.reproduced, replay.describe()
         assert replay.outcome.kind == "deadlock"
         assert replay.outcome.digest == shrunk.digest
+
+
+#: DPOR schedule counts at threads=2, ops=4 (autosynch) before runs were
+#: stopped at explored configurations; stopping may only lower them.
+SCHEDULES_BEFORE_STOPPING = {
+    "bounded_buffer": 17,
+    "sleeping_barber": 31,
+    "traffic_intersection": 78,
+    "parameterized_bounded_buffer": 22,
+}
+
+
+def _stopped(outcome) -> bool:
+    return outcome.ok and "already-explored configuration" in outcome.message
+
+
+def _explore_collecting(task, **kwargs):
+    outcomes = []
+    report = explore_dpor(
+        task, progress=lambda count, outcome: outcomes.append(outcome), **kwargs
+    )
+    return report, outcomes
+
+
+class TestStoppedRuns:
+    def test_bounded_buffer_3x9_stops_once_per_merge(self):
+        task = ExploreTask("bounded_buffer", "autosynch", threads=3, total_ops=9)
+        report, outcomes = _explore_collecting(task)
+        assert report.complete and report.ok
+        assert report.schedules_visited == 4400
+        assert report.stats["merged_configs"] == 4376
+        assert sum(map(_stopped, outcomes)) == 4376
+
+    def test_stopped_run_is_ok_and_ends_at_the_merged_decision(self):
+        task = ExploreTask(mechanism="autosynch", **BUFFER_2X2)
+        report, outcomes = _explore_collecting(task)
+        stopped = [outcome for outcome in outcomes if _stopped(outcome)]
+        assert stopped
+        cut_short = 0
+        for outcome in stopped:
+            assert outcome.kind == "ok"
+            merged_at = int(outcome.message.split()[1])
+            assert len(outcome.trace) == merged_at + 1
+            # Unstopped, the same schedule passes through the merged
+            # decision and (unless it was the last one) runs on past it.
+            full = run_prefix(task, outcome.trace.choices())
+            assert full.ok
+            assert full.trace.points[: len(outcome.trace)] == outcome.trace.points
+            cut_short += len(full.trace) > len(outcome.trace)
+        assert cut_short
+
+    def test_stop_run_skips_verify(self):
+        task = ExploreTask(mechanism="autosynch", **BUFFER_2X2)
+
+        class StopAtThree:
+            def __init__(self, backend, spec):
+                spec.verify = self.verify
+
+            def verify(self):
+                raise AssertionError("verify() ran on a stopped run")
+
+            def observe(self, point):
+                if point.step == 3:
+                    raise StopRun("stopped at decision 3")
+
+        outcome = run_prefix(task, (), instrument=StopAtThree)
+        assert outcome.ok and outcome.message == "stopped at decision 3"
+        assert len(outcome.trace) == 4
+
+    def test_starvation_budget_keeps_every_run_whole(self):
+        """The starvation watcher depends on the path, so no run stops and
+        the search is the one from before stopping existed."""
+        task = ExploreTask(
+            "bounded_buffer", "autosynch", threads=2, total_ops=4,
+            starvation_budget=1000,
+        )
+        report, outcomes = _explore_collecting(task)
+        assert report.complete and report.ok
+        assert not any(map(_stopped, outcomes))
+        assert report.schedules_visited == 17
+        assert report.stats["merged_configs"] == 29
+
+    @pytest.mark.parametrize("problem", sorted(SCHEDULES_BEFORE_STOPPING))
+    def test_stopping_never_adds_schedules(self, problem):
+        task = ExploreTask(problem, "autosynch", threads=2, total_ops=4)
+        report = explore_dpor(task)
+        assert report.complete and report.ok
+        assert report.schedules_visited <= SCHEDULES_BEFORE_STOPPING[problem]
+
+
+class TestDporCli:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--jobs", "2"], ["--executor", "process"], ["--executor", "process", "--jobs", "1"]],
+    )
+    def test_parallel_dpor_is_refused(self, extra, tmp_path):
+        with pytest.raises(SystemExit, match="--dpor runs serially"):
+            explore_main(
+                ["--problem", "bounded_buffer", "--mechanism", "autosynch",
+                 "--mode", "dfs", "--dpor", "--out", str(tmp_path)] + extra
+            )

@@ -1,13 +1,15 @@
 """Serial-vs-parallel equivalence of the exploration engine, and the
 cached-vs-uncached determinism contract of the TaskRuntime build cache.
 
-The tentpole guarantee (mirror of ``test_parallel_equivalence.py`` for the
-experiment harness): ``explore_dfs`` and ``explore_dpor`` produce the same
-report — schedules visited, failure kind/digest set, ``complete`` flag,
-depth metrics and reduction stats — whatever executor or job count computed
-the frontier runs, because every reduction decision is made by the serial
-loop in its serial order.  Per-stage ``timings`` are the only report field
-allowed to differ (they measure the machine, not the search).
+The guarantee (mirror of ``test_parallel_equivalence.py`` for the
+experiment harness): ``explore_dfs`` and ``explore_swarm`` produce the same
+report — schedules visited, failure kind/digest set, ``complete`` flag and
+depth metrics — whatever executor or job count computed the runs, because
+every reduction decision is made by the serial loop in its serial order.
+Per-stage ``timings`` are the only report field allowed to differ (they
+measure the machine, not the search).  DPOR has no parallel path: its runs
+stop against the live set of explored configurations, which only the
+serial loop holds.
 
 The cache half: a run served from the process-wide :func:`task_runtime`
 cache (recycled backend, memoized predicate artifacts) is bit-identical to
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explore.dpor import explore_dpor
 from repro.explore.engine import (
     ExploreTask,
     TaskRuntime,
@@ -30,6 +31,7 @@ from repro.explore.engine import (
     run_schedule,
     task_runtime,
 )
+from repro.harness.execution import process as process_module
 from repro.runtime.simulation import RandomScheduler
 
 CONFIGS = [
@@ -62,12 +64,20 @@ class TestSerialParallelEquivalence:
         parallel = explore_dfs(task, max_schedules=cap, executor="process", jobs=2)
         assert report_signature(serial) == report_signature(parallel)
 
-    @pytest.mark.parametrize("problem,mechanism,cap", CONFIGS)
-    def test_dpor_jobs2_matches_serial(self, problem, mechanism, cap):
-        task = ExploreTask(problem=problem, mechanism=mechanism, threads=2, total_ops=2)
-        serial = explore_dpor(task, max_schedules=cap)
-        parallel = explore_dpor(task, max_schedules=cap, executor="process", jobs=2)
-        assert report_signature(serial) == report_signature(parallel)
+    def test_pool_after_serial_exploration_in_one_process(self, monkeypatch):
+        """Regression: a forked worker used to inherit the parent's cached
+        runtime, whose backend dispatches to carrier threads the child does
+        not have, and waited on them forever.  The pool path is forced so
+        the test also bites on a single-CPU host, and the result deadline is
+        cut so a regression fails instead of waiting out the default."""
+        monkeypatch.setattr(process_module, "serial_fallback_reason", lambda j, n: None)
+        monkeypatch.setattr(process_module, "RESULT_DEADLINE_S", 60.0)
+        task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
+                           threads=2, total_ops=2)
+        serial = explore_dfs(task)
+        parallel = explore_dfs(task, executor="process", jobs=2)
+        assert serial.schedules_visited == parallel.schedules_visited == 52
+        assert serial.complete and parallel.complete
 
     def test_jobs1_and_jobs4_match(self):
         task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",

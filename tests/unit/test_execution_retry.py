@@ -12,6 +12,7 @@ from repro.harness.execution import (
     DEFAULT_RETRY_BACKOFF,
     MAX_POOL_REBUILDS,
     Executor,
+    PoolTaskTimeout,
     ProcessExecutor,
     SerialExecutor,
     call_with_retries,
@@ -208,3 +209,20 @@ class TestProcessPoolCrashRecovery:
         executor = ProcessExecutor(jobs=2)
         with pytest.raises(BrokenProcessPool, match=str(MAX_POOL_REBUILDS)):
             executor.run_tasks(_crash_always, [1, 2])
+
+
+def _sleep_forever(task):
+    import time
+
+    time.sleep(3600)
+
+
+class TestProcessPoolDeadline:
+    """A worker that never answers fails the sweep, naming the task."""
+
+    def test_stuck_task_is_named_and_pool_terminated(self, monkeypatch):
+        monkeypatch.setattr(process_module, "serial_fallback_reason", lambda j, n: None)
+        monkeypatch.setattr(process_module, "RESULT_DEADLINE_S", 0.5)
+        executor = ProcessExecutor(jobs=2)
+        with pytest.raises(PoolTaskTimeout, match=r"task 0 \('stuck-probe'\)"):
+            executor.run_tasks(_sleep_forever, ["stuck-probe", "other"])

@@ -1,4 +1,5 @@
-"""Kernel robustness: thread-crash abandonment, hang autopsy, self-healing hook."""
+"""Kernel robustness: thread-crash abandonment, hang autopsy, self-healing hook,
+and counters of runs an observer aborts."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import threading
 import pytest
 
 from repro.faults import FaultInjector, create_fault
+from repro.problems import get_problem
 from repro.runtime import SimulationBackend
 from repro.runtime.simulation import (
     DeadlockError,
     MonitorAbandonedError,
+    PrefixScheduler,
     SimulationError,
     SimulationHangError,
 )
@@ -188,3 +191,45 @@ class TestDeadlockRecoveryHook:
         with pytest.raises(DeadlockError):
             backend.run([waiter])
         assert len(attempts) == RECOVERY_ATTEMPT_LIMIT
+
+
+class _StopAt(Exception):
+    pass
+
+
+class TestAbortedRunCounters:
+    """An observer that aborts a run mid-flight unwinds every parked thread
+    through the monitor's exit relay at once; the run's counters must not
+    depend on which carrier the OS scheduled first.  The prefixes are
+    bounded-buffer schedules whose unwinding raced before notifications
+    were refused on an aborting run."""
+
+    def _aborted_run(self, prefix):
+        backend = SimulationBackend(seed=1, policy=PrefixScheduler(prefix))
+        spec = get_problem("bounded_buffer").build(
+            "autosynch", backend, threads=3, total_ops=9, seed=1
+        )
+        stop_at = len(prefix) - 1
+
+        def observer(point):
+            if point.step == stop_at:
+                raise _StopAt()
+
+        backend.set_observer(observer)
+        with pytest.raises(_StopAt):
+            backend.run(spec.targets, spec.names)
+        return backend.metrics.snapshot(), spec.monitor.stats.snapshot()
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            (3, 4, 2, 3, 2, 0, 1, 1, 0, 0),
+            (3, 4, 1, 2, 2, 1, 0),
+            (3, 3, 3, 1, 2, 1, 0),
+        ],
+    )
+    def test_counters_repeat_exactly(self, prefix):
+        first = self._aborted_run(prefix)
+        assert first[0]["context_switches"] == len(prefix)
+        for _ in range(19):
+            assert self._aborted_run(prefix) == first
