@@ -61,6 +61,9 @@ class MonitorStats:
     #: Predicate evaluations served by a fused batch closure (a subset of
     #: ``compiled_evaluations``; the per-waiter-call ones are the rest).
     batched_evaluations: int = 0
+    #: Complex-predicate globalizations bound into a per-site template
+    #: (the rest of the waits on complex predicates ran the full pipeline).
+    template_globalizations: int = 0
     #: Timed ``wait_until`` calls that gave up (raised ``WaitTimeout``).
     wait_timeouts: int = 0
     #: Predicates demoted from the compiled engine to the interpreter after

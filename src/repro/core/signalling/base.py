@@ -220,6 +220,8 @@ class RelayPolicyBase(SignallingPolicy):
         stats = monitor.stats
         backend = monitor.backend
         globalized = compiled.globalized(local_values)
+        if globalized.from_template:
+            stats.template_globalizations += 1
         entry = manager.acquire_entry(
             globalized, from_shared_predicate=compiled.is_shared
         )

@@ -166,19 +166,25 @@ class ProcessExecutor(Executor):
             still_pending: List[int] = []
             pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
             try:
-                futures = [
-                    (
-                        index,
-                        pool.submit(
+                futures = []
+                unsubmitted: List[int] = []
+                for position, index in enumerate(pending):
+                    try:
+                        future = pool.submit(
                             call_with_retries,
                             fn,
                             tasks[index],
                             self.retries,
                             self.retry_backoff,
-                        ),
-                    )
-                    for index in pending
-                ]
+                        )
+                    except BrokenProcessPool:
+                        # A worker died before every task was submitted:
+                        # handled like a death at result time, so every
+                        # unfinished task goes to the next incarnation.
+                        broken = True
+                        unsubmitted = pending[position:]
+                        break
+                    futures.append((index, future))
                 for index, future in futures:
                     if broken:
                         # The pool already died; everything not yet consumed
@@ -203,6 +209,7 @@ class ProcessExecutor(Executor):
                         ) from None
                     if progress is not None:
                         progress(index, tasks[index], results[index])
+                still_pending.extend(unsubmitted)
             except BaseException:
                 _terminate_workers(pool)
                 raise

@@ -277,6 +277,7 @@ def run_service_load(
                 "relay_signal_calls",
                 "relay_entries_skipped",
                 "eval_context_allocations",
+                "template_globalizations",
             )
         },
     )

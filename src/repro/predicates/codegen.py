@@ -4,8 +4,10 @@ The tree-walking interpreter in :mod:`repro.predicates.evaluator` pays one
 dispatch lookup plus one Python function call *per IR node per evaluation* —
 and ``GlobalizedPredicate.holds`` is the hottest call in the whole runtime
 (every candidate entry on every monitor exit).  This module removes that tax
-by lowering each predicate once into generated Python source, compiling it
-with :func:`compile`, and caching the resulting function.
+by lowering each predicate into generated Python source.  Code is generated
+per *shape* — the tree with every constant replaced by a parameter — so
+:func:`compile` runs once per shape, and each predicate of that shape is the
+shape's factory called with its constants, which the closure keeps as cells.
 
 Semantics are kept bit-for-bit identical to the interpreter, including which
 exceptions are raised (the engine-equivalence property test enforces this):
@@ -33,7 +35,6 @@ selecting between the engines is the ``eval_engine`` string validated by
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, List, Optional
 
@@ -54,6 +55,7 @@ from repro.predicates.ast_nodes import (
     Subscript,
     UnaryOp,
     unparse,
+    walk,
 )
 # The engine constants live in the evaluator (the module both engines share)
 # and are re-exported here for backwards compatibility.
@@ -73,12 +75,14 @@ __all__ = [
     "compile_batch",
     "compiled_source",
     "parametrize_expr",
+    "compile_shape",
 ]
 
-#: How many distinct lowered predicates are kept compiled.  Complex
-#: predicates globalize to a fresh tree per distinct local value, so the
-#: cache must be bounded; 1024 comfortably covers every workload in the
-#: benchmark suite while capping memory on adversarial ones.
+#: How many lowered predicates (per IR tree) and generated shape factories
+#: are kept.  A complex predicate globalizes to a fresh tree per distinct
+#: local value, but every such tree shares its shape, so the per-tree cache
+#: only holds cheap closure instantiations; :func:`compile` runs once per
+#: shape.  Both caches are bounded to cap memory on adversarial workloads.
 CODEGEN_CACHE_SIZE = 1024
 
 
@@ -170,12 +174,14 @@ _WRAPPED_BINOPS = {"/": "__cg_div", "//": "__cg_floordiv", "%": "__cg_mod"}
 
 
 class _Slot:
-    """Placeholder constant: row-parameter *index* in a fused batch closure.
+    """Placeholder constant: parameter *index* of a generated shape function.
 
     :func:`parametrize_expr` substitutes one of these for every literal
     constant, so predicates that differ only in their constants (the typical
     shape after globalization freezes each thread's local values) collapse
-    to a single *shape* — and a single generated batch function.
+    to a single *shape* — one generated closure factory and one fused batch
+    function.  Slot *i* is emitted as the name ``__cg_p{i}``: a closure cell
+    in a factory-made predicate, a loop variable in a batch.
     """
 
     __slots__ = ("index",)
@@ -193,31 +199,11 @@ class _Slot:
         return f"<slot {self.index}>"
 
 
-def _emit_const(value: object, consts: List[object]) -> str:
-    """Emit a constant: literal source when repr round-trips, else a slot in
-    the function's constant tuple.
-
-    Exact types only — an int/str *subclass* (with, say, an overridden
-    ``__eq__``) must keep its identity, so it goes through the constant
-    tuple rather than being reconstructed from a literal.
-    """
-    if type(value) is _Slot:
-        return f"__cg_p[{value.index}]"
-    if value is None or value is True or value is False:
-        return repr(value)
-    if type(value) in (int, str):
-        return repr(value)
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    consts.append(value)
-    return f"__cg_consts[{len(consts) - 1}]"
-
-
-def _emit(node: Expr, consts: List[object]) -> str:
-    """Lower one IR node to a (parenthesized) Python source fragment."""
+def _emit(node: Expr) -> str:
+    """Lower one node of a parametrized shape to a Python source fragment."""
     kind = type(node)
     if kind is Const:
-        return _emit_const(node.value, consts)
+        return f"__cg_p{node.value.index}"
     if kind is BoolConst:
         return "True" if node.value else "False"
     if kind is Name:
@@ -229,24 +215,24 @@ def _emit(node: Expr, consts: List[object]) -> str:
     if kind is Attribute:
         if not node.attr.isidentifier():
             raise _Unsupported(f"attribute {node.attr!r} is not an identifier")
-        return f"({_emit(node.value, consts)}).{node.attr}"
+        return f"({_emit(node.value)}).{node.attr}"
     if kind is Subscript:
-        return f"__cg_subscript({_emit(node.value, consts)}, {_emit(node.index, consts)})"
+        return f"__cg_subscript({_emit(node.value)}, {_emit(node.index)})"
     if kind is Call:
-        args = ", ".join(_emit(arg, consts) for arg in node.args)
+        args = ", ".join(_emit(arg) for arg in node.args)
         if node.receiver is None and node.func in _BUILTINS:
             return f"__cg_b_{node.func}({args})"
-        target = "state" if node.receiver is None else _emit(node.receiver, consts)
+        target = "state" if node.receiver is None else _emit(node.receiver)
         if args:
             return f"__cg_call({node.func!r}, {args}, target={target})"
         return f"__cg_call({node.func!r}, target={target})"
     if kind is UnaryOp:
         if node.op != "-":
             raise _Unsupported(f"unary operator {node.op!r}")
-        return f"(-{_emit(node.operand, consts)})"
+        return f"(-{_emit(node.operand)})"
     if kind is BinOp:
-        left = _emit(node.left, consts)
-        right = _emit(node.right, consts)
+        left = _emit(node.left)
+        right = _emit(node.right)
         if node.op in _NATIVE_BINOPS:
             return f"({left} {node.op} {right})"
         helper = _WRAPPED_BINOPS.get(node.op)
@@ -256,41 +242,78 @@ def _emit(node: Expr, consts: List[object]) -> str:
     if kind is Compare:
         if node.op not in COMPARISON_OPS:
             raise _Unsupported(f"comparison operator {node.op!r}")
-        return f"({_emit(node.left, consts)} {node.op} {_emit(node.right, consts)})"
+        return f"({_emit(node.left)} {node.op} {_emit(node.right)})"
     if kind is Not:
-        return f"(not {_emit(node.operand, consts)})"
+        return f"(not {_emit(node.operand)})"
     if kind is And:
         if not node.operands:
             return "True"
-        return "bool(" + " and ".join(_emit(op, consts) for op in node.operands) + ")"
+        return "bool(" + " and ".join(_emit(op) for op in node.operands) + ")"
     if kind is Or:
         if not node.operands:
             return "False"
-        return "bool(" + " or ".join(_emit(op, consts) for op in node.operands) + ")"
+        return "bool(" + " or ".join(_emit(op) for op in node.operands) + ")"
     raise _Unsupported(f"codegen does not support IR node type {kind!r}")
+
+
+def _slot_names(shape: Expr) -> List[str]:
+    """The parameter names of *shape*, ``__cg_p0`` onwards, in slot order."""
+    count = sum(1 for node in walk(shape) if type(node) is Const)
+    return [f"__cg_p{index}" for index in range(count)]
+
+
+def _exec_generated(source: str, name: str, label: str) -> Optional[Callable]:
+    """Compile and run generated *source*, returning its function *name*."""
+    namespace = dict(_NAMESPACE)
+    try:
+        exec(compile(source, label, "exec"), namespace)
+    except (SyntaxError, ValueError):  # pragma: no cover - defensive fallback
+        return None
+    fn = namespace[name]
+    fn.__cg_source__ = source
+    return fn
+
+
+@lru_cache(maxsize=CODEGEN_CACHE_SIZE)
+def _compile_shape(shape: Expr) -> Optional[Callable]:
+    """The closure factory for a parametrized *shape*, or None.
+
+    ``factory(*params)`` returns the predicate function of the shape with
+    its constants bound as closure cells, so one :func:`compile` serves
+    every predicate of that shape.
+    """
+    try:
+        body = _emit(shape)
+    except _Unsupported:
+        return None
+    source = (
+        f"def __cg_factory({', '.join(_slot_names(shape))}):\n"
+        "    def __cg_predicate(state, __cg_read, __cg_locals):\n"
+        f"        return {body}\n"
+        "    return __cg_predicate\n"
+    )
+    return _exec_generated(
+        source, "__cg_factory", f"<predicate: {unparse(shape)[:80]}>"
+    )
+
+
+def compile_shape(shape: Optional[Expr]) -> Optional[Callable]:
+    """The closure factory of a parametrized *shape* (see
+    :func:`parametrize_expr`), or None when codegen declines it.
+
+    ``factory(*params)`` is the compiled predicate whose constants are
+    *params*.  Memoized on the shape.
+    """
+    if shape is None:
+        return None
+    return _compile_shape(shape)
 
 
 @lru_cache(maxsize=CODEGEN_CACHE_SIZE)
 def _compile_cached(expr: Expr) -> Optional[Callable]:
-    consts: List[object] = []
-    try:
-        body = _emit(expr, consts)
-    except _Unsupported:
-        return None
-    source = (
-        "def __cg_predicate(state, __cg_read, __cg_locals):\n"
-        f"    return {body}\n"
-    )
-    namespace = dict(_NAMESPACE)
-    namespace["__cg_consts"] = tuple(consts)
-    try:
-        code = compile(source, f"<predicate: {unparse(expr)[:80]}>", "exec")
-        exec(code, namespace)
-    except (SyntaxError, ValueError):  # pragma: no cover - defensive fallback
-        return None
-    fn = namespace["__cg_predicate"]
-    fn.__cg_source__ = source
-    return fn
+    shape, params = parametrize_expr(expr)
+    factory = compile_shape(shape)
+    return factory(*params) if factory is not None else None
 
 
 def compile_expr(expr: Expr) -> Optional[Callable]:
@@ -300,20 +323,21 @@ def compile_expr(expr: Expr) -> Optional[Callable]:
     and the exact raw-value/exception semantics of
     :func:`repro.predicates.evaluator.evaluate`.  Results are memoized on
     the (hashable, immutable) IR tree, so repeated globalizations of the
-    same predicate share one compilation.
+    same predicate share one closure; trees that differ only in their
+    constants share one compilation (see :func:`compile_shape`).
     """
     try:
         return _compile_cached(expr)
     except TypeError:
         # An unhashable constant (no IR the parser emits, but defensive):
-        # compile without memoization.
+        # instantiate without memoization.
         return _compile_cached.__wrapped__(expr)
 
 
 def compiled_source(expr: Expr) -> Optional[str]:
     """Return the generated source for *expr* (None when codegen declined)."""
-    fn = compile_expr(expr)
-    return getattr(fn, "__cg_source__", None) if fn is not None else None
+    factory = compile_shape(parametrize_expr(expr)[0])
+    return factory.__cg_source__ if factory is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -372,29 +396,23 @@ def parametrize_expr(expr: Expr) -> tuple:
 
 @lru_cache(maxsize=CODEGEN_CACHE_SIZE)
 def _compile_batch_cached(shape: Expr) -> Optional[Callable]:
-    consts: List[object] = []
     try:
-        body = _emit(shape, consts)
+        body = _emit(shape)
     except _Unsupported:
         return None
+    names = _slot_names(shape)
+    target = ", ".join(names) + "," if names else "()"
     source = (
         "def __cg_batch(__cg_rows, state, __cg_read, __cg_locals):\n"
         "    __cg_out = []\n"
         "    __cg_append = __cg_out.append\n"
-        "    for __cg_p in __cg_rows:\n"
+        f"    for {target} in __cg_rows:\n"
         f"        __cg_append(bool({body}))\n"
         "    return __cg_out\n"
     )
-    namespace = dict(_NAMESPACE)
-    namespace["__cg_consts"] = tuple(consts)
-    try:
-        code = compile(source, f"<batch predicate: {unparse(shape)[:80]}>", "exec")
-        exec(code, namespace)
-    except (SyntaxError, ValueError):  # pragma: no cover - defensive fallback
-        return None
-    fn = namespace["__cg_batch"]
-    fn.__cg_source__ = source
-    return fn
+    return _exec_generated(
+        source, "__cg_batch", f"<batch predicate: {unparse(shape)[:80]}>"
+    )
 
 
 def compile_batch(shape: Expr) -> Optional[Callable]:
@@ -412,9 +430,4 @@ def compile_batch(shape: Expr) -> Optional[Callable]:
     """
     if shape is None:
         return None
-    try:
-        return _compile_batch_cached(shape)
-    except TypeError:
-        # An unhashable constant survived into the shape (no IR the parser
-        # emits, but defensive): compile without memoization.
-        return _compile_batch_cached.__wrapped__(shape)
+    return _compile_batch_cached(shape)

@@ -35,7 +35,7 @@ from repro.predicates.ast_nodes import (
 )
 from repro.predicates.classify import scope_of
 
-__all__ = ["normalize_comparison"]
+__all__ = ["normalize_comparison", "signed_local_terms"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,38 @@ def normalize_comparison(atom: Compare) -> Optional[Compare]:
     right_terms = _additive_terms(atom.right, 1)
     if left_terms is None or right_terms is None:
         return _orient_whole_sides(atom)
+    separated = _separate(atom.op, left_terms, right_terms)
+    if separated is None:
+        return None
+    op, shared_terms, local_terms = separated
+    shared_expr = _combine(shared_terms)
+    local_expr = _combine(local_terms) if local_terms else Const(0)
+    return Compare(op, shared_expr, local_expr)
 
+
+def signed_local_terms(atom: Compare) -> Optional[List[Tuple[int, Expr]]]:
+    """The signed local terms that :func:`normalize_comparison` combines
+    into the right side of *atom*, in combination order, or ``None`` when
+    *atom* is not additively separable.
+
+    A globalization template evaluates these at bind time to reproduce the
+    tag key, which is the folded right side, exactly.
+    """
+    left_terms = _additive_terms(atom.left, 1)
+    right_terms = _additive_terms(atom.right, 1)
+    if left_terms is None or right_terms is None:
+        return None
+    separated = _separate(atom.op, left_terms, right_terms)
+    if separated is None:
+        return None
+    return [(term.sign, term.expr) for term in separated[2]]
+
+
+def _separate(
+    op: str, left_terms: List[_Term], right_terms: List[_Term]
+) -> Optional[Tuple[str, List[_Term], List[_Term]]]:
+    """Move shared terms left and local terms right: ``(op, shared, local)``,
+    or ``None`` when a term mixes scopes or no term reads monitor state."""
     shared_terms: List[_Term] = []
     local_terms: List[_Term] = []
     # Terms from the left keep their sign when staying on the left and flip
@@ -86,7 +117,6 @@ def normalize_comparison(atom: Compare) -> Optional[Compare]:
         # equivalence/threshold tag.
         return None
 
-    op = atom.op
     if all(term.sign < 0 for term in shared_terms):
         # Multiply both sides by -1 so the shared expression reads naturally
         # (``turn == me`` instead of ``-turn == -me``) and syntactically
@@ -94,10 +124,7 @@ def normalize_comparison(atom: Compare) -> Optional[Compare]:
         shared_terms = [_Term(-term.sign, term.expr) for term in shared_terms]
         local_terms = [_Term(-term.sign, term.expr) for term in local_terms]
         op = FLIPPED_COMPARISON[op]
-
-    shared_expr = _combine(shared_terms)
-    local_expr = _combine(local_terms) if local_terms else Const(0)
-    return Compare(op, shared_expr, local_expr)
+    return op, shared_terms, local_terms
 
 
 def _orient_whole_sides(atom: Compare) -> Optional[Compare]:

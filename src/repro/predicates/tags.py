@@ -21,14 +21,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
-from repro.predicates.ast_nodes import Compare, Expr, unparse
+from repro.predicates.ast_nodes import Compare, Const, Expr, unparse
 from repro.predicates.dnf import Conjunction, DNFPredicate
 from repro.predicates.evaluator import EvaluationError, evaluate
-from repro.predicates.rewrite import normalize_comparison
+from repro.predicates.globalization import Placeholder, TemplateMiss, has_placeholder
+from repro.predicates.rewrite import normalize_comparison, signed_local_terms
 
-__all__ = ["TagKind", "Tag", "tag_conjunction", "analyze_predicate", "THRESHOLD_OPS"]
+__all__ = [
+    "TagKind",
+    "Tag",
+    "KeyedTag",
+    "tag_conjunction",
+    "tag_template",
+    "analyze_predicate",
+    "THRESHOLD_OPS",
+]
 
 #: Comparison operators that produce a threshold tag.
 THRESHOLD_OPS = ("<", "<=", ">", ">=")
@@ -98,40 +107,143 @@ def _constant_key(local_expr: Expr) -> Optional[object]:
     return None
 
 
+def _tag_for(normalized: Compare, key: object) -> Union[Tag, KeyedTag]:
+    """The equivalence or threshold tag of a normalized ``==``/threshold
+    atom; a :class:`KeyedTag` when *key* is a bind-time recipe."""
+    if type(key) is _KeyRecipe:
+        return KeyedTag(normalized, key)
+    if normalized.op == "==":
+        return Tag(
+            TagKind.EQUIVALENCE,
+            expr_key=unparse(normalized.left),
+            shared_expr=normalized.left,
+            key=key,
+        )
+    return Tag(
+        TagKind.THRESHOLD,
+        expr_key=unparse(normalized.left),
+        shared_expr=normalized.left,
+        key=key,
+        op=normalized.op,
+    )
+
+
 def tag_conjunction(conjunction: Conjunction) -> Tag:
     """Assign the single tag for one conjunction (the algorithm of Fig. 3)."""
-    threshold_candidate: Optional[Tag] = None
+    return _assign_tag(conjunction, None)
+
+
+def analyze_predicate(dnf: DNFPredicate) -> Tuple[Tag, ...]:
+    """Return one tag per conjunction of *dnf*, in order."""
+    return tuple(tag_conjunction(conjunction) for conjunction in dnf)
+
+
+class KeyedTag:
+    """A tag of a globalization template whose key is a local value.
+
+    Everything but the key is fixed by the template.  The key is the folded
+    right side of the normalized comparison: either one local value
+    (``direct``) or the sum ``0 + sign * term + ...`` over numeric terms,
+    accumulated in the order and with the arithmetic that
+    :func:`repro.predicates.rewrite.normalize_comparison` folds them, so
+    the bound key is exactly the one the pipeline computes.
+    """
+
+    __slots__ = ("kind", "expr_key", "shared_expr", "op", "direct", "terms")
+
+    def __init__(self, normalized: Compare, recipe: tuple) -> None:
+        self.kind = TagKind.EQUIVALENCE if normalized.op == "==" else TagKind.THRESHOLD
+        self.expr_key = unparse(normalized.left)
+        self.shared_expr = normalized.left
+        self.op = None if normalized.op == "==" else normalized.op
+        self.direct, self.terms = recipe
+
+    def bind(self, values: Sequence[object]) -> Tag:
+        """The tag for the template's local *values*."""
+        if self.direct is not None:
+            key = values[self.direct]
+        else:
+            key = 0
+            for sign, index, literal in self.terms:
+                key += sign * (values[index] if index is not None else literal)
+        return Tag(
+            self.kind,
+            expr_key=self.expr_key,
+            shared_expr=self.shared_expr,
+            key=key,
+            op=self.op,
+        )
+
+
+class _KeyRecipe(tuple):
+    """``(direct, terms)``: how a :class:`KeyedTag` computes its key."""
+
+
+def _key_recipe(atom: Compare, types: Sequence[type]) -> _KeyRecipe:
+    """The bind-time key recipe of *atom*, whose local side reads locals."""
+    terms = signed_local_terms(atom)
+    if terms is None:
+        raise TemplateMiss("the local side is not additively separable")
+    recipe = []
+    numeric = True
+    for sign, expr in terms:
+        if type(expr) is not Const:
+            raise TemplateMiss("a local term is not a constant")
+        value = expr.value
+        if type(value) is Placeholder:
+            recipe.append((sign, value.index, None))
+            numeric = numeric and types[value.index] in (int, float)
+        else:
+            recipe.append((sign, None, value))
+            numeric = numeric and isinstance(value, (int, float))
+    if numeric:
+        return _KeyRecipe((None, tuple(recipe)))
+    sign, index, _ = recipe[0]
+    if len(recipe) == 1 and sign > 0 and index is not None:
+        return _KeyRecipe((index, ()))
+    raise TemplateMiss("a non-numeric key would not fold to a constant")
+
+
+def tag_template(
+    conjunction: Conjunction, types: Sequence[type]
+) -> Union[Tag, KeyedTag]:
+    """:func:`tag_conjunction` over a template conjunction, whose constants
+    may be :class:`~repro.predicates.globalization.Placeholder` objects for
+    local values of the exact *types*.
+
+    Returns a plain :class:`Tag` when the tag does not depend on the values
+    and a :class:`KeyedTag` when only its key does.  Raises
+    :class:`~repro.predicates.globalization.TemplateMiss` when the choice of
+    tag or its shared expression could depend on the values.
+    """
+    return _assign_tag(conjunction, types)
+
+
+def _assign_tag(
+    conjunction: Conjunction, types: Optional[Sequence[type]]
+) -> Union[Tag, KeyedTag]:
+    """The algorithm of Fig. 3; with *types*, over a template conjunction
+    (see :func:`tag_template`)."""
+    threshold_candidate: Union[Tag, KeyedTag, None] = None
     for atom in conjunction:
         if not isinstance(atom, Compare):
             continue
         normalized = normalize_comparison(atom)
         if normalized is None:
             continue
-        key = _constant_key(normalized.right)
-        if key is None:
-            continue
-        expr_key = unparse(normalized.left)
+        if types is not None and has_placeholder(normalized.left):
+            raise TemplateMiss("the shared side of a comparison reads a local")
+        if types is not None and has_placeholder(normalized.right):
+            key: object = _key_recipe(atom, types)
+        else:
+            key = _constant_key(normalized.right)
+            if key is None:
+                continue
         if normalized.op == "==":
             # Equivalence wins immediately: it prunes hardest.
-            return Tag(
-                TagKind.EQUIVALENCE,
-                expr_key=expr_key,
-                shared_expr=normalized.left,
-                key=key,
-            )
+            return _tag_for(normalized, key)
         if normalized.op in THRESHOLD_OPS and threshold_candidate is None:
-            threshold_candidate = Tag(
-                TagKind.THRESHOLD,
-                expr_key=expr_key,
-                shared_expr=normalized.left,
-                key=key,
-                op=normalized.op,
-            )
+            threshold_candidate = _tag_for(normalized, key)
     if threshold_candidate is not None:
         return threshold_candidate
     return _NONE_TAG
-
-
-def analyze_predicate(dnf: DNFPredicate) -> Tuple[Tag, ...]:
-    """Return one tag per conjunction of *dnf*, in order."""
-    return tuple(tag_conjunction(conjunction) for conjunction in dnf)

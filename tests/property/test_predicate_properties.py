@@ -203,3 +203,123 @@ def test_tags_are_sound(expr, env):
 
     if not any(tag_is_true(tag) for tag in tags):
         assert not bool(evaluate(shared_form, state))
+
+
+# --- globalization templates ------------------------------------------------
+#
+# A waituntil site globalizes through a per-site template once its first
+# call has built and checked one; later calls only bind values.  The
+# template must be indistinguishable from the full pipeline for every value,
+# including values that make two atoms collide (``x == a and x == 5`` with
+# ``a == 5``) and value types that must not take the template at all.
+
+TEMPLATE_SHARED = frozenset({"x", "y"})
+TEMPLATE_LOCALS = frozenset({"a", "b"})
+
+
+def _template_term():
+    # Mostly names and small ints; the rest are terms whose folds or keys
+    # no template can stand for.
+    return st.sampled_from(
+        ("x", "y", "a", "b") * 3 + ("0", "1", "-2", "3", "5", "-a", "2 * a", "1.5", "'s'")
+    )
+
+
+def _template_side():
+    # A side led by a shared name keeps the locals after it unfolded.
+    lead = st.sampled_from(("x", "y") * 3 + ("a", "b", "1"))
+    rest = st.lists(
+        st.tuples(st.sampled_from(("+", "-")), _template_term()), max_size=1
+    )
+    return st.builds(
+        lambda first, terms: first + "".join(f" {sign} {term}" for sign, term in terms),
+        lead,
+        rest,
+    )
+
+
+def _template_atom():
+    ops = st.sampled_from(("==", "!=", "<", "<=", ">", ">="))
+    return st.builds(lambda left, op, right: f"{left} {op} {right}", _template_side(), ops, _template_side())
+
+
+def _template_source():
+    conjunction = st.lists(_template_atom(), min_size=1, max_size=2).map(" and ".join)
+    disjunction = st.lists(conjunction, min_size=1, max_size=3).map(
+        lambda conjunctions: " or ".join(f"({c})" for c in conjunctions)
+    )
+    return st.one_of(disjunction, disjunction.map(lambda text: f"not ({text})"))
+
+
+def _local_value():
+    # Small pools, so locals often equal each other or a literal.
+    return st.sampled_from(("int",) * 6 + ("float", "str", "bool", "tuple")).flatmap(
+        lambda kind: {
+            "int": st.integers(min_value=-3, max_value=5),
+            "float": st.sampled_from((0.0, -0.0, 1.5, -2.5, 2.0)),
+            "str": st.sampled_from(("s", "t", "")),
+            "bool": st.booleans(),
+            "tuple": st.tuples(st.integers(min_value=0, max_value=2)),
+        }[kind]
+    )
+
+
+def _local_values():
+    return st.fixed_dictionaries({"a": _local_value(), "b": _local_value()})
+
+
+def _outcome(call):
+    """``call()``'s result, or the class of the exception it raised."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # the exception class is the outcome
+        return "raised", type(exc)
+
+
+def _form_parts(form):
+    return (
+        form.expr,
+        form.dnf,
+        form.tags,
+        [tag.describe() for tag in form.tags],
+        form.canonical,
+    )
+
+
+@given(
+    _template_source(),
+    st.lists(_local_values(), min_size=2, max_size=4),
+    st.fixed_dictionaries(
+        {
+            "x": st.one_of(st.integers(min_value=-4, max_value=4), st.just("s")),
+            "y": st.integers(min_value=-4, max_value=4),
+        }
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_template_globalization_matches_the_pipeline(source, bindings, state):
+    from repro.predicates import compile_predicate
+    from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
+
+    compiled = compile_predicate(source, TEMPLATE_SHARED, TEMPLATE_LOCALS)
+    for local_values in bindings:
+        form = _outcome(lambda: compiled.globalized(local_values))
+        reference = _outcome(lambda: compiled._pipeline(local_values))
+        if form[0] == "raised" or reference[0] == "raised":
+            assert form == reference
+            continue
+        form, reference = form[1], reference[1]
+        assert _form_parts(form) == _form_parts(reference)
+
+        fn = form.compiled_fn()
+        if fn is None:
+            continue
+        interpreted = _outcome(lambda: evaluate(form.expr, state))
+        assert _outcome(lambda: fn(state, read_shared, _EMPTY_LOCALS)) == interpreted
+        batch = form.batch_form()
+        if batch is not None:
+            batch_fn, row = batch
+            expected = (
+                ("ok", [bool(interpreted[1])]) if interpreted[0] == "ok" else interpreted
+            )
+            assert _outcome(lambda: batch_fn([row], state, read_shared, _EMPTY_LOCALS)) == expected

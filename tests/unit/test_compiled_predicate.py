@@ -85,3 +85,78 @@ class TestGlobalizedForm:
         compiled = compile_predicate("a and (b or c)", {"a", "b", "c"})
         form = compiled.globalized()
         assert len(form.dnf) == 2
+
+
+class TestGlobalizationTemplate:
+    """Complex sites globalize by binding values into a per-site template."""
+
+    def test_fifo_semaphore_guard_binds_into_a_template(self):
+        compiled = compile_predicate(
+            "serving == t and available > 0", {"serving", "available"}, {"t"}
+        )
+        for ticket in (4, 9, 9, -2):
+            form = compiled.globalized({"t": ticket})
+            assert form.from_template
+            assert form.canonical == f"serving == {ticket} and available > 0"
+            (tag,) = form.tags
+            assert (tag.kind, tag.expr_key, tag.key) == (TagKind.EQUIVALENCE, "serving", ticket)
+            assert form.compiled_holds(State(serving=ticket, available=1))
+            assert not form.compiled_holds(State(serving=ticket + 1, available=1))
+
+    def test_bounded_buffer_put_guard_evaluates_its_key_at_bind_time(self):
+        # ``count + n <= capacity`` normalizes to ``count - capacity <= -n``:
+        # the tag key is the negated local, computed for each bind.
+        compiled = compile_predicate("count + n <= capacity", {"count", "capacity"}, {"n"})
+        for n in (3, 5, 0):
+            form = compiled.globalized({"n": n})
+            assert form.from_template
+            assert form.canonical == f"count + {n} <= capacity"
+            (tag,) = form.tags
+            assert (tag.kind, tag.expr_key, tag.key, tag.op) == (
+                TagKind.THRESHOLD,
+                "count - capacity",
+                -n,
+                "<=",
+            )
+
+    def test_bounded_buffer_take_guard_binds_into_a_template(self):
+        compiled = compile_predicate("count >= num", {"count"}, {"num"})
+        for num in (2, 7):
+            form = compiled.globalized({"num": num})
+            assert form.from_template
+            assert form.tags[0].key == num
+            assert form.batch_form()[1] == (num,)
+
+    def test_bool_local_uses_the_pipeline(self):
+        compiled = compile_predicate("ready == flag", {"ready"}, {"flag"})
+        for flag in (True, False):
+            form = compiled.globalized({"flag": flag})
+            assert not form.from_template
+            assert form.canonical == f"ready == {flag}"
+
+    def test_values_that_could_collapse_atoms_use_the_pipeline(self):
+        compiled = compile_predicate("x == a and x == 5", {"x"}, {"a"})
+        assert compiled.globalized({"a": 4}).canonical == "x == 4 and x == 5"
+        collapsed = compiled.globalized({"a": 5})
+        assert not collapsed.from_template
+        assert collapsed.canonical == "x == 5"
+
+    def test_fifo_semaphore_service_waits_are_served_by_templates(self):
+        from repro.harness.service_load import run_service_load
+
+        result = run_service_load(50, scenario="fifo_semaphore", window=8)
+        assert result.stats["template_globalizations"] > 0
+
+    def test_bounded_buffer_waits_are_served_by_templates(self):
+        from repro.harness.saturation import run_workload
+        from repro.problems import get_problem
+        from repro.runtime import SimulationBackend
+
+        result = run_workload(
+            get_problem("parameterized_bounded_buffer"),
+            "autosynch",
+            SimulationBackend(seed=5, policy="random"),
+            threads=4,
+            total_ops=80,
+        )
+        assert result.monitor_stats["template_globalizations"] > 0

@@ -200,6 +200,32 @@ class TestProcessPoolCrashRecovery:
         assert seen == sorted(seen)
         assert set(seen) == {0, 1, 2}
 
+    def test_pool_broken_while_submitting_is_rebuilt(self):
+        # A worker can die while tasks are still being submitted; submit
+        # then raises BrokenProcessPool itself.  Force that on the second
+        # submission: the sweep must rebuild the pool, not fail.
+        submit = process_module.ProcessPoolExecutor.submit
+        calls = []
+
+        def submit_breaking_once(pool, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a worker died during submission")
+            return submit(pool, *args, **kwargs)
+
+        executor = ProcessExecutor(jobs=2)
+        seen = []
+        with mock.patch.object(
+            process_module.ProcessPoolExecutor, "submit", submit_breaking_once
+        ):
+            results = executor.run_tasks(
+                _double, [1, 2, 3], lambda index, task, result: seen.append(index)
+            )
+        assert results == [2, 4, 6]
+        assert sorted(seen) == [0, 1, 2]
+        # One submission in the broken pool, then all three in the new one.
+        assert len(calls) == 5
+
     def test_deterministic_crash_is_bounded(self):
         executor = ProcessExecutor(jobs=2)
         with pytest.raises(BrokenProcessPool, match="giving up"):
