@@ -110,11 +110,6 @@ def _wrap_entry(func: Callable) -> Callable:
 class MonitorBase:
     """Common machinery: the monitor lock, entry-method wrapping and stats."""
 
-    # Class-level defaults so the footprint bridge reads cleanly before (and
-    # without) __init__ binding backend methods over them.
-    _fp_note_write = None
-    _fp_note_reads = None
-
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         for name, attribute in list(vars(cls).items()):
@@ -142,13 +137,6 @@ class MonitorBase:
         self._tracer = tracer
         self._mutex = self._backend.create_lock()
         self._owner_id: Optional[object] = None
-        # Footprint bridge for schedule exploration: when the simulation
-        # backend records per-decision footprints, shared-variable writes
-        # (the __setattr__ hook) and predicate read sets flow into it.  Bound
-        # once here so the common no-recording path costs one None check.
-        if getattr(self._backend, "records_footprints", False):
-            self._fp_note_write = self._backend.note_write
-            self._fp_note_reads = self._backend.note_reads
 
     # -- public introspection ------------------------------------------------
 
@@ -336,9 +324,6 @@ class AutoSynchMonitor(MonitorBase):
             if tracker is not None:
                 tracker.bump(name)
                 self._stats.tracked_writes += 1
-            note = self._fp_note_write
-            if note is not None:
-                note(name)
 
     def _write_tracking_supported(self) -> bool:
         """Whether this class's shared-variable writes all reach our
@@ -465,9 +450,6 @@ class AutoSynchMonitor(MonitorBase):
         initial ``wait_until`` test and the broadcast policy's re-check —
         where local values are still live.
         """
-        note = self._fp_note_reads
-        if note is not None:
-            note(compiled.shared_names)
         stats = self._stats
         stats.predicate_evaluations += 1
         if self._eval_engine == "compiled":
@@ -497,9 +479,6 @@ class AutoSynchMonitor(MonitorBase):
         batch searches instead evaluate through a shared per-pass
         :class:`~repro.predicates.evaluator.EvalContext`.
         """
-        note = self._fp_note_reads
-        if note is not None:
-            note(globalized.read_set())
         stats = self._stats
         stats.predicate_evaluations += 1
         if self._eval_engine == "compiled":

@@ -116,11 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dpor",
         action="store_true",
         help=(
-            "dfs only: prune schedules with dynamic partial-order reduction "
-            "(sleep/persistent sets over per-decision footprints plus "
-            "configuration merging that stops each run at an explored "
-            "configuration); finds the identical violation set in far fewer "
-            "runs; serial only, and refused with --fault"
+            "dfs only: prune schedules by configuration merging (each run "
+            "stops at an already-explored configuration) and thread "
+            "symmetry; finds the identical violation set in far fewer runs; "
+            "serial only, and refused with --fault"
         ),
     )
     parser.add_argument(
@@ -285,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 EXPLORATION_MODES = {
     "dfs": "bounded exhaustive depth-first search over scheduling decisions",
     "dfs --dpor": (
-        "dfs with dynamic partial-order reduction: identical violation set, "
+        "dfs with configuration merging and symmetry: identical violation set, "
         "exponentially fewer schedules (serial; refused with --fault)"
     ),
     "swarm": "seeded random schedule sampling, shardable across processes",
@@ -541,8 +540,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.dpor and args.fault:
         raise SystemExit(
             "--dpor cannot be combined with --fault: fault injection "
-            "suppresses notifications by event count, which breaks the "
-            "commutativity every reduction step relies on; run plain dfs "
+            "suppresses notifications by event count, not by state, so equal "
+            "configurations need not have equal futures; run plain dfs "
             "or --mode chaos for fault exploration"
         )
     if args.dpor and (args.executor != "serial" or (args.jobs or 1) > 1):

@@ -1,4 +1,4 @@
-"""Dynamic partial-order reduction over the prefix-scheduler decision tree.
+"""Reduced DFS (``--dpor``) over the prefix-scheduler decision tree.
 
 Plain DFS (:func:`repro.explore.engine.explore_dfs`) branches on *every*
 untried alternative at every decision point, so it re-executes schedules
@@ -8,7 +8,7 @@ matters: **on every configuration both explorers can exhaust, DPOR reports
 the identical violation set** (same failure kinds, reachable through the
 same replayable prefixes).
 
-Four reductions compose, each justified by a commutation argument:
+Two reductions compose:
 
 1. **Configuration merging.**  Two exploration nodes with equal *abstract
    configurations* — the monitor's public variables (optionally projected by
@@ -29,20 +29,15 @@ Four reductions compose, each justified by a commutation argument:
    :meth:`Problem.symmetry_classes` are canonically renamed before configs
    are compared, and alternatives that are automorphic images of an
    already-branched sibling are skipped.
-3. **Sleep sets.**  An alternative whose subtree was already explored at a
-   sibling stays "asleep" along the sibling's other branches until some
-   executed slice is *dependent* with it (per-decision footprints from
-   :mod:`repro.runtime.simulation.footprints`); selecting it earlier would
-   only commute into the explored subtree.
-4. **Persistent singletons.**  A slice whose footprint is empty (no reads,
-   writes, locks or condition operations — e.g. a bare thread exit) commutes
-   with everything, so ``{chosen}`` is a valid persistent set at that
-   decision and no alternative needs branching at all.
 
-Reduction is refused under fault injection: a suppressed ``on_notify`` makes
-two otherwise-independent slices non-commuting (the fault fires by event
-*count*, not by state), which breaks every argument above.  Run plain DFS
-for chaos exploration.
+There is no slice-independence layer (sleep sets, persistent sets): every
+slice of a monitor program runs under the one monitor lock, so no two
+slices commute and such a layer would never prune a schedule.
+
+Reduction is refused under fault injection: a suppressed ``on_notify``
+fires by event *count*, not by state, so two runs reaching one
+configuration need not have equal futures.  Run plain DFS for chaos
+exploration.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ from repro.explore.engine import (
     starvation_budget,
     task_runtime,
 )
-from repro.runtime.simulation.footprints import DecisionFootprint, independent
 
 __all__ = ["explore_dpor", "abstract_value", "DPOR_MODE"]
 
@@ -92,19 +86,15 @@ def abstract_value(value: object) -> object:
     return ("obj", type(value).__name__)
 
 
-def _canonicalize(
-    config: tuple, sym_classes: Tuple[Tuple[int, ...], ...]
-) -> Tuple[tuple, Dict[int, int]]:
+def _canonicalize(config: tuple, sym_classes: Tuple[Tuple[int, ...], ...]) -> tuple:
     """The lexicographically-least renaming of *config* under the symmetry.
 
     Tries every per-class thread permutation (classes are tiny — the
     problems declare 2-4 interchangeable threads per group) and returns the
-    smallest resulting key plus the renaming that produced it, so callers
-    can translate this run's raw tids into canonical ones.
+    smallest resulting key.
     """
     vars_proj, threads, locks, conds = config
     best: Optional[tuple] = None
-    best_rename: Dict[int, int] = {}
     perms_per_class = [list(itertools.permutations(cls)) for cls in sym_classes]
     for combo in itertools.product(*perms_per_class):
         rename: Dict[int, int] = {}
@@ -121,19 +111,18 @@ def _canonicalize(
         key = (vars_proj, t2, l2, c2)
         if best is None or key < best:
             best = key
-            best_rename = dict(rename)
-    return best, best_rename
+    return best
 
 
 class _ConfigProbe:
     """``run_schedule`` instrument: each decision's configuration, online.
 
-    At every decision from ``start`` up to the branching horizon (decision
+    At every decision from ``start`` below the branching horizon (decision
     ``max_depth + 1``, unbounded without a depth bound) — right after the
     oracles checked that state — builds the abstract configuration
     ``(projected monitor vars, per-thread (tid, state, block_reason,
-    fingerprint), locks, conds)``, then its canonical key and renaming.
-    ``configs[d]`` and ``canon[d]`` describe decision ``d``; both are None
+    fingerprint), locks, conds)``, then its canonical key.
+    ``configs[d]`` and ``keys[d]`` describe decision ``d``; both are None
     below ``start``, where a shared-prefix re-execution replays decisions
     the parent run already merged on.  Fingerprint counting then resumes
     from the parent's *fingerprints* at the divergence point.
@@ -185,11 +174,11 @@ class _ConfigProbe:
         #: compares against.
         self._previous: Optional[tuple] = None
         self.configs: List[Optional[tuple]] = [None] * start
-        self.canon: List[Optional[Tuple[tuple, Dict[int, int]]]] = [None] * start
+        self.keys: List[Optional[tuple]] = [None] * start
 
     def observe(self, point) -> None:
         d = point.step
-        if d < self._start or (self._horizon is not None and d > self._horizon):
+        if d < self._start or (self._horizon is not None and d >= self._horizon):
             return
         items = [
             (name, value)
@@ -222,14 +211,13 @@ class _ConfigProbe:
         self._previous = (vars_full, locks, point.chosen)
         entries = tuple((tid, state, reason, fps[tid]) for tid, state, reason in threads)
         config = (vars_proj, entries, locks, conds)
-        canonical = _canonicalize(config, self._sym)
+        key = _canonicalize(config, self._sym)
         self.configs.append(config)
-        self.canon.append(canonical)
+        self.keys.append(key)
         if (
             self._stop_from is not None
             and d >= self._stop_from
-            and (self._horizon is None or d < self._horizon)
-            and canonical[0] in self._seen
+            and key in self._seen
         ):
             raise StopRun(f"decision {d} reached an already-explored configuration")
 
@@ -273,19 +261,7 @@ def _automorphic_reps(
     return keep
 
 
-#: A sleeping alternative: (raw tid, footprint of its first slice or None).
-_SleepEntry = Tuple[int, Optional[DecisionFootprint]]
-
-
-_STAT_KEYS = (
-    "merged_configs",
-    "cache_skips",
-    "symmetry_skips",
-    "sleep_skips",
-    "persistent_singletons",
-    "frontier_dedup",
-    "unmerged_decisions",
-)
+_STAT_KEYS = ("merged_configs", "symmetry_skips", "unmerged_decisions")
 
 
 def explore_dpor(
@@ -296,7 +272,7 @@ def explore_dpor(
     stop_on_failure: bool = False,
     progress: Optional[Callable[[int, ScheduleOutcome], None]] = None,
 ) -> ExplorationReport:
-    """Exhaustive DFS with dynamic partial-order reduction.
+    """Exhaustive DFS with configuration merging and thread symmetry.
 
     Drop-in for a serial :func:`~repro.explore.engine.explore_dfs`: same
     :class:`ExplorationReport`, same replayable failure prefixes — only
@@ -307,13 +283,17 @@ def explore_dpor(
     of many times.
 
     Frontier entries re-execute their parent's decision prefix on the
-    fast replay path: oracle checks, footprint recording and abstract-state
-    snapshotting are all skipped inside the already-verified prefix, with
+    fast replay path: oracle checks and abstract-state snapshotting are
+    both skipped inside the already-verified prefix, with
     per-thread fingerprints inherited from the parent's configuration at
     the divergence point, so a child run costs O(suffix) abstraction work.
     A run stops at its first decision past the prefix that reaches an
     already-explored configuration, unless a starvation budget applies
     (the watcher's verdict depends on the path, not only the state).
+    ``report.stats`` counts those merges (``merged_configs``), the
+    alternatives symmetry skipped (``symmetry_skips``), and the decisions
+    branched unreduced because an oracle fired before the probe saw them
+    (``unmerged_decisions``).
 
     The search is serial by design: stopping needs the live set of explored
     configurations, which a pool worker could not see.
@@ -324,7 +304,7 @@ def explore_dpor(
     if task.fault_plan is not None:
         raise ValueError(
             "partial-order reduction is unsound under fault injection "
-            "(suppressed notifications break slice commutativity); "
+            "(suppressed notifications fire by event count, not by state); "
             "run plain DFS for chaos exploration"
         )
     problem = task.resolve_problem()
@@ -346,39 +326,24 @@ def explore_dpor(
     # budget, runs are merged on but never stopped.
     stop_runs = starvation_budget(task, problem) is None
     seen_configs: set = set()
-    #: (canonical config key, canonical tid) -> (canonical child config key,
-    #: footprint of that slice).  Lets a frontier entry whose destination was
-    #: reached by some other run since it was pushed be skipped at pop time,
-    #: and gives sleeping alternatives their footprints.
-    cache: Dict[tuple, Tuple[tuple, Optional[DecisionFootprint]]] = {}
-    #: (prefix, the cache edge that produced it, sleep entries, the verified
-    #: depth for the fast replay path, and the parent's per-thread
-    #: fingerprints at the divergence point — None for entries that must
-    #: re-record their whole run, i.e. the root and unmerged children).
-    frontier: List[
-        Tuple[
-            Tuple[int, ...],
-            Optional[tuple],
-            Tuple[_SleepEntry, ...],
-            int,
-            Optional[Dict[int, int]],
-        ]
-    ] = [((), None, (), 0, None)]
-    seen_prefixes = {()}
+    #: (prefix, the verified depth for the fast replay path, and the
+    #: parent's per-thread fingerprints at the divergence point — None for
+    #: entries that must snapshot their whole run, i.e. the root and
+    #: unmerged children).  Child prefixes are distinct by construction:
+    #: each extends its run's own prefix at a decision at or past its end.
+    frontier: List[Tuple[Tuple[int, ...], int, Optional[Dict[int, int]]]] = [
+        ((), 0, None)
+    ]
 
     while frontier:
         if max_schedules is not None and report.schedules_visited >= max_schedules:
             return report
-        prefix, edge, sleep, verified_depth, inherited = frontier.pop()
-        if edge is not None:
-            cached = cache.get(edge)
-            if cached is not None and cached[0] in seen_configs:
-                stats["cache_skips"] += 1
-                continue
+        prefix, verified_depth, inherited = frontier.pop()
 
-        # Decisions below `start` were snapshotted, merged on and
-        # edge-cached by the runs that forced them; this run skips their
-        # abstraction work entirely (snapshots, footprints, fingerprints).
+        # Decisions below `start` were snapshotted and merged on by the runs
+        # that forced them; this run skips their abstraction work entirely.
+        # The decision just before the divergence point is still snapshotted:
+        # it is what the first fingerprint advance compares against.
         start = len(prefix) - 1 if (prefix and inherited is not None) else 0
         probes: List[_ConfigProbe] = []
 
@@ -401,12 +366,10 @@ def explore_dpor(
             task,
             prefix,
             instrument=instrument,
-            record_footprints=True,
             runtime=runtime,
             verified_depth=verified_depth,
-            footprints_from=start,
         )
-        configs, canon = probes[0].configs, probes[0].canon
+        configs, keys = probes[0].configs, probes[0].keys
         report.schedules_visited += 1
         report.max_trace_steps = max(report.max_trace_steps, outcome.steps)
         report.max_decision_depth = max(
@@ -418,7 +381,6 @@ def explore_dpor(
             progress(report.schedules_visited, outcome)
 
         trace = outcome.trace
-        footprints = trace.footprints or []
         choices = trace.choices()
         branch_until = len(choices)
         if max_depth is not None and branch_until > max_depth + 1:
@@ -429,114 +391,42 @@ def explore_dpor(
         # the final recorded state (the one a mid-run oracle fired on).
         child_cap = len(choices) if outcome.ok else max(len(choices) - 1, 0)
 
-        # Cache every edge along the executed path whose both ends the probe
-        # canonicalized (it stops one past the branching horizon).  Below
-        # ``start`` the ancestors already cached identical edges (the replay
-        # is deterministic), so the loops resume from there.
-        for d in range(start, min(branch_until, len(canon) - 1)):
-            key, rename = canon[d]
-            chosen = trace[d].chosen
-            fp = footprints[d] if d < len(footprints) else None
-            cache[(key, rename.get(chosen, chosen))] = (canon[d + 1][0], fp)
-
-        # Walk the executed path: maintain this branch's sleep set slice by
-        # slice and branch untried alternatives at every decision at or
-        # beyond the prefix.  (Decisions inside the prefix were enumerated
-        # by the ancestors that forced them; their slices still wake
-        # sleeping entries — the sleep set was created at the last forced
-        # decision.)
-        active_sleep: List[_SleepEntry] = list(sleep)
-        walk_from = len(prefix) - 1 if prefix else 0
-        for d in range(walk_from, branch_until):
-            fp_d = footprints[d] if d < len(footprints) else None
-            if d >= len(prefix):
-                if d >= len(canon):
-                    # An oracle fired before the probe saw this decision:
-                    # no config to merge on, so
-                    # branch every alternative unreduced — correctness
-                    # before reduction.
-                    stats["unmerged_decisions"] += 1
-                    for alt in range(1, trace[d].branching):
-                        child_prefix = choices[:d] + (alt,)
-                        if child_prefix not in seen_prefixes:
-                            seen_prefixes.add(child_prefix)
-                            frontier.append(
-                                (
-                                    child_prefix,
-                                    None,
-                                    (),
-                                    min(len(child_prefix), child_cap),
-                                    None,
-                                )
-                            )
+        # Branch untried alternatives at every decision at or beyond the
+        # prefix (decisions inside it were enumerated by the ancestors that
+        # forced them), once per configuration and symmetry orbit.
+        for d in range(len(prefix), branch_until):
+            if d >= len(keys):
+                # An oracle fired before the probe saw this decision: no
+                # config to merge on, so branch every alternative unreduced
+                # — correctness before reduction.
+                stats["unmerged_decisions"] += 1
+                for alt in range(1, trace[d].branching):
+                    child_prefix = choices[:d] + (alt,)
+                    frontier.append(
+                        (child_prefix, min(len(child_prefix), child_cap), None)
+                    )
+                continue
+            key = keys[d]
+            if key in seen_configs:
+                stats["merged_configs"] += 1
+                continue
+            seen_configs.add(key)
+            point = trace[d]
+            runnable = sorted(point.runnable)
+            #: This configuration's per-thread fingerprints — what a child
+            #: diverging here resumes its own counting from.
+            fps_here = {t: fp for t, _s, _br, fp in configs[d][1]}
+            reps = _automorphic_reps(configs[d], runnable, sym)
+            for t in runnable:
+                if t == point.chosen:
                     continue
-                key, rename = canon[d]
-                if key in seen_configs:
-                    stats["merged_configs"] += 1
-                else:
-                    seen_configs.add(key)
-                    point = trace[d]
-                    runnable = sorted(point.runnable)
-                    chosen = point.chosen
-                    #: This configuration's per-thread fingerprints — what a
-                    #: child diverging here resumes its own counting from.
-                    fps_here = {t: fp for t, _s, _br, fp in configs[d][1]}
-                    if fp_d is not None and fp_d.empty:
-                        # The executed slice touched nothing shared: it
-                        # commutes with every alternative, so {chosen} is a
-                        # persistent set here and nothing else needs trying.
-                        stats["persistent_singletons"] += 1
-                    else:
-                        reps = _automorphic_reps(configs[d], runnable, sym)
-                        emitted: List[_SleepEntry] = []
-                        for t in runnable:
-                            if t == chosen:
-                                continue
-                            if t not in reps:
-                                stats["symmetry_skips"] += 1
-                                continue
-                            if any(entry[0] == t for entry in active_sleep):
-                                stats["sleep_skips"] += 1
-                                continue
-                            tc = rename.get(t, t)
-                            cached = cache.get((key, tc))
-                            if cached is not None and cached[0] in seen_configs:
-                                stats["cache_skips"] += 1
-                                continue
-                            child_prefix = choices[:d] + (runnable.index(t),)
-                            if child_prefix in seen_prefixes:
-                                stats["frontier_dedup"] += 1
-                                continue
-                            seen_prefixes.add(child_prefix)
-                            # The child falls asleep on everything explored
-                            # before it at this node: the surviving inherited
-                            # entries, the executed continuation, and its
-                            # earlier siblings.
-                            child_sleep = (
-                                tuple(active_sleep)
-                                + ((chosen, fp_d),)
-                                + tuple(emitted)
-                            )
-                            frontier.append(
-                                (
-                                    child_prefix,
-                                    (key, tc),
-                                    child_sleep,
-                                    min(len(child_prefix), child_cap),
-                                    fps_here,
-                                )
-                            )
-                            emitted.append(
-                                (t, cached[1] if cached is not None else None)
-                            )
-            if active_sleep:
-                # Slice d wakes every sleeping alternative it does not
-                # provably commute with (unknown footprints are dependent).
-                active_sleep = [
-                    entry
-                    for entry in active_sleep
-                    if independent(fp_d, entry[1])
-                ]
+                if t not in reps:
+                    stats["symmetry_skips"] += 1
+                    continue
+                child_prefix = choices[:d] + (runnable.index(t),)
+                frontier.append(
+                    (child_prefix, min(len(child_prefix), child_cap), fps_here)
+                )
 
         if not outcome.ok:
             report.failures_total += 1

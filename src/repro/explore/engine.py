@@ -441,13 +441,7 @@ class TaskRuntime:
         """A fresh fault injector from the (pre-parsed) plan, or None."""
         return self._fault_plan.build() if self._fault_plan is not None else None
 
-    def acquire_backend(
-        self,
-        scheduler: Scheduler,
-        seed: int,
-        record_footprints: bool,
-        footprints_from: int = 0,
-    ) -> SimulationBackend:
+    def acquire_backend(self, scheduler: Scheduler, seed: int) -> SimulationBackend:
         """The pooled backend, recycled for this run — or a fresh one.
 
         Recycling resets the backend to fresh-construction state (see
@@ -458,12 +452,7 @@ class TaskRuntime:
         backend, self._backend = self._backend, None
         if backend is not None:
             try:
-                backend.recycle(
-                    seed=seed,
-                    policy=scheduler,
-                    record_footprints=record_footprints,
-                    footprints_from=footprints_from,
-                )
+                backend.recycle(seed=seed, policy=scheduler)
                 return backend
             except SimulationError:
                 # Tainted by a hung run: retire what's retirable and fall
@@ -477,8 +466,6 @@ class TaskRuntime:
             policy=scheduler,
             max_steps=self.task.max_steps,
             record_trace=True,
-            record_footprints=record_footprints,
-            footprints_from=footprints_from,
             **kwargs,
         )
 
@@ -567,10 +554,8 @@ def run_schedule(
     task: ExploreTask,
     scheduler: Scheduler,
     instrument: Optional[Callable[[SimulationBackend, "WorkloadSpec"], object]] = None,
-    record_footprints: bool = False,
     runtime: Optional[TaskRuntime] = None,
     verified_depth: int = 0,
-    footprints_from: int = 0,
 ) -> ScheduleOutcome:
     """Run one schedule of *task* under *scheduler* and classify the result.
 
@@ -586,10 +571,6 @@ def run_schedule(
     ``verify()``.  The DPOR explorer uses this to build abstract
     configurations at every decision point and to stop at explored ones.
 
-    ``record_footprints`` makes the kernel record per-decision read/write/
-    lock/condition footprints and attaches them to the returned trace
-    (``outcome.trace.footprints``) for independence analysis.
-
     ``runtime`` supplies the task's cached build artifacts; None uses the
     process-wide cache (:func:`task_runtime`).
 
@@ -598,18 +579,12 @@ def run_schedule(
     stateless oracle checks are skipped inside it (the fast
     replay-to-depth path).  Callers must only pass depths whose prefix
     decisions come from a parent run that checked those very states.
-
-    ``footprints_from`` likewise suppresses footprint recording for the
-    first N slices (their entries come out as None — the parent run
-    recorded them); only meaningful with ``record_footprints=True``.
     """
     t_start = perf_counter()
     if runtime is None:
         runtime = task_runtime(task)
     problem = runtime.problem
-    backend = runtime.acquire_backend(
-        scheduler, task.seed, record_footprints, footprints_from=footprints_from
-    )
+    backend = runtime.acquire_backend(scheduler, task.seed)
     spec = problem.build(
         task.mechanism,
         backend,
@@ -700,8 +675,6 @@ def run_schedule(
         status, kind, message = "failure", f"error:{type(exc).__name__}", str(exc)
     t_ran = perf_counter()
     trace = backend.schedule_trace
-    if record_footprints:
-        trace.footprints = backend.schedule_footprints
     stats = getattr(spec.monitor, "stats", None)
     outcome = ScheduleOutcome(
         status=status,
@@ -726,20 +699,16 @@ def run_prefix(
     task: ExploreTask,
     prefix: Sequence[int],
     instrument: Optional[Callable[[SimulationBackend, "WorkloadSpec"], object]] = None,
-    record_footprints: bool = False,
     runtime: Optional[TaskRuntime] = None,
     verified_depth: int = 0,
-    footprints_from: int = 0,
 ) -> ScheduleOutcome:
     """Run the schedule identified by a decision *prefix* (DFS coordinates)."""
     return run_schedule(
         task,
         PrefixScheduler(prefix),
         instrument=instrument,
-        record_footprints=record_footprints,
         runtime=runtime,
         verified_depth=verified_depth,
-        footprints_from=footprints_from,
     )
 
 

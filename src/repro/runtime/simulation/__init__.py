@@ -15,10 +15,6 @@ exactly here, while the threading backend provides wall-clock numbers for
 reference.
 """
 
-from repro.runtime.simulation.footprints import (
-    DecisionFootprint,
-    independent,
-)
 from repro.runtime.simulation.kernel import (
     DeadlockError,
     MonitorAbandonedError,
@@ -46,7 +42,6 @@ from repro.runtime.simulation.schedulers import (
 
 __all__ = [
     "DeadlockError",
-    "DecisionFootprint",
     "FifoScheduler",
     "MonitorAbandonedError",
     "SimulationHangError",
@@ -64,7 +59,6 @@ __all__ = [
     "create_scheduler",
     "describe_scheduler",
     "get_scheduler",
-    "independent",
     "register_scheduler",
     "unregister_scheduler",
 ]

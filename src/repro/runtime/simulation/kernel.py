@@ -19,7 +19,6 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.api import Backend, BackendMetrics, ThreadHandle
-from repro.runtime.simulation.footprints import DecisionFootprint, FootprintRecorder
 from repro.runtime.simulation.schedulers import (
     SchedulePoint,
     Scheduler,
@@ -311,12 +310,6 @@ class SimulationBackend(Backend):
         :class:`~repro.runtime.simulation.schedulers.ScheduleTrace`
         (available as :attr:`schedule_trace` after the run).  Off by default
         so saturation runs pay nothing for it.
-    record_footprints:
-        Also record, per scheduling decision, the set of shared variables,
-        locks and conditions the slice touched (available as
-        :attr:`schedule_footprints` after the run) — the dependence
-        information dynamic partial-order reduction consumes.  Off by
-        default; independent of ``record_trace`` but only useful with it.
     observer:
         Optional callback invoked once per scheduling decision (see
         :data:`DecisionObserver`); the explorer's oracle checks hook in here.
@@ -339,8 +332,6 @@ class SimulationBackend(Backend):
         max_steps: Optional[int] = None,
         run_timeout: float = 600.0,
         record_trace: bool = False,
-        record_footprints: bool = False,
-        footprints_from: int = 0,
         observer: Optional[DecisionObserver] = None,
     ) -> None:
         super().__init__()
@@ -353,17 +344,6 @@ class SimulationBackend(Backend):
         self._run_timeout = run_timeout
         self._record_trace = record_trace
         self._trace: Optional[ScheduleTrace] = ScheduleTrace() if record_trace else None
-        self._record_footprints = record_footprints
-        #: Suppress footprint recording for the first N slices of a run
-        #: (shared-prefix re-execution; the suppressed entries are None).
-        self._footprints_from = footprints_from
-        self._fp: Optional[FootprintRecorder] = (
-            FootprintRecorder(skip=footprints_from) if record_footprints else None
-        )
-        #: id(lock-or-condition) -> stable identifier used in footprints
-        #: (creation index + label, so two identically-constructed backends
-        #: assign the same ids and footprints compare across runs).
-        self._sync_ids: Dict[int, str] = {}
         self._observer = observer
         self._deadlock_inspector: Optional[Callable[[], Optional[str]]] = None
         self._hang_inspector: Optional[Callable[[], Optional[str]]] = None
@@ -429,60 +409,6 @@ class SimulationBackend(Backend):
         """The recorded decision trace of the latest run (None unless the
         backend was constructed with ``record_trace=True``)."""
         return self._trace
-
-    @property
-    def records_footprints(self) -> bool:
-        """Whether per-decision footprint recording is on (see
-        :mod:`repro.runtime.simulation.footprints`).  Monitors consult this
-        once at construction so the no-recording hot path pays nothing."""
-        return self._record_footprints
-
-    @property
-    def schedule_footprints(self) -> Optional[List[Optional[DecisionFootprint]]]:
-        """Per-decision footprints of the latest run, aligned with
-        :attr:`schedule_trace` (footprint ``i`` covers the slice started by
-        decision ``i``; the first ``footprints_from`` entries are ``None``).
-        None unless constructed with ``record_footprints=True``; call only
-        after :meth:`run` returned.
-        """
-        recorder = self._fp
-        if recorder is None:
-            return None
-        # The last slice ends with the run, not with another decision: seal
-        # it here.  (A decision whose slice recorded nothing still gets an
-        # explicit empty footprint, which is meaningful — it commutes with
-        # everything.)
-        while len(recorder.footprints) < self._steps:
-            recorder.flush()
-        return list(recorder.footprints)
-
-    def note_write(self, name: str) -> None:
-        """Record a shared-variable write into the current slice's footprint.
-
-        Bridged from the monitor's ``__setattr__`` hook (the same hook that
-        feeds the incremental-relay ``WriteTracker``).  No-op unless
-        footprint recording is on.
-        """
-        recorder = self._fp
-        if recorder is not None:
-            recorder.note_write(name)
-
-    def note_reads(self, names) -> None:
-        """Record shared-variable reads (a predicate's read set) into the
-        current slice's footprint.  No-op unless recording is on."""
-        recorder = self._fp
-        if recorder is not None:
-            recorder.note_read(names)
-
-    def _note_lock(self, lock: SimLock) -> None:
-        recorder = self._fp
-        if recorder is not None:
-            recorder.note_lock(self._sync_ids.get(id(lock), repr(lock)))
-
-    def _note_cond(self, condition: SimCondition) -> None:
-        recorder = self._fp
-        if recorder is not None:
-            recorder.note_cond(self._sync_ids.get(id(condition), repr(condition)))
 
     @property
     def steps(self) -> int:
@@ -599,7 +525,6 @@ class SimulationBackend(Backend):
 
     def create_lock(self, label: Optional[str] = None) -> SimLock:
         lock = SimLock(self, label=label)
-        self._sync_ids[id(lock)] = f"L{len(self._locks)}:{label or 'lock'}"
         self._locks.append(lock)
         return lock
 
@@ -618,7 +543,6 @@ class SimulationBackend(Backend):
             label = f"cond-{self._condition_count}"
         self._condition_count += 1
         condition = SimCondition(self, lock, label=label)
-        self._sync_ids[id(condition)] = f"C{len(self._conditions)}:{label}"
         self._conditions.append(condition)
         return condition
 
@@ -736,8 +660,6 @@ class SimulationBackend(Backend):
         self._scheduler.reset(self._seed)
         if self._record_trace:
             self._trace = ScheduleTrace()
-        if self._record_footprints:
-            self._fp = FootprintRecorder(skip=self._footprints_from)
 
     def shutdown(self) -> None:
         """Retire this backend's parked carrier threads immediately.
@@ -760,8 +682,6 @@ class SimulationBackend(Backend):
         self,
         seed: Optional[int] = None,
         policy: Optional[SchedulerSpec] = None,
-        record_footprints: Optional[bool] = None,
-        footprints_from: Optional[int] = None,
     ) -> None:
         """Reset this backend to fresh-construction state, keeping the
         carrier-thread pool.
@@ -789,17 +709,7 @@ class SimulationBackend(Backend):
             self._seed = seed
         if policy is not None:
             self._scheduler = create_scheduler(policy)
-        if record_footprints is not None:
-            self._record_footprints = record_footprints
-        if footprints_from is not None:
-            self._footprints_from = footprints_from
         self._trace = ScheduleTrace() if self._record_trace else None
-        self._fp = (
-            FootprintRecorder(skip=self._footprints_from)
-            if self._record_footprints
-            else None
-        )
-        self._sync_ids = {}
         self._observer = None
         self._deadlock_inspector = None
         self._hang_inspector = None
@@ -949,10 +859,6 @@ class SimulationBackend(Backend):
         sim_thread = self._threads[tid]
         sim_thread.state = _State.RUNNING
         sim_thread.block_reason = None
-        if self._fp is not None and self._steps > 0:
-            # The slice started by the previous decision ends here; seal its
-            # footprint so accumulation restarts for the slice about to run.
-            self._fp.flush()
         point: Optional[SchedulePoint] = None
         if self._trace is not None or self._observer is not None:
             point = SchedulePoint(
@@ -1156,7 +1062,6 @@ class SimulationBackend(Backend):
         sim_thread = self.current_thread()
         with self._lock:
             self._check_doomed_locked(sim_thread)
-            self._note_lock(lock)
             if lock.owner is None:
                 lock.owner = sim_thread.tid
                 self.metrics.lock_acquisitions += 1
@@ -1190,7 +1095,6 @@ class SimulationBackend(Backend):
             self._release_lock_locked(lock)
 
     def _release_lock_locked(self, lock: SimLock) -> None:
-        self._note_lock(lock)
         if lock.queue:
             next_tid = lock.queue.popleft()
             lock.owner = next_tid
@@ -1212,7 +1116,6 @@ class SimulationBackend(Backend):
                 raise SimulationError(
                     f"thread {sim_thread.name} called wait() without holding the monitor lock"
                 )
-            self._note_cond(condition)
             condition.waiters.append(sim_thread.tid)
             self.metrics.condition_waits += 1
             if timeout is not None:
@@ -1258,7 +1161,6 @@ class SimulationBackend(Backend):
                 raise SimulationError(
                     f"thread {sim_thread.name} called notify without holding the monitor lock"
                 )
-            self._note_cond(condition)
             if wake_all:
                 self.metrics.notify_alls += 1
                 count = len(condition.waiters)
@@ -1292,7 +1194,6 @@ class SimulationBackend(Backend):
         cancels any pending timed-wait deadline for the waiter.
         """
         self._timed_waits.pop(waiter_tid, None)
-        self._note_lock(condition.lock)
         # A notified thread must re-acquire the monitor lock before it
         # can run again, exactly like a Java signalled thread moving
         # to the lock's entry queue.
@@ -1343,10 +1244,6 @@ class SimulationBackend(Backend):
         except ValueError:
             # Notified concurrently with expiry: the notification wins.
             return
-        # Expiry is a scheduler-driven event between slices; attribute it to
-        # the slice being sealed, which is conservative (more dependence).
-        self._note_cond(condition)
-        self._note_lock(condition.lock)
         sim_thread.timed_out = True
         if condition.lock.owner is None:
             condition.lock.owner = tid

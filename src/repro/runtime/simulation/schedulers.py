@@ -111,25 +111,14 @@ class SchedulePoint:
 class ScheduleTrace:
     """The ordered list of decision points of one simulation run.
 
-    ``footprints``, when present, annotates each decision with what its
-    slice touched (see :mod:`repro.runtime.simulation.footprints`) — the
-    dependence information DPOR consumes.  Footprints are *annotations*:
-    they are excluded from :meth:`digest` and from equality, so a trace
-    recorded with footprint recording on replays bit-identically to one
-    recorded without.
+    The points are the whole trace: they alone make up its equality, its
+    :meth:`digest` and its serialized form.
     """
 
-    __slots__ = ("points", "footprints")
+    __slots__ = ("points",)
 
-    def __init__(
-        self,
-        points: Sequence[SchedulePoint] = (),
-        footprints: Optional[Sequence] = None,
-    ) -> None:
+    def __init__(self, points: Sequence[SchedulePoint] = ()) -> None:
         self.points: List[SchedulePoint] = list(points)
-        self.footprints: Optional[list] = (
-            list(footprints) if footprints is not None else None
-        )
 
     def append(self, point: SchedulePoint) -> None:
         self.points.append(point)
@@ -172,29 +161,12 @@ class ScheduleTrace:
         return hasher.hexdigest()
 
     def to_dict(self) -> dict:
-        data: dict = {"points": [point.to_dict() for point in self.points]}
-        if self.footprints is not None:
-            # None entries are shared-prefix placeholders (the parent run
-            # recorded those slices); they round-trip as JSON nulls.
-            data["footprints"] = [
-                fp.to_dict() if fp is not None else None for fp in self.footprints
-            ]
-        return data
+        return {"points": [point.to_dict() for point in self.points]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleTrace":
-        footprints = None
-        if "footprints" in data:
-            from repro.runtime.simulation.footprints import DecisionFootprint
-
-            footprints = [
-                DecisionFootprint.from_dict(fp) if fp is not None else None
-                for fp in data["footprints"]
-            ]
-        return cls(
-            (SchedulePoint.from_dict(point) for point in data["points"]),
-            footprints=footprints,
-        )
+        # Other keys are ignored: older repro files also carry "footprints".
+        return cls(SchedulePoint.from_dict(point) for point in data["points"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -370,6 +370,74 @@ class TestStoppedRuns:
         assert report.schedules_visited <= SCHEDULES_BEFORE_STOPPING[problem]
 
 
+#: DPOR schedule counts at threads=2, ops=4 for every problem and supported
+#: mechanism (baseline bounded at max_depth=12: its broadcast cascades make
+#: the tree infinite).  readers_writers is left out: its tree is not
+#: exhausted at this size.  Any change to the reduction must keep every
+#: count, not only the verdicts.
+PINNED_SCHEDULES = {
+    "barrier": {"autosynch": 2, "autosynch_t": 2, "baseline": 2,
+                "relay_batched": 2, "relay_fifo": 2},
+    "bounded_buffer": {"autosynch": 17, "autosynch_t": 17, "baseline": 19,
+                       "explicit": 16, "relay_batched": 17, "relay_fifo": 17},
+    "dining_philosophers": {"autosynch": 2, "autosynch_t": 2, "baseline": 2,
+                            "explicit": 2, "relay_batched": 2, "relay_fifo": 2},
+    "fifo_semaphore": {"autosynch": 2, "autosynch_t": 2, "baseline": 2,
+                       "relay_batched": 2, "relay_fifo": 2},
+    "h2o": {"autosynch": 6, "autosynch_t": 6, "baseline": 12, "explicit": 6,
+            "relay_batched": 6, "relay_fifo": 6},
+    "parameterized_bounded_buffer": {"autosynch": 22, "autosynch_t": 22,
+                                     "baseline": 30, "explicit": 28,
+                                     "relay_batched": 22, "relay_fifo": 22},
+    "resource_pool": {"autosynch": 2, "autosynch_t": 2, "baseline": 2,
+                      "relay_batched": 2, "relay_fifo": 2},
+    "round_robin": {"autosynch": 2, "autosynch_t": 2, "baseline": 2,
+                    "explicit": 2, "relay_batched": 2, "relay_fifo": 2},
+    "sleeping_barber": {"autosynch": 30, "autosynch_t": 30, "baseline": 26,
+                        "explicit": 24, "relay_batched": 30, "relay_fifo": 30},
+    "traffic_intersection": {"autosynch": 69, "autosynch_t": 69, "baseline": 230,
+                             "relay_batched": 69, "relay_fifo": 69},
+}
+
+
+class TestPinnedScheduleCounts:
+    @pytest.mark.parametrize(
+        "problem,mechanism,schedules",
+        [
+            (problem, mechanism, schedules)
+            for problem, counts in sorted(PINNED_SCHEDULES.items())
+            for mechanism, schedules in sorted(counts.items())
+        ],
+    )
+    def test_exact_schedule_count(self, problem, mechanism, schedules):
+        task = ExploreTask(problem, mechanism, threads=2, total_ops=4)
+        max_depth = 12 if mechanism == "baseline" else None
+        report = explore_dpor(task, max_depth=max_depth)
+        assert report.complete
+        assert report.schedules_visited == schedules
+        assert set(report.stats) == {
+            "merged_configs", "symmetry_skips", "unmerged_decisions"
+        }
+
+
+class TestUnmergedDecisions:
+    def test_starvation_oracle_before_the_probe_branches_unreduced(self):
+        """When an oracle fires at a decision, the probe never sees that
+        decision's configuration; its alternatives are branched without
+        merging, and DPOR still finds exactly what plain DFS finds."""
+        task = ExploreTask(
+            "parameterized_bounded_buffer", "autosynch", threads=2, total_ops=4,
+            starvation_budget=6,
+        )
+        reduced = explore_dpor(task)
+        full = explore_dfs(task)
+        assert reduced.complete and full.complete
+        assert reduced.schedules_visited == 22
+        assert reduced.stats["unmerged_decisions"] == 2
+        assert reduced.failure_kinds() == {"oracle:starvation_budget": 2}
+        assert {f.kind for f in reduced.failures} == {f.kind for f in full.failures}
+
+
 class TestDporCli:
     @pytest.mark.parametrize(
         "extra",

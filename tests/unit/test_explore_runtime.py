@@ -1,16 +1,18 @@
 """Unit coverage for the exploration throughput engine's building blocks:
 backend recycling, the predicate artifact memo, verified-depth replay,
-prefix-suppressed footprints and per-stage timings.
+loading of older repro files and per-stage timings.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.explore import load_repro, replay_repro, repro_payload, write_repro
 from repro.explore.engine import (
     ExploreTask,
     TaskRuntime,
     clear_runtime_cache,
+    explore_dfs,
     run_prefix,
     task_runtime,
 )
@@ -21,12 +23,6 @@ from repro.predicates.predicate import (
     compile_predicate,
 )
 from repro.runtime.simulation import SimulationBackend, SimulationError
-from repro.runtime.simulation.footprints import (
-    DecisionFootprint,
-    FootprintRecorder,
-    independent,
-)
-from repro.runtime.simulation.schedulers import ScheduleTrace
 
 
 TASK = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
@@ -112,38 +108,25 @@ class TestVerifiedDepthReplay:
         assert report.schedules_visited == 17
 
 
-class TestPrefixSuppressedFootprints:
-    def test_recorder_skip_yields_none_placeholders(self):
-        recorder = FootprintRecorder(skip=2)
-        recorder.note_write("ignored")
-        recorder.flush()
-        recorder.note_lock("also-ignored")
-        recorder.flush()
-        recorder.note_write("kept")
-        recorder.flush()
-        assert recorder.footprints[:2] == [None, None]
-        assert recorder.footprints[2].writes == frozenset({"kept"})
-
-    def test_none_footprint_is_conservatively_dependent(self):
-        real = DecisionFootprint(writes=frozenset({"x"}))
-        assert not independent(None, real)
-        assert not independent(real, None)
-
-    def test_footprints_from_matches_full_recording_suffix(self):
-        full = run_prefix(TASK, (1, 0), record_footprints=True)
-        skip = 2
-        shared = run_prefix(TASK, (1, 0), record_footprints=True,
-                            verified_depth=2, footprints_from=skip)
-        assert full.digest == shared.digest
-        assert all(fp is None for fp in shared.trace.footprints[:skip])
-        assert shared.trace.footprints[skip:] == full.trace.footprints[skip:]
-
-    def test_trace_serialization_roundtrips_none_footprints(self):
-        trace = ScheduleTrace(
-            footprints=[None, DecisionFootprint(reads=frozenset({"a"}))]
-        )
-        restored = ScheduleTrace.from_dict(trace.to_dict())
-        assert restored.footprints == trace.footprints
+class TestLegacyReproFiles:
+    def test_trace_with_footprints_key_replays(self, tmp_path):
+        """Repro files written by older ``--dpor`` runs carry a per-decision
+        ``"footprints"`` list (None for shared-prefix slices); loading
+        ignores it and the schedule replays to its recorded digest."""
+        task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
+                           threads=2, total_ops=4, starvation_budget=1)
+        report = explore_dfs(task, stop_on_failure=True)
+        failure = report.failures[0]
+        payload = repro_payload(task, failure, "dfs+dpor")
+        points = payload["trace"]["points"]
+        payload["trace"]["footprints"] = [None] * 2 + [
+            {"reads": ["count"], "writes": ["count"],
+             "locks": ["L0:lock"], "conds": ["C0:cond-0"]}
+        ] * (len(points) - 2)
+        replay = replay_repro(load_repro(write_repro(tmp_path / "old.json", payload)))
+        assert replay.reproduced, replay.describe()
+        assert replay.outcome.kind == failure.kind == "oracle:starvation_budget"
+        assert replay.outcome.digest == failure.digest
 
 
 class TestStageTimings:
