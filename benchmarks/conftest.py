@@ -11,7 +11,8 @@ Each ``test_figXX_*`` module regenerates one figure or table of the paper:
 
 The simulation backend is used throughout: its context-switch and predicate
 -evaluation counts are exact and GIL-independent, which is what makes the
-shapes comparable to the paper (see DESIGN.md).
+shapes comparable to the paper (see the ``repro.harness.cost_model``
+module docstring).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Ablation: sensitivity of the headline result to the cost-model weights.
 
 The simulation backend measures event *counts*; turning them into a modelled
-runtime requires per-event costs (DESIGN.md).  This ablation re-evaluates the
+runtime requires per-event costs (see the ``repro.harness.cost_model``
+module docstring).  This ablation re-evaluates the
 Figure 14 conclusion — AutoSynch beats the signalAll-based explicit monitor
 on the parameterized bounded buffer — under cost models that vary the
 relative price of a context switch by two orders of magnitude, showing the

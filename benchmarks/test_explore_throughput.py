@@ -11,11 +11,6 @@ fuzz-generated pipeline scenario under three cost models:
 * **prefix-shared** — the real :func:`explore_dfs` path: shared runtime plus
   verified-depth replay, so a child run costs O(suffix) in oracle work.
 
-On top of the serial legs, ``executor="process"``/``jobs`` legs record what
-the work-stealing frontier adds (on a single-core host the process pool
-falls back to serial — see ``serial_fallback_reason`` — so those legs show
-the dispatch overhead floor, not scaling).
-
 Timing is best-of-:data:`ROUNDS` wall clock per leg: this box's scheduler
 noise swamps means, minima are stable.  Results land in
 ``BENCH_explore_throughput.json`` at the repository root (CI uploads it as
@@ -51,7 +46,6 @@ from repro.explore.engine import (
     run_prefix,
     task_runtime,
 )
-from repro.harness.execution.process import serial_fallback_reason
 from repro.predicates.predicate import clear_predicate_memo
 from repro.scenarios.generate import generate_scenario
 
@@ -90,8 +84,6 @@ _RESULTS: dict = {
     "required_speedup_vs_pr9": REQUIRED_PR9_SPEEDUP,
     "required_speedup_vs_cold": REQUIRED_COLD_SPEEDUP,
     "rounds": ROUNDS,
-    # Why the jobs legs match serial speed on this host (None = real pool).
-    "serial_fallback_reason": serial_fallback_reason(jobs=2, task_count=8),
     "configs": {},
 }
 
@@ -129,7 +121,6 @@ def _mirror_dfs(task: ExploreTask, shared_runtime: bool) -> int:
     """
     runtime = TaskRuntime(task) if shared_runtime else None
     pending = [()]
-    seen = {()}
     visited = 0
     while pending:
         prefix = pending.pop()
@@ -146,10 +137,7 @@ def _mirror_dfs(task: ExploreTask, shared_runtime: bool) -> int:
         choices = outcome.trace.choices()
         for depth in range(len(prefix), len(choices)):
             for alt in range(1, outcome.trace[depth].branching):
-                child = choices[:depth] + (alt,)
-                if child not in seen:
-                    seen.add(child)
-                    pending.append(child)
+                pending.append(choices[:depth] + (alt,))
     if runtime is not None:
         runtime.close()
     return visited
@@ -196,10 +184,6 @@ def _measure_config(task: ExploreTask, label: str) -> dict:
     leg("prefix_shared",
         lambda: explore_dfs(task),
         lambda: explore_dfs(task).schedules_visited)
-    for jobs in (2, 4):
-        leg(f"jobs{jobs}",
-            lambda j=jobs: explore_dfs(task, executor="process", jobs=j),
-            lambda j=jobs: explore_dfs(task, executor="process", jobs=j).schedules_visited)
 
     speedup = legs["prefix_shared"]["sched_per_sec"] / legs["cold"]["sched_per_sec"]
     return {

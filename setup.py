@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-The build environment in which this reproduction is developed has an older
-setuptools without wheel support, so ``pip install -e .`` falls back to the
-legacy ``setup.py develop`` path provided here.  All project metadata lives
-in ``pyproject.toml``.
+The project declares no packaging metadata (there is no ``pyproject.toml``
+or ``setup.cfg``, and ``setup()`` below takes no arguments): it runs from a
+checkout with ``PYTHONPATH=src`` and needs only the standard library at
+runtime.  The file is kept so that tools probing for a ``setup.py`` find a
+valid one.
 """
 
 from setuptools import setup

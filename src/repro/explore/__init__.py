@@ -12,12 +12,13 @@ Two exploration modes, both built on the scheduler registry of
 * **DFS** (:func:`explore_dfs`) — bounded exhaustive depth-first search over
   the tree of scheduling decisions.  Feasible for small thread/op counts and
   *complete*: if no schedule violates an oracle, none exists at that size.
-  :func:`explore_dpor` is the same search under dynamic partial-order
-  reduction (:mod:`repro.explore.dpor`): the identical violation set,
-  reached in exponentially fewer runs.
+  :func:`explore_dpor` runs the same serial frontier loop with
+  configuration merging and symmetry plugged in (:mod:`repro.explore.dpor`):
+  the identical violation set, reached in exponentially fewer runs.
 * **Swarm** (:func:`explore_swarm`) — many independent seeded-random
-  schedules for configurations too large to exhaust, sharded across worker
-  processes through the existing harness executor registry.
+  schedules for configurations too large to exhaust, optionally sharded
+  across worker processes through the harness executor registry (the
+  exhaustive modes are serial: a schedule costs less than shipping it).
 
 Fuzz mode (:mod:`repro.explore.fuzz`, ``python -m repro.explore --mode
 fuzz``) feeds the swarm with *generated* workloads: seeded

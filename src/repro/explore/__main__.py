@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "dfs only: prune schedules by configuration merging (each run "
             "stops at an already-explored configuration) and thread "
             "symmetry; finds the identical violation set in far fewer runs; "
-            "serial only, and refused with --fault"
+            "refused with --fault"
         ),
     )
     parser.add_argument(
@@ -168,10 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="serial",
         metavar="NAME",
         help=(
-            "how runs are executed (see --list-executors; 'process' shards "
-            "over a worker pool): swarm/fuzz probes, and dfs frontier runs — "
-            "the dfs report stays bit-identical to a serial run; --dpor is "
-            "serial only"
+            "how swarm/fuzz probes are executed (see --list-executors; "
+            "'process' shards them over a worker pool); dfs, with or without "
+            "--dpor, is serial only"
         ),
     )
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -282,10 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: ``--list-modes`` output: mode name -> one-line description.
 EXPLORATION_MODES = {
-    "dfs": "bounded exhaustive depth-first search over scheduling decisions",
+    "dfs": "bounded exhaustive depth-first search over scheduling decisions (serial)",
     "dfs --dpor": (
         "dfs with configuration merging and symmetry: identical violation set, "
-        "exponentially fewer schedules (serial; refused with --fault)"
+        "exponentially fewer schedules (refused with --fault)"
     ),
     "swarm": "seeded random schedule sampling, shardable across processes",
     "fuzz": "swarm over seeded *generated* scenarios with derived oracles",
@@ -544,16 +543,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "configurations need not have equal futures; run plain dfs "
             "or --mode chaos for fault exploration"
         )
-    if args.dpor and (args.executor != "serial" or (args.jobs or 1) > 1):
-        raise SystemExit(
-            "--dpor runs serially: each run stops at the first configuration "
-            "another run already explored, and only the serial search holds "
-            "that set; drop --executor/--jobs (plain dfs and swarm can shard)"
-        )
     if args.replay is not None:
         result = replay_repro(args.replay)
         print(result.describe())
         return 0 if result.reproduced else 1
+    if args.mode == "dfs" and (args.executor != "serial" or (args.jobs or 1) > 1):
+        raise SystemExit(
+            "--mode dfs runs serially, with or without --dpor; "
+            "--executor/--jobs shard swarm and fuzz only"
+        )
     spec = None
     if args.scenario is not None:
         try:
@@ -629,8 +627,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     task,
                     max_schedules=args.schedules,
                     max_depth=args.max_depth,
-                    executor=args.executor,
-                    jobs=args.jobs,
                 )
             else:
                 report = explore_swarm(

@@ -22,13 +22,17 @@ Two reductions compose:
    in a subtree that is explored or on the frontier, so the stopped run is
    classified ``ok`` without ``verify()``; the ``merged_configs`` counter
    counts these stops.  Stopping is off under a starvation budget, whose
-   watcher depends on the path to a state, not only the state.  Because a
-   run stops against the live set of explored configurations, the search
-   is serial.
+   watcher depends on the path to a state, not only the state.
 2. **Symmetry.**  Threads declared interchangeable by
    :meth:`Problem.symmetry_classes` are canonically renamed before configs
    are compared, and alternatives that are automorphic images of an
    already-branched sibling are skipped.
+
+Both reductions plug into plain DFS's serial frontier loop
+(``engine._explore_frontier``) as one reducer object, :class:`_Reduction`:
+it runs each frontier entry under the configuration probe and decides which
+alternatives of each decision to enqueue.  Report accounting, the depth
+bound and failure collection are the loop's, shared with plain DFS.
 
 There is no slice-independence layer (sleep sets, persistent sets): every
 slice of a monitor program runs under the one monitor lock, so no two
@@ -48,16 +52,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.engine import (
     DEFAULT_FAILURE_LIMIT,
-    ExplorationFailure,
     ExplorationReport,
     ExploreTask,
     ScheduleOutcome,
     StopRun,
-    _merge_timings,
+    TaskRuntime,
+    _every_alternative,
+    _explore_frontier,
     run_prefix,
     starvation_budget,
-    task_runtime,
 )
+from repro.runtime.simulation.schedulers import SchedulePoint
 
 __all__ = ["explore_dpor", "abstract_value", "DPOR_MODE"]
 
@@ -264,6 +269,102 @@ def _automorphic_reps(
 _STAT_KEYS = ("merged_configs", "symmetry_skips", "unmerged_decisions")
 
 
+class _Reduction:
+    """DPOR's hooks into the shared frontier loop.
+
+    ``run`` executes an entry under a :class:`_ConfigProbe`; ``alternatives``
+    then branches each decision of that run once per configuration and
+    symmetry orbit, attaching the configuration's per-thread fingerprints
+    to every child as the entry's inherited state (None for children that
+    must snapshot their whole run: the root and unmerged children).
+    """
+
+    def __init__(self, task: ExploreTask, max_depth: Optional[int]) -> None:
+        problem = task.resolve_problem()
+        params = dict(task.problem_params)
+        self._task = task
+        self._max_depth = max_depth
+        self._sym = tuple(
+            tuple(cls)
+            for cls in problem.symmetry_classes(task.threads, task.total_ops, **params)
+        )
+        self._project = problem.state_projection(task.threads, task.total_ops, **params)
+        # A starvation watcher counts decisions along the path, so two runs
+        # reaching one configuration can still get different verdicts: with
+        # a budget, runs are merged on but never stopped.
+        self._stop_runs = starvation_budget(task, problem) is None
+        self._seen: set = set()
+        self._probe: Optional[_ConfigProbe] = None
+        self.stats: Dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
+
+    def run(
+        self,
+        prefix: Tuple[int, ...],
+        inherited: Optional[Dict[int, int]],
+        runtime: TaskRuntime,
+        verified_depth: int,
+    ) -> ScheduleOutcome:
+        # Decisions below `start` were snapshotted and merged on by the runs
+        # that forced them; this run skips their abstraction work entirely.
+        # The decision just before the divergence point is still snapshotted:
+        # it is what the first fingerprint advance compares against.
+        start = len(prefix) - 1 if (prefix and inherited is not None) else 0
+
+        def instrument(backend, spec):
+            self._probe = _ConfigProbe(
+                backend,
+                spec.monitor,
+                self._project,
+                self._sym,
+                self._seen,
+                start=start,
+                fingerprints=inherited,
+                stop_from=len(prefix) if self._stop_runs else None,
+                max_depth=self._max_depth,
+            )
+            return self._probe
+
+        return run_prefix(
+            self._task,
+            prefix,
+            instrument=instrument,
+            runtime=runtime,
+            verified_depth=verified_depth,
+        )
+
+    def alternatives(
+        self, depth: int, point: SchedulePoint
+    ) -> List[Tuple[int, Optional[Dict[int, int]]]]:
+        stats = self.stats
+        probe = self._probe
+        if depth >= len(probe.keys):
+            # An oracle fired before the probe saw this decision: no config
+            # to merge on, so branch every alternative unreduced —
+            # correctness before reduction.
+            stats["unmerged_decisions"] += 1
+            return _every_alternative(depth, point)
+        key = probe.keys[depth]
+        if key in self._seen:
+            stats["merged_configs"] += 1
+            return []
+        self._seen.add(key)
+        config = probe.configs[depth]
+        runnable = sorted(point.runnable)
+        #: This configuration's per-thread fingerprints — what a child
+        #: diverging here resumes its own counting from.
+        fps_here = {t: fp for t, _s, _br, fp in config[1]}
+        reps = _automorphic_reps(config, runnable, self._sym)
+        children = []
+        for t in runnable:
+            if t == point.chosen:
+                continue
+            if t not in reps:
+                stats["symmetry_skips"] += 1
+                continue
+            children.append((runnable.index(t), fps_here))
+        return children
+
+
 def explore_dpor(
     task: ExploreTask,
     max_schedules: Optional[int] = None,
@@ -274,13 +375,13 @@ def explore_dpor(
 ) -> ExplorationReport:
     """Exhaustive DFS with configuration merging and thread symmetry.
 
-    Drop-in for a serial :func:`~repro.explore.engine.explore_dfs`: same
-    :class:`ExplorationReport`, same replayable failure prefixes — only
-    ``report.mode`` (``"dfs+dpor"``), ``report.stats`` (pruning counters)
-    and the trace-length maxima (runs stop at merges) differ.  On any
-    configuration both explorers exhaust, the violation sets are
-    identical; DPOR just reaches every inequivalent schedule once instead
-    of many times.
+    The frontier loop of :func:`~repro.explore.engine.explore_dfs` with
+    pruning plugged in: same :class:`ExplorationReport`, same replayable
+    failure prefixes — only ``report.mode`` (``"dfs+dpor"``),
+    ``report.stats`` (pruning counters) and the trace-length maxima (runs
+    stop at merges) differ.  On any configuration both explorers exhaust,
+    the violation sets are identical; DPOR just reaches every inequivalent
+    schedule once instead of many times.
 
     Frontier entries re-execute their parent's decision prefix on the
     fast replay path: oracle checks and abstract-state snapshotting are
@@ -295,8 +396,8 @@ def explore_dpor(
     branched unreduced because an oracle fired before the probe saw them
     (``unmerged_decisions``).
 
-    The search is serial by design: stopping needs the live set of explored
-    configurations, which a pool worker could not see.
+    Like plain DFS, the search is serial; stopping also needs the live set
+    of explored configurations, which a pool worker could not see.
 
     Raises ``ValueError`` for tasks with a fault plan — see the module
     docstring for why reduction is unsound under injected faults.
@@ -307,141 +408,7 @@ def explore_dpor(
             "(suppressed notifications fire by event count, not by state); "
             "run plain DFS for chaos exploration"
         )
-    problem = task.resolve_problem()
-    params = dict(task.problem_params)
-    sym = tuple(
-        tuple(cls)
-        for cls in problem.symmetry_classes(task.threads, task.total_ops, **params)
+    return _explore_frontier(
+        task, DPOR_MODE, _Reduction(task, max_depth), max_schedules, max_depth,
+        failure_limit, stop_on_failure, progress,
     )
-    project = problem.state_projection(task.threads, task.total_ops, **params)
-
-    report = ExplorationReport(task=task, mode=DPOR_MODE)
-    stats = report.stats
-    for key in _STAT_KEYS:
-        stats[key] = 0
-
-    runtime = task_runtime(task)
-    # A starvation watcher counts decisions along the path, so two runs
-    # reaching one configuration can still get different verdicts: with a
-    # budget, runs are merged on but never stopped.
-    stop_runs = starvation_budget(task, problem) is None
-    seen_configs: set = set()
-    #: (prefix, the verified depth for the fast replay path, and the
-    #: parent's per-thread fingerprints at the divergence point — None for
-    #: entries that must snapshot their whole run, i.e. the root and
-    #: unmerged children).  Child prefixes are distinct by construction:
-    #: each extends its run's own prefix at a decision at or past its end.
-    frontier: List[Tuple[Tuple[int, ...], int, Optional[Dict[int, int]]]] = [
-        ((), 0, None)
-    ]
-
-    while frontier:
-        if max_schedules is not None and report.schedules_visited >= max_schedules:
-            return report
-        prefix, verified_depth, inherited = frontier.pop()
-
-        # Decisions below `start` were snapshotted and merged on by the runs
-        # that forced them; this run skips their abstraction work entirely.
-        # The decision just before the divergence point is still snapshotted:
-        # it is what the first fingerprint advance compares against.
-        start = len(prefix) - 1 if (prefix and inherited is not None) else 0
-        probes: List[_ConfigProbe] = []
-
-        def instrument(backend, spec, _probes=probes):
-            probe = _ConfigProbe(
-                backend,
-                spec.monitor,
-                project,
-                sym,
-                seen_configs,
-                start=start,
-                fingerprints=inherited,
-                stop_from=len(prefix) if stop_runs else None,
-                max_depth=max_depth,
-            )
-            _probes.append(probe)
-            return probe
-
-        outcome = run_prefix(
-            task,
-            prefix,
-            instrument=instrument,
-            runtime=runtime,
-            verified_depth=verified_depth,
-        )
-        configs, keys = probes[0].configs, probes[0].keys
-        report.schedules_visited += 1
-        report.max_trace_steps = max(report.max_trace_steps, outcome.steps)
-        report.max_decision_depth = max(
-            report.max_decision_depth,
-            sum(1 for point in outcome.trace.points if point.branching > 1),
-        )
-        _merge_timings(report, outcome)
-        if progress is not None:
-            progress(report.schedules_visited, outcome)
-
-        trace = outcome.trace
-        choices = trace.choices()
-        branch_until = len(choices)
-        if max_depth is not None and branch_until > max_depth + 1:
-            branch_until = max_depth + 1
-            report.depth_capped += 1
-        # A child shares this run's states up to its own prefix length; all
-        # of them passed this run's oracle checks except, on a failing run,
-        # the final recorded state (the one a mid-run oracle fired on).
-        child_cap = len(choices) if outcome.ok else max(len(choices) - 1, 0)
-
-        # Branch untried alternatives at every decision at or beyond the
-        # prefix (decisions inside it were enumerated by the ancestors that
-        # forced them), once per configuration and symmetry orbit.
-        for d in range(len(prefix), branch_until):
-            if d >= len(keys):
-                # An oracle fired before the probe saw this decision: no
-                # config to merge on, so branch every alternative unreduced
-                # — correctness before reduction.
-                stats["unmerged_decisions"] += 1
-                for alt in range(1, trace[d].branching):
-                    child_prefix = choices[:d] + (alt,)
-                    frontier.append(
-                        (child_prefix, min(len(child_prefix), child_cap), None)
-                    )
-                continue
-            key = keys[d]
-            if key in seen_configs:
-                stats["merged_configs"] += 1
-                continue
-            seen_configs.add(key)
-            point = trace[d]
-            runnable = sorted(point.runnable)
-            #: This configuration's per-thread fingerprints — what a child
-            #: diverging here resumes its own counting from.
-            fps_here = {t: fp for t, _s, _br, fp in configs[d][1]}
-            reps = _automorphic_reps(configs[d], runnable, sym)
-            for t in runnable:
-                if t == point.chosen:
-                    continue
-                if t not in reps:
-                    stats["symmetry_skips"] += 1
-                    continue
-                child_prefix = choices[:d] + (runnable.index(t),)
-                frontier.append(
-                    (child_prefix, min(len(child_prefix), child_cap), fps_here)
-                )
-
-        if not outcome.ok:
-            report.failures_total += 1
-            if len(report.failures) < failure_limit:
-                report.failures.append(
-                    ExplorationFailure(
-                        kind=outcome.kind,
-                        message=outcome.message,
-                        prefix=choices,
-                        trace=trace,
-                        digest=outcome.digest,
-                    )
-                )
-            if stop_on_failure:
-                return report
-
-    report.complete = True
-    return report

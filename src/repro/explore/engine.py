@@ -20,8 +20,9 @@ kind              meaning
 ``error:<Type>``  any other exception escaping the run
 ================  ==============================================================
 
-Exhaustive DFS and random swarm exploration are thin loops over this
-primitive; both report an :class:`ExplorationReport`.
+Exhaustive search (plain DFS and ``--dpor``, one serial frontier loop) and
+random swarm exploration are thin loops over this primitive; both report an
+:class:`ExplorationReport`.
 """
 
 from __future__ import annotations
@@ -717,75 +718,118 @@ def run_prefix(
 DEFAULT_FAILURE_LIMIT = 25
 
 
-def _merge_timings(report: ExplorationReport, outcome: ScheduleOutcome) -> None:
-    timings = outcome.timings
-    if timings:
-        aggregate = report.timings
-        for stage, seconds in timings.items():
-            aggregate[stage] = aggregate.get(stage, 0.0) + seconds
-
-
-def _pool_worker(payload: tuple) -> ScheduleOutcome:
-    """Top-level (hence picklable) frontier worker entry point.
-
-    Runs one frontier entry exactly as the serial reduction loop would;
-    worker processes warm their own TaskRuntime cache on first use.
-    """
-    task_data, prefix, verified_depth = payload
-    return run_prefix(
-        ExploreTask.from_dict(task_data), prefix, verified_depth=verified_depth
+def _count_run(
+    report: ExplorationReport,
+    outcome: ScheduleOutcome,
+    progress: Optional[Callable[[int, ScheduleOutcome], None]],
+) -> None:
+    """Fold one run into *report*'s totals, then report progress."""
+    report.schedules_visited += 1
+    report.max_trace_steps = max(report.max_trace_steps, outcome.steps)
+    report.max_decision_depth = max(
+        report.max_decision_depth,
+        sum(1 for point in outcome.trace.points if point.branching > 1),
     )
+    aggregate = report.timings
+    for stage, seconds in outcome.timings.items():
+        aggregate[stage] = aggregate.get(stage, 0.0) + seconds
+    if progress is not None:
+        progress(report.schedules_visited, outcome)
 
 
-class _OutcomePool:
-    """Speculative outcome prefetcher for the work-sharing parallel frontier.
+def _every_alternative(depth: int, point: SchedulePoint) -> List[Tuple[int, None]]:
+    """Plain DFS's branching rule: every alternative the run did not take
+    (a run past its prefix always takes index 0)."""
+    return [(alt, None) for alt in range(1, point.branching)]
 
-    The DFS loop's child generation stays strictly serial, which makes the
-    report bit-identical to a serial run by construction; what parallelizes
-    is the pure function ``outcome = f(task, prefix, verified_depth)``.
-    Each ``refill`` takes a wave of not-yet-computed entries from the top of
-    the frontier stack — the entries the serial loop pops next — and
-    computes their outcomes through the executor registry; ``fetch`` hands
-    a precomputed outcome to the serial loop at pop time (falling back to
-    an inline run on a miss).
+
+def _explore_frontier(
+    task: ExploreTask,
+    mode: str,
+    reducer: Optional[object],
+    max_schedules: Optional[int],
+    max_depth: Optional[int],
+    failure_limit: int,
+    stop_on_failure: bool,
+    progress: Optional[Callable[[int, ScheduleOutcome], None]],
+) -> ExplorationReport:
+    """The serial frontier loop behind :func:`explore_dfs` and
+    :func:`~repro.explore.dpor.explore_dpor`.
+
+    Frontier entries are ``(prefix, verified_depth, inherited)``.  The
+    states reached by the first *verified_depth* decisions were already
+    oracle-checked by the parent run that enqueued the entry, so the
+    child's replay of that prefix skips the stateless oracle checks.
+    *inherited* is whatever the reducer attached to the entry (None for
+    plain DFS).  Child prefixes are distinct by construction: each extends
+    its run's own prefix at a decision at or past the prefix's end.
+
+    A *reducer* prunes the search through two hooks, and its ``stats``
+    become the report's:
+
+    * ``run(prefix, inherited, runtime, verified_depth)`` executes one
+      entry (with whatever instrument the reducer needs);
+    * ``alternatives(depth, point)`` lists ``(alt, inherited)`` for the
+      children to enqueue at decision *depth* of the run just executed.
+
+    Without a reducer every entry is a bare :func:`run_prefix` and every
+    untried alternative is enqueued.
     """
-
-    def __init__(self, task: ExploreTask, executor: str, jobs: Optional[int]) -> None:
-        self._task_data = task.to_dict()
-        self._executor = create_executor(executor, jobs=jobs)
-        self._wave = max(2 * (jobs or 2), 4)
-        self._results: Dict[Tuple[int, ...], ScheduleOutcome] = {}
-
-    def fetch(self, prefix: Tuple[int, ...]) -> Optional[ScheduleOutcome]:
-        return self._results.pop(prefix, None)
-
-    def refill(self, frontier: Sequence[Tuple[Tuple[int, ...], int]]) -> None:
-        """Prefetch outcomes for the top-of-stack ``(prefix, verified_depth)``
-        frontier entries.  The stack is popped from the end, so the wave is
-        taken from there."""
-        batch = []
-        for entry in reversed(frontier):
-            if entry[0] not in self._results:
-                batch.append(entry)
-                if len(batch) >= self._wave:
-                    break
-        if not batch:
-            return
-        payloads = [(self._task_data, tuple(prefix), depth) for prefix, depth in batch]
-        results = self._executor.run_tasks(_pool_worker, payloads)
-        for (prefix, _depth), result in zip(batch, results):
-            if result is not None:
-                self._results[tuple(prefix)] = result
-
-
-def _make_pool(
-    task: ExploreTask, executor: str, jobs: Optional[int]
-) -> Optional[_OutcomePool]:
-    """An :class:`_OutcomePool` when parallelism was requested, else None
-    (the serial loop then runs with zero pool overhead)."""
-    if (jobs is None or jobs <= 1) and executor in (None, "serial"):
-        return None
-    return _OutcomePool(task, executor, jobs)
+    report = ExplorationReport(
+        task=task, mode=mode, stats=reducer.stats if reducer is not None else {}
+    )
+    alternatives = reducer.alternatives if reducer is not None else _every_alternative
+    runtime = task_runtime(task)
+    frontier: List[Tuple[Tuple[int, ...], int, object]] = [((), 0, None)]
+    while frontier:
+        if max_schedules is not None and report.schedules_visited >= max_schedules:
+            return report
+        prefix, verified_depth, inherited = frontier.pop()
+        if reducer is None:
+            outcome = run_prefix(
+                task, prefix, runtime=runtime, verified_depth=verified_depth
+            )
+        else:
+            outcome = reducer.run(prefix, inherited, runtime, verified_depth)
+        _count_run(report, outcome, progress)
+        trace = outcome.trace
+        choices = trace.choices()
+        # ``max_depth`` is an inclusive decision index: alternatives at
+        # exactly that depth are still branched (hence the ``+ 1``).
+        branch_until = len(choices)
+        if max_depth is not None and branch_until > max_depth + 1:
+            branch_until = max_depth + 1
+            report.depth_capped += 1
+        # A child shares this run's states up to its own prefix length; all
+        # of them passed this run's oracle checks except, on a failing run,
+        # the final recorded state (the one a mid-run oracle fired on).
+        child_cap = len(choices) if outcome.ok else max(len(choices) - 1, 0)
+        # Branch at every decision at or beyond the prefix (decisions inside
+        # it were enumerated by the ancestors that forced them).  A run whose
+        # choices do not extend its own prefix diverged from it: its children
+        # would not extend the prefix either and could repeat a sibling's,
+        # so it enqueues none.
+        if choices[: len(prefix)] == prefix:
+            for depth in range(len(prefix), branch_until):
+                for alt, state in alternatives(depth, trace[depth]):
+                    child = choices[:depth] + (alt,)
+                    frontier.append((child, min(len(child), child_cap), state))
+        if not outcome.ok:
+            report.failures_total += 1
+            if len(report.failures) < failure_limit:
+                report.failures.append(
+                    ExplorationFailure(
+                        kind=outcome.kind,
+                        message=outcome.message,
+                        prefix=choices,
+                        trace=trace,
+                        digest=outcome.digest,
+                    )
+                )
+            if stop_on_failure:
+                return report
+    report.complete = True
+    return report
 
 
 def explore_dfs(
@@ -795,8 +839,6 @@ def explore_dfs(
     failure_limit: int = DEFAULT_FAILURE_LIMIT,
     stop_on_failure: bool = False,
     progress: Optional[Callable[[int, ScheduleOutcome], None]] = None,
-    executor: str = "serial",
-    jobs: Optional[int] = None,
 ) -> ExplorationReport:
     """Bounded exhaustive DFS over the scheduling-decision tree of *task*.
 
@@ -815,80 +857,15 @@ def explore_dfs(
     verdicts are real; only their deeper alternatives are pruned, and
     ``report.depth_capped`` counts how often that happened.
 
-    ``executor``/``jobs`` shard frontier runs through the executor registry
-    (see :class:`_OutcomePool`); the report stays bit-identical to a serial
-    run because every reduction decision is made by this loop, in this
-    order, whatever computed the outcomes.
+    The search is serial: a schedule costs a fraction of a millisecond,
+    less than shipping it to a worker process.  ``--dpor``
+    (:func:`~repro.explore.dpor.explore_dpor`) runs the same loop with
+    pruning plugged in.
     """
-    report = ExplorationReport(task=task, mode="dfs")
-    runtime = task_runtime(task)
-    # Frontier entries are (prefix, verified_depth): the states reached by
-    # the first verified_depth decisions were already oracle-checked by the
-    # parent run that enqueued the entry, so the child's replay of that
-    # prefix skips the stateless oracle checks.
-    pending: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
-    # Two different prefixes can identify the same *executed* schedule (a
-    # shorter prefix whose forced continuation happens to make the same
-    # choices), and sibling branches at different depths can enqueue one
-    # prefix twice; keying the frontier by the prefix tuple keeps each
-    # schedule to a single run.
-    seen_prefixes = {()}
-    pool = _make_pool(task, executor, jobs)
-    while pending:
-        if max_schedules is not None and report.schedules_visited >= max_schedules:
-            return report
-        prefix, verified_depth = pending.pop()
-        outcome = pool.fetch(prefix) if pool is not None else None
-        if outcome is None:
-            outcome = run_prefix(
-                task, prefix, runtime=runtime, verified_depth=verified_depth
-            )
-        report.schedules_visited += 1
-        report.max_trace_steps = max(report.max_trace_steps, outcome.steps)
-        report.max_decision_depth = max(
-            report.max_decision_depth,
-            sum(1 for point in outcome.trace.points if point.branching > 1),
-        )
-        _merge_timings(report, outcome)
-        if progress is not None:
-            progress(report.schedules_visited, outcome)
-        choices = outcome.trace.choices()
-        # Branch: alternatives not taken at every decision at or beyond the
-        # prefix (decisions inside the prefix were enumerated by its parent).
-        # ``max_depth`` is an inclusive decision index: alternatives at
-        # exactly that depth are still branched (hence the ``+ 1``).
-        branch_until = len(choices)
-        if max_depth is not None and branch_until > max_depth + 1:
-            branch_until = max_depth + 1
-            report.depth_capped += 1
-        # A child shares this run's states up to its own prefix length; all
-        # of them passed this run's oracle checks except, on a failing run,
-        # the final recorded state (the one a mid-run oracle fired on).
-        child_cap = len(choices) if outcome.ok else max(len(choices) - 1, 0)
-        for depth in range(len(prefix), branch_until):
-            for alt in range(1, outcome.trace[depth].branching):
-                child = choices[:depth] + (alt,)
-                if child not in seen_prefixes:
-                    seen_prefixes.add(child)
-                    pending.append((child, min(len(child), child_cap)))
-        if not outcome.ok:
-            report.failures_total += 1
-            if len(report.failures) < failure_limit:
-                report.failures.append(
-                    ExplorationFailure(
-                        kind=outcome.kind,
-                        message=outcome.message,
-                        prefix=choices,
-                        trace=outcome.trace,
-                        digest=outcome.digest,
-                    )
-                )
-            if stop_on_failure:
-                return report
-        if pool is not None:
-            pool.refill(pending)
-    report.complete = True
-    return report
+    return _explore_frontier(
+        task, "dfs", None, max_schedules, max_depth, failure_limit,
+        stop_on_failure, progress,
+    )
 
 
 @dataclass(frozen=True)
@@ -930,15 +907,7 @@ def explore_swarm(
     seen_digests: set = set()
 
     def on_probe(index: int, probe: _SwarmProbe, outcome: ScheduleOutcome) -> None:
-        report.schedules_visited += 1
-        report.max_trace_steps = max(report.max_trace_steps, outcome.steps)
-        report.max_decision_depth = max(
-            report.max_decision_depth,
-            sum(1 for point in outcome.trace.points if point.branching > 1),
-        )
-        _merge_timings(report, outcome)
-        if progress is not None:
-            progress(report.schedules_visited, outcome)
+        _count_run(report, outcome, progress)
         if outcome.ok:
             return
         report.failures_total += 1

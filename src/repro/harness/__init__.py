@@ -8,8 +8,8 @@ Because a Python wall-clock comparison is muddied by the GIL, every run also
 records the backend and monitor counters (context switches, predicate
 evaluations, signals, ...), and a simple cost model turns the simulation
 backend's exact counts into a *modelled runtime* whose shape can be compared
-with the paper's runtime figures.  See DESIGN.md for the substitution
-rationale.
+with the paper's runtime figures.  The :mod:`repro.harness.cost_model`
+module docstring gives the substitution rationale.
 """
 
 from repro.harness.results import (

@@ -420,6 +420,66 @@ class TestPinnedScheduleCounts:
         }
 
 
+#: Plain-DFS results at the same sizes as ``PINNED_SCHEDULES``: (schedules,
+#: depth-capped runs, failure kinds).  Every tree here is exhausted.  These
+#: pin the unreduced side of DPOR≡DFS, so a change to the shared frontier
+#: loop must keep every number, not only the verdicts.
+PINNED_DFS = {
+    "barrier": {"autosynch": (2, 0, {}), "autosynch_t": (2, 0, {}),
+                "baseline": (2, 0, {}), "relay_batched": (2, 0, {}),
+                "relay_fifo": (2, 0, {})},
+    "bounded_buffer": {"autosynch": (52, 0, {}), "autosynch_t": (52, 0, {}),
+                       "baseline": (226, 90, {}), "explicit": (52, 0, {}),
+                       "relay_batched": (56, 0, {}), "relay_fifo": (52, 0, {})},
+    "dining_philosophers": {"autosynch": (2, 0, {}), "autosynch_t": (2, 0, {}),
+                            "baseline": (2, 0, {}), "explicit": (2, 0, {}),
+                            "relay_batched": (2, 0, {}), "relay_fifo": (2, 0, {})},
+    "fifo_semaphore": {"autosynch": (2, 0, {}), "autosynch_t": (2, 0, {}),
+                       "baseline": (2, 0, {}), "relay_batched": (2, 0, {}),
+                       "relay_fifo": (2, 0, {})},
+    "h2o": {"autosynch": (6, 0, {}), "autosynch_t": (6, 0, {}),
+            "baseline": (72, 72, {"step_limit": 2}), "explicit": (6, 0, {}),
+            "relay_batched": (6, 0, {}), "relay_fifo": (6, 0, {})},
+    "parameterized_bounded_buffer": {
+        "autosynch": (22, 0, {}), "autosynch_t": (22, 0, {}),
+        "baseline": (50, 40, {}), "explicit": (28, 0, {}),
+        "relay_batched": (22, 0, {}), "relay_fifo": (22, 0, {}),
+    },
+    "resource_pool": {"autosynch": (2, 0, {}), "autosynch_t": (2, 0, {}),
+                      "baseline": (2, 0, {}), "relay_batched": (2, 0, {}),
+                      "relay_fifo": (2, 0, {})},
+    "round_robin": {"autosynch": (2, 0, {}), "autosynch_t": (2, 0, {}),
+                    "baseline": (2, 0, {}), "explicit": (2, 0, {}),
+                    "relay_batched": (2, 0, {}), "relay_fifo": (2, 0, {})},
+    "sleeping_barber": {"autosynch": (36, 0, {}), "autosynch_t": (36, 0, {}),
+                        "baseline": (62, 62, {}), "explicit": (40, 0, {}),
+                        "relay_batched": (36, 0, {}), "relay_fifo": (36, 0, {})},
+    "traffic_intersection": {"autosynch": (165, 0, {}), "autosynch_t": (165, 0, {}),
+                             "baseline": (1076, 1056, {}),
+                             "relay_batched": (165, 0, {}), "relay_fifo": (165, 0, {})},
+}
+
+
+class TestPinnedDfsScheduleCounts:
+    @pytest.mark.parametrize(
+        "problem,mechanism,expected",
+        [
+            (problem, mechanism, expected)
+            for problem, results in sorted(PINNED_DFS.items())
+            for mechanism, expected in sorted(results.items())
+        ],
+    )
+    def test_exact_schedule_count(self, problem, mechanism, expected):
+        schedules, depth_capped, failure_kinds = expected
+        task = ExploreTask(problem, mechanism, threads=2, total_ops=4)
+        max_depth = 12 if mechanism == "baseline" else None
+        report = explore_dfs(task, max_depth=max_depth)
+        assert report.complete
+        assert report.schedules_visited == schedules
+        assert report.depth_capped == depth_capped
+        assert report.failure_kinds() == failure_kinds
+
+
 class TestUnmergedDecisions:
     def test_starvation_oracle_before_the_probe_branches_unreduced(self):
         """When an oracle fires at a decision, the probe never sees that
@@ -441,11 +501,18 @@ class TestUnmergedDecisions:
 class TestDporCli:
     @pytest.mark.parametrize(
         "extra",
-        [["--jobs", "2"], ["--executor", "process"], ["--executor", "process", "--jobs", "1"]],
+        [
+            ["--dpor", "--jobs", "2"],
+            ["--dpor", "--executor", "process"],
+            ["--dpor", "--executor", "process", "--jobs", "1"],
+            ["--jobs", "2"],
+            ["--executor", "process"],
+            ["--executor", "process", "--jobs", "1"],
+        ],
     )
     def test_parallel_dpor_is_refused(self, extra, tmp_path):
-        with pytest.raises(SystemExit, match="--dpor runs serially"):
+        with pytest.raises(SystemExit, match="--mode dfs runs serially"):
             explore_main(
                 ["--problem", "bounded_buffer", "--mechanism", "autosynch",
-                 "--mode", "dfs", "--dpor", "--out", str(tmp_path)] + extra
+                 "--mode", "dfs", "--out", str(tmp_path)] + extra
             )

@@ -1,15 +1,13 @@
-"""Serial-vs-parallel equivalence of the exploration engine, and the
+"""Serial-vs-sharded equivalence of swarm exploration, and the
 cached-vs-uncached determinism contract of the TaskRuntime build cache.
 
 The guarantee (mirror of ``test_parallel_equivalence.py`` for the
-experiment harness): ``explore_dfs`` and ``explore_swarm`` produce the same
-report — schedules visited, failure kind/digest set, ``complete`` flag and
-depth metrics — whatever executor or job count computed the runs, because
-every reduction decision is made by the serial loop in its serial order.
-Per-stage ``timings`` are the only report field allowed to differ (they
-measure the machine, not the search).  DPOR has no parallel path: its runs
-stop against the live set of explored configurations, which only the
-serial loop holds.
+experiment harness): ``explore_swarm`` produces the same report — schedules
+visited, failure kind/digest set and depth metrics — whatever executor or
+job count computed its probes.  Per-stage ``timings`` are the only report
+field allowed to differ (they measure the machine, not the search).  The
+exhaustive explorers (``explore_dfs``, ``explore_dpor``) have no parallel
+path: they run serially.
 
 The cache half: a run served from the process-wide :func:`task_runtime`
 cache (recycled backend, memoized predicate artifacts) is bit-identical to
@@ -34,13 +32,6 @@ from repro.explore.engine import (
 from repro.harness.execution import process as process_module
 from repro.runtime.simulation import RandomScheduler
 
-CONFIGS = [
-    ("bounded_buffer", "autosynch", None),
-    ("bounded_buffer", "explicit", 80),
-    ("readers_writers", "autosynch", 80),
-    ("round_robin", "autosynch", 60),
-]
-
 
 def report_signature(report):
     """Everything a report asserts, minus wall-clock timings."""
@@ -57,47 +48,27 @@ def report_signature(report):
 
 
 class TestSerialParallelEquivalence:
-    @pytest.mark.parametrize("problem,mechanism,cap", CONFIGS)
-    def test_dfs_jobs2_matches_serial(self, problem, mechanism, cap):
-        task = ExploreTask(problem=problem, mechanism=mechanism, threads=2, total_ops=2)
-        serial = explore_dfs(task, max_schedules=cap)
-        parallel = explore_dfs(task, max_schedules=cap, executor="process", jobs=2)
-        assert report_signature(serial) == report_signature(parallel)
-
     def test_pool_after_serial_exploration_in_one_process(self, monkeypatch):
         """Regression: a forked worker used to inherit the parent's cached
         runtime, whose backend dispatches to carrier threads the child does
         not have, and waited on them forever.  The pool path is forced so
         the test also bites on a single-CPU host, and the result deadline is
         cut so a regression fails instead of waiting out the default."""
+        task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
+                           threads=2, total_ops=2)
+        assert explore_dfs(task).schedules_visited == 52
+        serial = explore_swarm(task, schedules=8, base_seed=5)
         monkeypatch.setattr(process_module, "serial_fallback_reason", lambda j, n: None)
         monkeypatch.setattr(process_module, "RESULT_DEADLINE_S", 60.0)
-        task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
-                           threads=2, total_ops=2)
-        serial = explore_dfs(task)
-        parallel = explore_dfs(task, executor="process", jobs=2)
-        assert serial.schedules_visited == parallel.schedules_visited == 52
-        assert serial.complete and parallel.complete
-
-    def test_jobs1_and_jobs4_match(self):
-        task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
-                           threads=2, total_ops=2)
-        one = explore_dfs(task, executor="process", jobs=1)
-        four = explore_dfs(task, executor="process", jobs=4)
-        assert report_signature(one) == report_signature(four)
-        assert one.complete and four.complete
-
-    def test_parallel_report_carries_timings(self):
-        task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
-                           threads=2, total_ops=2)
-        report = explore_dfs(task, executor="process", jobs=2)
-        assert set(report.timings) >= {"build", "run", "classify", "oracle"}
+        sharded = explore_swarm(task, schedules=8, base_seed=5,
+                                executor="process", jobs=2)
+        assert report_signature(serial) == report_signature(sharded)
 
     def test_unknown_executor_lists_registry(self):
         task = ExploreTask(problem="bounded_buffer", mechanism="autosynch",
                            threads=2, total_ops=2)
         with pytest.raises(ValueError, match="serial"):
-            explore_dfs(task, executor="bogus", jobs=2)
+            explore_swarm(task, schedules=2, executor="bogus", jobs=2)
 
 
 class TestCachedVsUncachedRuns:
