@@ -216,7 +216,6 @@ def test_eval_engine_workload(benchmark, problem, engine):
         "interpreted_evaluations": stats["interpreted_evaluations"],
         "shared_read_cache_hits": stats["shared_read_cache_hits"],
         "relay_entries_skipped": stats["relay_entries_skipped"],
-        "batched_evaluations": stats["batched_evaluations"],
     }
     benchmark.extra_info["predicate_evaluations"] = stats["predicate_evaluations"]
     benchmark.extra_info["shared_read_cache_hits"] = stats["shared_read_cache_hits"]

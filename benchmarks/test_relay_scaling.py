@@ -15,10 +15,6 @@ Per-pass wall time and evaluated-vs-skipped counts for both modes land in
 artifact).  Acceptance: the incremental per-pass cost grows sublinearly
 between the two largest scales, and at the largest scale the incremental
 pass performs >= 5x fewer predicate evaluations than the exhaustive pass.
-
-A second section measures the fused batch closures: N same-shape predicates
-(``count > i``) evaluated through ``signal_many`` in one generated loop per
-chunk instead of one engine call per entry.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ REQUIRED_EVAL_RATIO = 5.0
 #: the dirty-set pass is expected to be near-constant).
 SUBLINEAR_FACTOR = 0.5
 
-_RESULTS: dict = {"scales": {}, "batched": {}}
+_RESULTS: dict = {"scales": {}}
 
 
 # -- minimal backend doubles (no thread ever actually blocks) ----------------
@@ -107,14 +103,14 @@ class _State:
     """Attribute bag standing in for a monitor with N scalar fields."""
 
 
-def _make_manager(owner, tracker, use_tags=True):
+def _make_manager(owner, tracker):
     backend = _Backend()
     return ConditionManager(
         owner=owner,
         backend=backend,
         lock=backend.create_lock(),
         stats=MonitorStats(),
-        use_tags=use_tags,
+        use_tags=True,
         write_tracker=tracker,
     ), tracker
 
@@ -170,7 +166,7 @@ def _steady_state_passes(manager, owner, tracker, scale):
 def _write_results():
     """Write the collected numbers to BENCH_relay_scaling.json at teardown."""
     yield
-    if _RESULTS["scales"] or _RESULTS["batched"]:
+    if _RESULTS["scales"]:
         RESULTS_PATH.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
 
 
@@ -251,46 +247,3 @@ def test_incremental_evaluates_at_least_5x_fewer():
         f"incremental pass only {ratio:.1f}x fewer evaluations than exhaustive "
         f"at {largest} waiters (required: {REQUIRED_EVAL_RATIO}x)"
     )
-
-
-@pytest.mark.parametrize("scale", SCALES)
-def test_fused_batch_closures(scale):
-    """N same-shape predicates (``count > i``) through ``signal_many``: the
-    fused batch path must serve the evaluations in generated loops.
-
-    ``use_tags=False`` puts every entry in the untagged pool — the search
-    shape of the FIFO/AutoSynch-T managers, and the pool ``signal_many``
-    fuses into per-shape batch closures (with tags these predicates would
-    sit in threshold heaps and be pruned before evaluation).
-    """
-    owner = _State()
-    owner.count = -1  # count > i is false for every i
-    manager, tracker = _make_manager(owner, WriteTracker(), use_tags=False)
-    for i in range(scale):
-        form = compile_predicate(f"count > {i}", {"count"}).globalized()
-        entry = manager.acquire_entry(form, from_shared_predicate=True)
-        manager.add_waiter(entry)
-    stats = manager._stats
-
-    started = time.perf_counter()
-    assert manager.signal_many(8) == 0
-    first_pass = time.perf_counter() - started
-    assert stats.batched_evaluations == scale, "the fused batch path did not engage"
-
-    # Steady state: everything is clean, one write re-pends every entry
-    # (shared read set), and the whole sweep runs through batch closures.
-    owner.count = -1
-    tracker.bump("count")
-    evals_before = stats.predicate_evaluations
-    batched_before = stats.batched_evaluations
-    started = time.perf_counter()
-    assert manager.signal_many(8) == 0
-    second_pass = time.perf_counter() - started
-    assert stats.predicate_evaluations - evals_before == scale
-    assert stats.batched_evaluations - batched_before == scale
-
-    _RESULTS["batched"][str(scale)] = {
-        "first_pass_seconds": first_pass,
-        "steady_pass_seconds": second_pass,
-        "batched_evaluations_per_pass": scale,
-    }

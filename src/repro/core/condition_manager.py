@@ -29,7 +29,9 @@ the tree walker) and attributes per-engine counters to the monitor stats.
 
 Two generalizations serve the pluggable signalling policies
 (:mod:`repro.core.signalling`): ``signal_many(limit)`` amortizes one search
-pass over up to *limit* wake-ups (the batched-relay policy), and
+pass over up to *limit* wake-ups (the batched-relay policy; like every
+pass it evaluates candidates one at a time and stops at the entry that
+fills the limit), and
 ``relay_signal_fifo`` breaks ties among true predicates by the longest
 waiting thread, using the per-waiter enqueue sequence numbers stamped by
 ``add_waiter`` (the FIFO-fair policy).
@@ -48,7 +50,6 @@ from repro.core.write_tracking import SCALAR_TYPES, WriteTracker
 from repro.predicates import EvalContext, EvaluationError, TagKind
 from repro.predicates.ast_nodes import Expr
 from repro.predicates.codegen import DEFAULT_ENGINE, validate_engine
-from repro.predicates.evaluator import _EMPTY_LOCALS
 from repro.predicates.predicate import GlobalizedPredicate
 from repro.runtime.api import Backend, ConditionAPI, LockAPI
 
@@ -57,11 +58,6 @@ __all__ = ["PredicateEntry", "ConditionManager"]
 #: Default number of inactive complex predicates kept for reuse before the
 #: oldest ones are evicted (the paper's "predefined threshold").
 DEFAULT_INACTIVE_CAPACITY = 64
-
-#: Candidates per fused-batch evaluation round.  Chunking preserves the
-#: early-stopping character of the search: a batch pass never evaluates more
-#: than one chunk beyond the entry that satisfied the signal limit.
-BATCH_CHUNK = 64
 
 
 @dataclass
@@ -787,90 +783,26 @@ class ConditionManager:
     ) -> int:
         """Evaluate *candidates* (already filtered) and signal the true ones.
 
-        When several candidates are evaluated per pass (``limit > 1``) and
-        the compiled engine is active, candidates are grouped by predicate
-        *shape* and each group is evaluated through one fused batch closure
-        (see :func:`repro.predicates.codegen.compile_batch`) — one generated
-        loop sharing one EvalContext instead of one call per predicate.
-        Chunking bounds how far past the limit a batch may evaluate;
-        falseness established beyond the limit is still recorded as clean.
+        Candidates are evaluated one at a time, in order, and the pass stops
+        at the entry that fills *limit*; entries evaluated false are marked
+        clean at *clock*.
         """
         stats = self._stats
         tracker = self._tracker
         signalled = 0
-        use_batch = (
-            limit > 1 and len(candidates) > 1 and self.eval_engine == "compiled"
-        )
-        for start in range(0, len(candidates), BATCH_CHUNK):
-            if signalled >= limit:
-                break
-            chunk = candidates[start:start + BATCH_CHUNK]
-            if use_batch and len(chunk) > 1:
-                results = self._batch_evaluate(chunk, ctx, count_as_exhaustive)
-            else:
-                results = [None] * len(chunk)
-            for entry, result in zip(chunk, results):
-                if signalled >= limit:
-                    if result is False and tracker is not None:
-                        self._mark_clean(entry, ctx, clock)
-                    continue
-                if result is None:
-                    if count_as_exhaustive:
-                        stats.exhaustive_checks += 1
-                    stats.predicate_evaluations += 1
-                    result = ctx.holds(entry.globalized)
-                if result:
-                    wake = min(entry.unsignalled_waiters, limit - signalled)
-                    self._signal_n(entry, wake)
-                    signalled += wake
-                elif tracker is not None:
-                    self._mark_clean(entry, ctx, clock)
-        return signalled
-
-    def _batch_evaluate(
-        self,
-        chunk: List[PredicateEntry],
-        ctx: EvalContext,
-        count_as_exhaustive: bool,
-    ) -> List[Optional[bool]]:
-        """Evaluate *chunk* through fused batch closures where possible.
-
-        Returns one result slot per entry; None means "not handled here" and
-        the caller falls back to per-entry evaluation (codegen declined the
-        shape, the group had a single row, or the batch call raised — the
-        per-entry retry then reproduces the exact failing predicate).
-        Counters are bumped only for rows a batch actually answered.
-        """
-        results: List[Optional[bool]] = [None] * len(chunk)
-        groups: Dict[object, List[tuple]] = {}
-        for i, entry in enumerate(chunk):
-            form = entry.globalized.batch_form()
-            if form is None:
-                continue
-            fn, params = form
-            groups.setdefault(fn, []).append((i, params))
-        stats = self._stats
-        for fn, rows in groups.items():
-            if len(rows) < 2:
-                continue
-            try:
-                values = fn(
-                    [params for _, params in rows],
-                    ctx.state,
-                    ctx.read_shared,
-                    _EMPTY_LOCALS,
-                )
-            except EvaluationError:
-                continue
-            for (i, _), value in zip(rows, values):
-                results[i] = value
-            count = len(rows)
-            stats.predicate_evaluations += count
-            stats.compiled_evaluations += count
-            stats.batched_evaluations += count
+        for entry in candidates:
             if count_as_exhaustive:
-                stats.exhaustive_checks += count
-        return results
+                stats.exhaustive_checks += 1
+            stats.predicate_evaluations += 1
+            if ctx.holds(entry.globalized):
+                wake = min(entry.unsignalled_waiters, limit - signalled)
+                self._signal_n(entry, wake)
+                signalled += wake
+                if signalled >= limit:
+                    break
+            elif tracker is not None:
+                self._mark_clean(entry, ctx, clock)
+        return signalled
 
     def _signal(self, entry: PredicateEntry) -> None:
         entry.condition.notify()

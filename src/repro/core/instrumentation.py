@@ -58,9 +58,6 @@ class MonitorStats:
     #: read set was written since their last false evaluation (the
     #: incremental relay path; exhaustive search never skips).
     relay_entries_skipped: int = 0
-    #: Predicate evaluations served by a fused batch closure (a subset of
-    #: ``compiled_evaluations``; the per-waiter-call ones are the rest).
-    batched_evaluations: int = 0
     #: Complex-predicate globalizations bound into a per-site template
     #: (the rest of the waits on complex predicates ran the full pipeline).
     template_globalizations: int = 0

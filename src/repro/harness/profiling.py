@@ -23,10 +23,7 @@ from repro.harness.results import RunResult
 
 __all__ = [
     "UsageBreakdown",
-    "EvalEngineBreakdown",
     "cpu_usage_breakdown",
-    "eval_engine_breakdown",
-    "eval_engine_rows",
     "modelled_breakdown_from_counters",
     "series_usage_breakdowns",
     "breakdown_rows",
@@ -171,80 +168,6 @@ def series_usage_breakdowns(
             )
         )
     return breakdowns
-
-
-@dataclass(frozen=True)
-class EvalEngineBreakdown:
-    """Compiled-vs-interpreted attribution of one run's predicate work.
-
-    Counters come straight from ``MonitorStats``: how many evaluations each
-    engine served, the wall-clock spent inside them (populated when
-    profiling was on), and how many shared reads the per-pass EvalContext
-    caches absorbed.  This is what lets a report attribute the compiled
-    engine's win instead of just observing a faster total.
-    """
-
-    mechanism: str
-    compiled_evaluations: int
-    interpreted_evaluations: int
-    compiled_eval_time: float
-    interpreted_eval_time: float
-    shared_read_cache_hits: int
-    shared_expr_cache_hits: int
-    #: Entries relay passes skipped via dirty-set search (0 when the
-    #: incremental path is off — exhaustive search never skips).
-    relay_entries_skipped: int = 0
-    #: Evaluations served by fused batch closures (a subset of
-    #: ``compiled_evaluations``).
-    batched_evaluations: int = 0
-
-    @property
-    def total_evaluations(self) -> int:
-        return self.compiled_evaluations + self.interpreted_evaluations
-
-    @property
-    def compiled_share(self) -> float:
-        """Fraction of evaluations served by the compiled engine."""
-        total = self.total_evaluations
-        return self.compiled_evaluations / total if total else 0.0
-
-
-def eval_engine_breakdown(result: RunResult) -> EvalEngineBreakdown:
-    """Extract the evaluation-engine attribution from one run's stats."""
-    stats = result.monitor_stats
-    return EvalEngineBreakdown(
-        mechanism=result.mechanism,
-        compiled_evaluations=int(stats.get("compiled_evaluations", 0)),
-        interpreted_evaluations=int(stats.get("interpreted_evaluations", 0)),
-        compiled_eval_time=stats.get("compiled_eval_time", 0.0),
-        interpreted_eval_time=stats.get("interpreted_eval_time", 0.0),
-        shared_read_cache_hits=int(stats.get("shared_read_cache_hits", 0)),
-        shared_expr_cache_hits=int(stats.get("shared_expr_cache_hits", 0)),
-        relay_entries_skipped=int(stats.get("relay_entries_skipped", 0)),
-        batched_evaluations=int(stats.get("batched_evaluations", 0)),
-    )
-
-
-def eval_engine_rows(
-    breakdowns: Sequence[EvalEngineBreakdown],
-) -> List[List[object]]:
-    """Table rows: per-engine evaluation counts, timings and cache hits."""
-    rows: List[List[object]] = []
-    for breakdown in breakdowns:
-        rows.append(
-            [
-                breakdown.mechanism,
-                breakdown.compiled_evaluations,
-                breakdown.interpreted_evaluations,
-                f"{100.0 * breakdown.compiled_share:.1f}%",
-                breakdown.compiled_eval_time,
-                breakdown.interpreted_eval_time,
-                breakdown.shared_read_cache_hits + breakdown.shared_expr_cache_hits,
-                breakdown.relay_entries_skipped,
-                breakdown.batched_evaluations,
-            ]
-        )
-    return rows
 
 
 def breakdown_rows(

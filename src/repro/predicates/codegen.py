@@ -72,7 +72,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "validate_engine",
     "compile_expr",
-    "compile_batch",
     "compiled_source",
     "parametrize_expr",
     "compile_shape",
@@ -179,9 +178,9 @@ class _Slot:
     :func:`parametrize_expr` substitutes one of these for every literal
     constant, so predicates that differ only in their constants (the typical
     shape after globalization freezes each thread's local values) collapse
-    to a single *shape* — one generated closure factory and one fused batch
-    function.  Slot *i* is emitted as the name ``__cg_p{i}``: a closure cell
-    in a factory-made predicate, a loop variable in a batch.
+    to a single *shape* — one generated closure factory.  Slot *i* is
+    emitted as the name ``__cg_p{i}``, a closure cell of the factory-made
+    predicate.
     """
 
     __slots__ = ("index",)
@@ -262,18 +261,6 @@ def _slot_names(shape: Expr) -> List[str]:
     return [f"__cg_p{index}" for index in range(count)]
 
 
-def _exec_generated(source: str, name: str, label: str) -> Optional[Callable]:
-    """Compile and run generated *source*, returning its function *name*."""
-    namespace = dict(_NAMESPACE)
-    try:
-        exec(compile(source, label, "exec"), namespace)
-    except (SyntaxError, ValueError):  # pragma: no cover - defensive fallback
-        return None
-    fn = namespace[name]
-    fn.__cg_source__ = source
-    return fn
-
-
 @lru_cache(maxsize=CODEGEN_CACHE_SIZE)
 def _compile_shape(shape: Expr) -> Optional[Callable]:
     """The closure factory for a parametrized *shape*, or None.
@@ -292,9 +279,14 @@ def _compile_shape(shape: Expr) -> Optional[Callable]:
         f"        return {body}\n"
         "    return __cg_predicate\n"
     )
-    return _exec_generated(
-        source, "__cg_factory", f"<predicate: {unparse(shape)[:80]}>"
-    )
+    namespace = dict(_NAMESPACE)
+    try:
+        exec(compile(source, f"<predicate: {unparse(shape)[:80]}>", "exec"), namespace)
+    except (SyntaxError, ValueError):  # pragma: no cover - defensive fallback
+        return None
+    factory = namespace["__cg_factory"]
+    factory.__cg_source__ = source
+    return factory
 
 
 def compile_shape(shape: Optional[Expr]) -> Optional[Callable]:
@@ -341,7 +333,7 @@ def compiled_source(expr: Expr) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Fused batch closures: one generated loop for a whole group of predicates
+# Shapes: one compilation for every predicate that differs only in constants
 # ---------------------------------------------------------------------------
 
 
@@ -352,10 +344,10 @@ def parametrize_expr(expr: Expr) -> tuple:
     replaced by a positional slot (in left-to-right order) and ``params`` is
     the tuple of extracted values.  Two globalized predicates that differ
     only in their frozen local values — ``serving == 3`` and
-    ``serving == 7`` — share the same shape, which is what lets one fused
-    batch closure (see :func:`compile_batch`) evaluate all of them in a
-    single generated loop.  ``BoolConst`` stays inline: it is structural
-    (``and True`` simplifications), not data.
+    ``serving == 7`` — share the same shape, which is what lets one
+    generated factory (see :func:`compile_shape`) serve all of them.
+    ``BoolConst`` stays inline: it is structural (``and True``
+    simplifications), not data.
     """
     params: List[object] = []
 
@@ -392,42 +384,3 @@ def parametrize_expr(expr: Expr) -> tuple:
     except _Unsupported:
         return None, ()
     return shape, tuple(params)
-
-
-@lru_cache(maxsize=CODEGEN_CACHE_SIZE)
-def _compile_batch_cached(shape: Expr) -> Optional[Callable]:
-    try:
-        body = _emit(shape)
-    except _Unsupported:
-        return None
-    names = _slot_names(shape)
-    target = ", ".join(names) + "," if names else "()"
-    source = (
-        "def __cg_batch(__cg_rows, state, __cg_read, __cg_locals):\n"
-        "    __cg_out = []\n"
-        "    __cg_append = __cg_out.append\n"
-        f"    for {target} in __cg_rows:\n"
-        f"        __cg_append(bool({body}))\n"
-        "    return __cg_out\n"
-    )
-    return _exec_generated(
-        source, "__cg_batch", f"<batch predicate: {unparse(shape)[:80]}>"
-    )
-
-
-def compile_batch(shape: Expr) -> Optional[Callable]:
-    """Lower a parametrized *shape* (see :func:`parametrize_expr`) to a fused
-    batch function, or None when unsupported.
-
-    The returned function has signature
-    ``fn(rows, state, reader, locals_map) -> List[bool]`` where each row is
-    one predicate's extracted constant tuple: all rows are evaluated in a
-    single generated loop sharing one reader (and therefore one
-    :class:`~repro.predicates.evaluator.EvalContext` cache), with no
-    per-predicate Python call.  Results are bool-coerced exactly like
-    ``EvalContext.holds``.  Memoized on the shape, so every predicate group
-    with the same structure shares one compilation.
-    """
-    if shape is None:
-        return None
-    return _compile_batch_cached(shape)

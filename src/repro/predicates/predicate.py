@@ -37,12 +37,7 @@ from repro.predicates.classify import (
     shared_names_used,
     uses_monitor_queries,
 )
-from repro.predicates.codegen import (
-    compile_batch,
-    compile_expr,
-    compile_shape,
-    parametrize_expr,
-)
+from repro.predicates.codegen import compile_expr, compile_shape, parametrize_expr
 from repro.predicates.dnf import Conjunction, DNFPredicate, to_dnf
 from repro.predicates.errors import PredicateError
 from repro.predicates.evaluator import _EMPTY_LOCALS, evaluate_bool, read_shared
@@ -86,11 +81,6 @@ class GlobalizedPredicate:
     #: Per-instance cache of the lowered closure (:data:`_UNCOMPILED` until
     #: first use; None when codegen declined and the interpreter is used).
     _compiled_fn: object = field(
-        default=_UNCOMPILED, init=False, repr=False, compare=False
-    )
-    #: Per-instance cache of the fused-batch form (lazily built, see
-    #: :meth:`batch_form`).
-    _batch_form: object = field(
         default=_UNCOMPILED, init=False, repr=False, compare=False
     )
     #: Per-instance cache of :meth:`read_set`.
@@ -162,27 +152,6 @@ class GlobalizedPredicate:
             flag = uses_monitor_queries(self.expr)
             object.__setattr__(self, "_uses_queries", flag)
         return flag
-
-    def batch_form(self) -> Optional[Tuple[Callable, Tuple[object, ...]]]:
-        """The predicate's fused-batch handle ``(fn, params)``, or None.
-
-        ``fn`` is the shape's generated batch function (shared by every
-        predicate with the same constant-free structure) and ``params`` is
-        this predicate's extracted constant tuple — one row of the batch.
-        None when codegen cannot lower the shape; callers fall back to
-        per-predicate evaluation.
-        """
-        if self._quarantined:
-            # A quarantined predicate must not be evaluated through any
-            # generated code, fused batches included.
-            return None
-        form = self._batch_form
-        if form is _UNCOMPILED:
-            shape, params = parametrize_expr(self.expr)
-            fn = compile_batch(shape)
-            form = (fn, params) if fn is not None else None
-            object.__setattr__(self, "_batch_form", form)
-        return form
 
     def holds(self, state: object) -> bool:
         """Evaluate the predicate against the monitor *state* (interpreted)."""
@@ -327,8 +296,8 @@ class CompiledPredicate:
             # carries mutable quarantine/closure state that must stay
             # per-monitor).  The memoized runtime traits seed the wrapper's
             # per-instance caches, so the per-run rebuild skips the AST
-            # walks behind read_set/uses_queries/batch_form.
-            expr, dnf, tags, canonical, read_set, uses_q, batch = (
+            # walks behind read_set/uses_queries.
+            expr, dnf, tags, canonical, read_set, uses_q = (
                 _shared_form_ingredients(*self._memo_key)
             )
             form = GlobalizedPredicate(
@@ -336,7 +305,6 @@ class CompiledPredicate:
             )
             object.__setattr__(form, "_read_set", read_set)
             object.__setattr__(form, "_uses_queries", uses_q)
-            object.__setattr__(form, "_batch_form", batch)
             return form
         return self._pipeline(local_values)
 
@@ -432,7 +400,6 @@ class GlobalizationTemplate:
         "_pieces",
         "_params",
         "_factory",
-        "_batch",
         "_read_set",
         "_uses_queries",
         "verified",
@@ -457,7 +424,6 @@ class GlobalizationTemplate:
         final = dnf.to_expr()
         shape, self._params = parametrize_expr(final)
         self._factory = compile_shape(shape)
-        self._batch = compile_batch(shape)
         self._read_set = frozenset(shared_names_used(final))
         self._uses_queries = uses_monitor_queries(final)
         self.verified: Optional[bool] = None
@@ -493,12 +459,8 @@ class GlobalizationTemplate:
             ]
         )
         factory = self._factory
-        batch = self._batch
         object.__setattr__(
             form, "_compiled_fn", factory(*params) if factory is not None else None
-        )
-        object.__setattr__(
-            form, "_batch_form", (batch, params) if batch is not None else None
         )
         object.__setattr__(form, "_read_set", self._read_set)
         object.__setattr__(form, "_uses_queries", self._uses_queries)
@@ -559,17 +521,14 @@ def _shared_form_ingredients(
     locals → DNF → tags → canonical source), all immutable artifacts.
 
     Also pre-computes the runtime traits the condition manager asks of
-    every shared-form wrapper — the read set, the monitor-query flag and
-    the fused-batch handle — so a recompilation (one per monitor per run
-    during exploration) does not re-walk the expression tree for them.
+    every shared-form wrapper — the read set and the monitor-query flag —
+    so a recompilation (one per monitor per run during exploration) does
+    not re-walk the expression tree for them.
     """
     expr, _, _ = _classified_parts(source, shared, local)
     shared_expr = globalize(expr, {})
     dnf = to_dnf(shared_expr)
     final = dnf.to_expr()
-    shape, params = parametrize_expr(final)
-    fn = compile_batch(shape)
-    batch = (fn, params) if fn is not None else None
     return (
         final,
         dnf,
@@ -577,7 +536,6 @@ def _shared_form_ingredients(
         dnf.canonical(),
         frozenset(shared_names_used(final)),
         uses_monitor_queries(final),
-        batch,
     )
 
 

@@ -1,12 +1,12 @@
 """Property: dirty-set relay search is observationally equivalent to exhaustive.
 
-The incremental relay path (write tracking + dirty-set candidate sets +
-fused batch closures) is a pure search optimisation: for any (problem,
-mechanism, engine, seed) the run under incremental relay must produce the
-same outcome kind, the same scheduler decision trace, the same event digest
-and the same backend metrics (context switches included) as the run with
-the process-wide toggle off.  ``validate=True`` arms the relay-invariance
-check on every pass, so an unsound skip would also fail loudly mid-run.
+The incremental relay path (write tracking + dirty-set candidate sets) is
+a pure search optimisation: for any (problem, mechanism, engine, seed) the
+run under incremental relay must produce the same outcome kind, the same
+scheduler decision trace, the same event digest and the same backend
+metrics (context switches included) as the run with the process-wide
+toggle off.  ``validate=True`` arms the relay-invariance check on every
+pass, so an unsound skip would also fail loudly mid-run.
 """
 
 from __future__ import annotations

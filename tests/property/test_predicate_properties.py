@@ -316,10 +316,3 @@ def test_template_globalization_matches_the_pipeline(source, bindings, state):
             continue
         interpreted = _outcome(lambda: evaluate(form.expr, state))
         assert _outcome(lambda: fn(state, read_shared, _EMPTY_LOCALS)) == interpreted
-        batch = form.batch_form()
-        if batch is not None:
-            batch_fn, row = batch
-            expected = (
-                ("ok", [bool(interpreted[1])]) if interpreted[0] == "ok" else interpreted
-            )
-            assert _outcome(lambda: batch_fn([row], state, read_shared, _EMPTY_LOCALS)) == expected

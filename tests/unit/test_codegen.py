@@ -21,7 +21,9 @@ from repro.predicates.codegen import (
     DEFAULT_ENGINE,
     ENGINES,
     compile_expr,
+    compile_shape,
     compiled_source,
+    parametrize_expr,
     validate_engine,
 )
 from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
@@ -197,3 +199,61 @@ def test_monitor_engine_attribution(engine):
 def test_monitor_rejects_unknown_engine():
     with pytest.raises(ValueError):
         _Buffer(backend=SimulationBackend(seed=0), eval_engine="jit")
+
+
+def expr_of(source, shared):
+    return compile_predicate(source, shared).globalized().expr
+
+
+class TestParametrize:
+    def test_constants_become_slots(self):
+        shape, params = parametrize_expr(expr_of("count > 3", {"count"}))
+        assert params == (3,)
+        other_shape, other_params = parametrize_expr(expr_of("count > 7", {"count"}))
+        assert other_params == (7,)
+        # Same structure, different constants: one shared shape.
+        assert shape == other_shape
+
+    def test_different_structure_different_shape(self):
+        shape_gt, _ = parametrize_expr(expr_of("count > 1", {"count"}))
+        shape_eq, _ = parametrize_expr(expr_of("count == 1", {"count"}))
+        shape_other_name, _ = parametrize_expr(expr_of("total > 1", {"total"}))
+        assert shape_gt != shape_eq
+        assert shape_gt != shape_other_name
+
+    def test_constant_free_predicate_has_empty_params(self):
+        shape, params = parametrize_expr(expr_of("flag", {"flag"}))
+        assert params == ()
+        assert compile_shape(shape) is not None
+
+
+class TestCompileShape:
+    def test_shape_closures_match_per_predicate_evaluation(self):
+        state = {"count": 5}
+        exprs = [expr_of(f"count > {i}", {"count"}) for i in range(10)]
+        forms = [parametrize_expr(expr) for expr in exprs]
+        shapes = {shape for shape, _ in forms}
+        assert len(shapes) == 1, "same-structure predicates must share a shape"
+        factory = compile_shape(next(iter(shapes)))
+        assert factory is not None
+        results = [
+            bool(factory(*params)(state, read_shared, _EMPTY_LOCALS))
+            for _, params in forms
+        ]
+        expected = [bool(evaluate(expr, state)) for expr in exprs]
+        assert results == expected == [True] * 5 + [False] * 5
+
+    def test_factory_is_memoized_per_shape(self):
+        shape_a, _ = parametrize_expr(expr_of("count >= 2", {"count"}))
+        shape_b, _ = parametrize_expr(expr_of("count >= 9", {"count"}))
+        assert compile_shape(shape_a) is compile_shape(shape_b)
+
+    def test_none_shape_returns_none(self):
+        assert compile_shape(None) is None
+
+    def test_shape_closure_raises_evaluation_error_like_the_engines(self):
+        shape, params = parametrize_expr(expr_of("missing > 1", {"missing"}))
+        factory = compile_shape(shape)
+        assert factory is not None
+        with pytest.raises(EvaluationError):
+            factory(*params)({}, read_shared, _EMPTY_LOCALS)

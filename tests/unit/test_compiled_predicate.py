@@ -125,7 +125,9 @@ class TestGlobalizationTemplate:
             form = compiled.globalized({"num": num})
             assert form.from_template
             assert form.tags[0].key == num
-            assert form.batch_form()[1] == (num,)
+            # The closure binds the template's parameter to this value.
+            assert form.compiled_holds({"count": num})
+            assert not form.compiled_holds({"count": num - 1})
 
     def test_bool_local_uses_the_pipeline(self):
         compiled = compile_predicate("ready == flag", {"ready"}, {"flag"})

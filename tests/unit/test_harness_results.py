@@ -18,8 +18,6 @@ from repro.harness import (
 from repro.harness.profiling import (
     breakdown_rows,
     cpu_usage_breakdown,
-    eval_engine_breakdown,
-    eval_engine_rows,
     modelled_breakdown_from_counters,
 )
 
@@ -234,22 +232,3 @@ class TestProfilingBreakdown:
         )
         assert breakdown.mechanism == "autosynch"
         assert breakdown.await_time > 0
-
-    def test_eval_engine_breakdown_attributes_the_engines(self):
-        run = make_run()
-        run.monitor_stats["compiled_evaluations"] = 40
-        run.monitor_stats["interpreted_evaluations"] = 10
-        run.monitor_stats["shared_read_cache_hits"] = 25
-        run.monitor_stats["compiled_eval_time"] = 0.25
-        breakdown = eval_engine_breakdown(run)
-        assert breakdown.total_evaluations == 50
-        assert breakdown.compiled_share == pytest.approx(0.8)
-        assert breakdown.compiled_eval_time == pytest.approx(0.25)
-        rows = eval_engine_rows([breakdown])
-        assert rows[0][0] == "autosynch"
-        assert "80.0%" in rows[0]
-
-    def test_eval_engine_breakdown_handles_missing_counters(self):
-        breakdown = eval_engine_breakdown(make_run())
-        assert breakdown.total_evaluations == 0
-        assert breakdown.compiled_share == 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.condition_manager import ConditionManager
 from repro.core.instrumentation import MonitorStats
 from repro.core.write_tracking import WriteTracker
@@ -194,43 +196,38 @@ class TestTaggedDirtySet:
 
 
 class TestBatchedSearch:
-    def test_signal_many_uses_fused_batch_closures(self):
+    def test_relay_signal_stays_per_entry(self):
         tracker = WriteTracker()
         owner = FakeMonitor(count=-1)
         manager, stats = make_manager(owner, tracker=tracker)
-        for i in range(10):
-            park(manager, f"count > {i}", {"count"})
-
-        assert manager.signal_many(4) == 0
-        assert stats.batched_evaluations == 10
-        assert stats.compiled_evaluations == 10
-        assert stats.predicate_evaluations == 10
-
-        owner.count = 5
-        tracker.bump("count")
-        # All ten entries re-pend (same read set); the batch finds the five
-        # true ones and the limit caps the wake-ups at four.
-        assert manager.signal_many(4) == 4
-        assert stats.signals_sent == 4
-        assert stats.batched_evaluations == 20
-
-    def test_relay_signal_stays_per_entry(self):
-        owner = FakeMonitor(count=-1)
-        manager, stats = make_manager(owner, tracker=WriteTracker())
         for i in range(4):
             park(manager, f"count > {i}", {"count"})
         assert not manager.relay_signal()
-        assert stats.batched_evaluations == 0
+        assert stats.predicate_evaluations == stats.compiled_evaluations == 4
 
-    def test_batch_matches_exhaustive_selection(self):
-        owner_batched = FakeMonitor(count=2)
-        manager_batched, stats_batched = make_manager(
-            owner_batched, tracker=WriteTracker()
+        # Every entry re-pends; the pass stops at the first true one.
+        owner.count = 2
+        tracker.bump("count")
+        assert manager.relay_signal()
+        assert stats.predicate_evaluations == 5
+        assert stats.signals_sent == 1
+
+    @pytest.mark.parametrize("limit", [1, 3, 8])
+    @pytest.mark.parametrize("count", [-1, 2, 5])
+    def test_signal_many_matches_exhaustive_selection(self, count, limit):
+        owner_incremental = FakeMonitor(count=count)
+        manager_incremental, stats_incremental = make_manager(
+            owner_incremental, tracker=WriteTracker()
         )
-        owner_plain = FakeMonitor(count=2)
+        owner_plain = FakeMonitor(count=count)
         manager_plain, stats_plain = make_manager(owner_plain, tracker=None)
-        for manager in (manager_batched, manager_plain):
-            for i in range(6):
+        for manager in (manager_incremental, manager_plain):
+            for i in range(10):
                 park(manager, f"count > {i}", {"count"})
-        assert manager_batched.signal_many(3) == manager_plain.signal_many(3) == 2
-        assert stats_batched.signals_sent == stats_plain.signals_sent == 2
+        signalled = manager_incremental.signal_many(limit)
+        assert signalled == manager_plain.signal_many(limit) == min(max(count, 0), limit)
+        assert stats_incremental.signals_sent == stats_plain.signals_sent == signalled
+        # Entry i holds iff i < count, so the entry that fills the limit is
+        # at position *limit*; the pass stops there or sweeps all ten.
+        filled_at = limit if count >= limit else 10
+        assert stats_incremental.predicate_evaluations == filled_at
