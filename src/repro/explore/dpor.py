@@ -46,7 +46,7 @@ exploration.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +70,9 @@ __all__ = ["explore_dpor", "abstract_value", "DPOR_MODE"]
 DPOR_MODE = "dfs+dpor"
 
 _SCALARS = (int, float, str, bool, bytes, type(None))
+#: The exact types :func:`abstract_value` returns unchanged: the probe tests
+#: ``type(value) in _SCALAR_TYPES`` before paying for the call.
+_SCALAR_TYPES = frozenset(_SCALARS)
 
 
 def abstract_value(value: object) -> object:
@@ -83,7 +86,9 @@ def abstract_value(value: object) -> object:
     if isinstance(value, _SCALARS):
         return value
     if isinstance(value, (list, tuple)):
-        return tuple(abstract_value(item) for item in value)
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            return tuple(value)
+        return tuple([abstract_value(item) for item in value])
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(repr(item) for item in value))
     if isinstance(value, dict):
@@ -91,32 +96,68 @@ def abstract_value(value: object) -> object:
     return ("obj", type(value).__name__)
 
 
-def _canonicalize(config: tuple, sym_classes: Tuple[Tuple[int, ...], ...]) -> tuple:
-    """The lexicographically-least renaming of *config* under the symmetry.
+def _gained_lock(tid: int, before: tuple, after: tuple) -> bool:
+    """Whether *tid* owns a lock in the ``sync_state`` locks *after* that
+    it did not own in *before* (locks only ever append, so index ``i`` is
+    the same lock in both)."""
+    for i, owner, _queue in after:
+        if owner == tid and (i >= len(before) or before[i][1] != tid):
+            return True
+    return False
 
-    Tries every per-class thread permutation (classes are tiny — the
-    problems declare 2-4 interchangeable threads per group) and returns the
-    smallest resulting key.
+
+def _signatures(config: tuple) -> Dict[int, tuple]:
+    """Each thread's signature in *config*: what it looks like without its id.
+
+    A signature is the thread's state, block reason and fingerprint plus
+    every place its id occurs in the queues: the locks it owns and its
+    position in each lock and condition queue.  Renaming threads carries
+    signatures along unchanged.  A lock has one owner and a queue position
+    one thread, so two threads with equal signatures occur in no queue and
+    own no lock: swapping them fixes the configuration.
+    """
+    _vars_proj, threads, locks, conds = config
+    places: Dict[int, list] = defaultdict(list)
+    for i, owner, queue in locks:
+        if owner is not None:
+            places[owner].append((0, i, -1))
+        for position, tid in enumerate(queue):
+            places[tid].append((0, i, position))
+    for i, queue in conds:
+        for position, tid in enumerate(queue):
+            places[tid].append((1, i, position))
+    return {
+        # (reason is not None, reason or "") orders a None reason totally.
+        tid: (state, reason is not None, reason or "", fp, tuple(places.get(tid, ())))
+        for tid, state, reason, fp in threads
+    }
+
+
+def _canonicalize(config: tuple, sym_classes: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """The canonical renaming of *config* under the symmetry.
+
+    Within each class the threads, sorted on their signatures, take the
+    class's ids in increasing order.  A renamed configuration sorts the
+    same signatures the same way, so every configuration of one orbit gets
+    one key, and configurations of different orbits differ in it.  Ties
+    need no search: tied threads are interchangeable (see
+    :func:`_signatures`), so every order among them gives the same key.
+    A class member without a thread yet sorts first, with an empty
+    signature.
     """
     vars_proj, threads, locks, conds = config
-    best: Optional[tuple] = None
-    perms_per_class = [list(itertools.permutations(cls)) for cls in sym_classes]
-    for combo in itertools.product(*perms_per_class):
-        rename: Dict[int, int] = {}
-        for cls, perm in zip(sym_classes, combo):
-            for original, renamed in zip(cls, perm):
-                rename[original] = renamed
-        r = rename.get
-        t2 = tuple(sorted((r(t, t), s, br, fp) for t, s, br, fp in threads))
-        l2 = tuple(
-            (i, r(o, o) if o is not None else None, tuple(r(x, x) for x in q))
-            for i, o, q in locks
-        )
-        c2 = tuple((i, tuple(r(x, x) for x in q)) for i, q in conds)
-        key = (vars_proj, t2, l2, c2)
-        if best is None or key < best:
-            best = key
-    return best
+    signature = _signatures(config)
+    rename: Dict[int, int] = {}
+    for cls in sym_classes:
+        ranked = sorted(cls, key=lambda tid: signature.get(tid, ()))
+        rename.update(zip(ranked, sorted(cls)))
+    r = rename.get
+    return (
+        vars_proj,
+        tuple(sorted([(r(t, t), s, br, fp) for t, s, br, fp in threads])),
+        tuple([(i, r(o, o), tuple([r(x, x) for x in q])) for i, o, q in locks]),
+        tuple([(i, tuple([r(x, x) for x in q])) for i, q in conds]),
+    )
 
 
 class _ConfigProbe:
@@ -125,8 +166,10 @@ class _ConfigProbe:
     At every decision from ``start`` below the branching horizon (decision
     ``max_depth + 1``, unbounded without a depth bound) — right after the
     oracles checked that state — builds the abstract configuration
-    ``(projected monitor vars, per-thread (tid, state, block_reason,
-    fingerprint), locks, conds)``, then its canonical key.
+    ``((public monitor var names, their projected values), per-thread
+    (tid, state, block_reason, fingerprint), locks, conds)``, then its
+    canonical key; without symmetry classes the configuration is its own
+    key and ``keys`` is ``configs``.
     ``configs[d]`` and ``keys[d]`` describe decision ``d``; both are None
     below ``start``, where a shared-prefix re-execution replays decisions
     the parent run already merged on.  Fingerprint counting then resumes
@@ -148,7 +191,10 @@ class _ConfigProbe:
     is exactly what makes equal configurations root isomorphic subtrees.
     Slices that wake up, find their predicate false, and re-park (the
     futile-wakeup cascades of the broadcast baseline) net nothing and
-    advance nothing — which is what lets those cascades merge.
+    advance nothing — which is what lets those cascades merge.  A slice's
+    effect is read from the abstracted values themselves, not from write
+    counters: a container mutated in place (``items.append``) bypasses
+    the monitor's ``__setattr__`` and would go unseen there.
     """
 
     def __init__(
@@ -164,61 +210,83 @@ class _ConfigProbe:
         max_depth: Optional[int] = None,
     ) -> None:
         self._backend = backend
-        self._monitor = monitor
+        self._values = vars(monitor)
         self._project = project
         self._sym = sym
         self._seen = seen
         self._start = start
         self._stop_from = stop_from
-        self._horizon = max_depth + 1 if max_depth is not None else None
+        self._horizon = max_depth + 1 if max_depth is not None else math.inf
+        #: The monitor's attribute names when ``_names`` was last derived,
+        #: and its public names in sorted order.
+        self._layout: Optional[tuple] = None
+        self._names: Tuple[str, ...] = ()
         self._fps: Dict[int, int] = defaultdict(int)
         if fingerprints:
             self._fps.update(fingerprints)
-        #: (full monitor vars, locks, chosen tid) of the previous decision:
-        #: what advancing the chosen thread's fingerprint across its slice
-        #: compares against.
+        #: (public names, full abstract values, locks, chosen tid) of the
+        #: previous decision: what advancing the chosen thread's fingerprint
+        #: across its slice compares against.
         self._previous: Optional[tuple] = None
         self.configs: List[Optional[tuple]] = [None] * start
-        self.keys: List[Optional[tuple]] = [None] * start
+        self.keys: List[Optional[tuple]] = [None] * start if sym else self.configs
 
     def observe(self, point) -> None:
         d = point.step
-        if d < self._start or (self._horizon is not None and d >= self._horizon):
+        if d < self._start or d >= self._horizon:
             return
-        items = [
-            (name, value)
-            for name, value in sorted(vars(self._monitor).items())
-            if not name.startswith("_")
-        ]
-        vars_full = tuple((name, abstract_value(value)) for name, value in items)
-        project = self._project
-        if project is None:
-            vars_proj = vars_full
-        else:
-            # Re-abstract the projected value: projections concern themselves
-            # with *what detail to keep*, not with hashability or run
-            # stability, so an identity projection of an unhashable value
-            # still needs the conservative collapse.
-            vars_proj = tuple(
-                (name, abstract_value(project(name, value))) for name, value in items
+        values = self._values
+        layout = tuple(values)
+        if layout != self._layout:
+            self._layout = layout
+            self._names = tuple(
+                sorted(name for name in layout if not name.startswith("_"))
             )
+        names = self._names
+        project = self._project
+        # One pass: each value is read and abstracted once, and projected
+        # once when a projection applies.
+        full = []
+        projected = full if project is None else []
+        for name in names:
+            value = values[name]
+            kept = value if type(value) in _SCALAR_TYPES else abstract_value(value)
+            full.append(kept)
+            if project is not None:
+                # Re-abstract the projected value: projections concern
+                # themselves with *what detail to keep*, not with
+                # hashability or run stability, so an identity projection
+                # of an unhashable value still needs the conservative
+                # collapse.
+                view = project(name, value)
+                projected.append(
+                    kept if view is value
+                    else view if type(view) in _SCALAR_TYPES
+                    else abstract_value(view)
+                )
         threads, locks, conds = self._backend.sync_state()
         fps = self._fps
         previous = self._previous
         if previous is not None:
             # Advance the previous decision's chosen thread across its slice.
-            pre_vars, pre_locks, chosen = previous
-            if pre_vars != vars_full or (
-                {i for i, owner, _q in locks if owner == chosen}
-                - {i for i, owner, _q in pre_locks if owner == chosen}
+            pre_names, pre_full, pre_locks, chosen = previous
+            if pre_full != full or pre_names != names or _gained_lock(
+                chosen, pre_locks, locks
             ):
                 fps[chosen] += 1
-        self._previous = (vars_full, locks, point.chosen)
-        entries = tuple((tid, state, reason, fps[tid]) for tid, state, reason in threads)
-        config = (vars_proj, entries, locks, conds)
-        key = _canonicalize(config, self._sym)
+        self._previous = (names, full, locks, point.chosen)
+        config = (
+            (names, tuple(projected)),
+            tuple([(tid, state, reason, fps[tid]) for tid, state, reason in threads]),
+            locks,
+            conds,
+        )
         self.configs.append(config)
-        self.keys.append(key)
+        if self._sym:
+            key = _canonicalize(config, self._sym)
+            self.keys.append(key)
+        else:
+            key = config
         if (
             self._stop_from is not None
             and d >= self._stop_from
@@ -237,32 +305,23 @@ def _automorphic_reps(
     An alternative ``t`` is dropped when swapping it with an already-kept
     same-class alternative ``u`` fixes the configuration: scheduling ``t``
     then reaches a state that is the symmetric image of scheduling ``u``.
+    That swap fixes it exactly when ``t`` and ``u`` have equal signatures
+    (:func:`_signatures`).  Without symmetry classes every alternative is
+    its own orbit.
     """
+    if not sym_classes:
+        return list(alternatives)
+    signature = _signatures(config)
+    class_of = {tid: index for index, cls in enumerate(sym_classes) for tid in cls}
+    orbits = set()
     keep: List[int] = []
-    _vars_proj, threads, locks, conds = config
-    base = (
-        tuple(sorted(threads)),
-        tuple((i, o, tuple(q)) for i, o, q in locks),
-        tuple((i, tuple(q)) for i, q in conds),
-    )
     for t in alternatives:
-        redundant = False
-        for u in keep:
-            if not any(t in cls and u in cls for cls in sym_classes):
+        if t in class_of:
+            orbit = (class_of[t], signature[t])
+            if orbit in orbits:
                 continue
-            swap = {t: u, u: t}
-            r = swap.get
-            t2 = tuple(sorted((r(a, a), s, br, fp) for a, s, br, fp in threads))
-            l2 = tuple(
-                (i, r(o, o) if o is not None else None, tuple(r(x, x) for x in q))
-                for i, o, q in locks
-            )
-            c2 = tuple((i, tuple(r(x, x) for x in q)) for i, q in conds)
-            if (t2, l2, c2) == base:
-                redundant = True
-                break
-        if not redundant:
-            keep.append(t)
+            orbits.add(orbit)
+        keep.append(t)
     return keep
 
 
@@ -355,13 +414,13 @@ class _Reduction:
         fps_here = {t: fp for t, _s, _br, fp in config[1]}
         reps = _automorphic_reps(config, runnable, self._sym)
         children = []
-        for t in runnable:
+        for index, t in enumerate(runnable):
             if t == point.chosen:
                 continue
             if t not in reps:
                 stats["symmetry_skips"] += 1
                 continue
-            children.append((runnable.index(t), fps_here))
+            children.append((index, fps_here))
         return children
 
 

@@ -441,23 +441,23 @@ class SimulationBackend(Backend):
         """Hashable snapshot of all scheduling-relevant kernel state.
 
         Returns ``(threads, locks, conds)`` where ``threads`` is
-        ``(tid, state, block_reason)`` sorted by tid, ``locks`` is
+        ``(tid, state, block_reason)`` in increasing tid order, ``locks`` is
         ``(index, owner_tid, waiter_queue)`` in creation order, and ``conds``
         is ``(index, waiter_queue)`` in creation order.  Same calling
         restrictions as :meth:`blocked_threads`; the DPOR explorer snapshots
         this at every decision point to build abstract configurations.
+
+        The tid order needs no sort: thread ids are handed out in increasing
+        order (restarting at 0 on :meth:`recycle`), ``_threads`` keeps
+        insertion order, and a new run only drops threads from it.
         """
-        threads = tuple(
-            (t.tid, t.state.value, t.block_reason)
-            for t in sorted(self._threads.values(), key=lambda t: t.tid)
-        )
-        locks = tuple(
-            (i, lock.owner, tuple(lock.queue))
-            for i, lock in enumerate(self._locks)
-        )
-        conds = tuple(
-            (i, tuple(c.waiters)) for i, c in enumerate(self._conditions)
-        )
+        threads = tuple([
+            (t.tid, t.state._value_, t.block_reason) for t in self._threads.values()
+        ])
+        locks = tuple([
+            (i, lock.owner, tuple(lock.queue)) for i, lock in enumerate(self._locks)
+        ])
+        conds = tuple([(i, tuple(c.waiters)) for i, c in enumerate(self._conditions)])
         return threads, locks, conds
 
     def set_observer(self, observer: Optional[DecisionObserver]) -> None:

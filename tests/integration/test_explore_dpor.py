@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import AutoSynchMonitor
 from repro.explore import (
     ExploreTask,
     explore_dfs,
@@ -26,9 +27,10 @@ from repro.explore import (
 from repro.explore import engine as engine_module
 from repro.explore import shrink as shrink_module
 from repro.explore.__main__ import main as explore_main
-from repro.explore.dpor import DPOR_MODE
+from repro.explore.dpor import DPOR_MODE, _ConfigProbe
 from repro.explore.engine import ScheduleOutcome, StopRun, run_prefix
 from repro.problems.base import all_mechanisms
+from repro.runtime import SimulationBackend
 from repro.runtime.simulation.schedulers import SchedulePoint, ScheduleTrace
 
 # Fixture re-use: importing the fixture functions registers them here.
@@ -420,6 +422,28 @@ class TestPinnedScheduleCounts:
         }
 
 
+#: DPOR results for bounded_buffer/autosynch at 3 producers and 3 consumers
+#: with an even quota, the sizes at which the problem declares its two
+#: symmetry classes: ops -> (schedules, merged configurations, symmetry
+#: skips).  They pin the canonical key and the automorphism filter, which
+#: the 2x4 table above never exercises with more than two threads a class.
+PINNED_SYMMETRIC = {6: (97, 94, 22), 12: (574, 562, 55)}
+
+
+class TestPinnedSymmetricCounts:
+    @pytest.mark.parametrize("ops", sorted(PINNED_SYMMETRIC))
+    def test_exact_counts(self, ops):
+        schedules, merged, skips = PINNED_SYMMETRIC[ops]
+        task = ExploreTask("bounded_buffer", "autosynch", threads=3, total_ops=ops)
+        assert task.resolve_problem().symmetry_classes(3, ops) == ((0, 1, 2), (3, 4, 5))
+        report = explore_dpor(task)
+        assert report.complete and report.ok
+        assert report.schedules_visited == schedules
+        assert report.stats == {
+            "merged_configs": merged, "symmetry_skips": skips, "unmerged_decisions": 0,
+        }
+
+
 #: Plain-DFS results at the same sizes as ``PINNED_SCHEDULES``: (schedules,
 #: depth-capped runs, failure kinds).  Every tree here is exhausted.  These
 #: pin the unreduced side of DPOR≡DFS, so a change to the shared frontier
@@ -478,6 +502,42 @@ class TestPinnedDfsScheduleCounts:
         assert report.schedules_visited == schedules
         assert report.depth_capped == depth_capped
         assert report.failure_kinds() == failure_kinds
+
+
+class TestFingerprint:
+    def test_in_place_container_mutation_advances_the_fingerprint(self):
+        """A slice whose only effect is ``items.append`` never reaches the
+        monitor's ``__setattr__``, so the write tracker does not see it.
+        The fingerprint must: the thread is one step further in its
+        program even where the projection hides the change."""
+
+        class Log(AutoSynchMonitor):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.items = []
+
+        class TwoThreads:
+            def sync_state(self):
+                threads = ((0, "running", None), (1, "runnable", None))
+                return threads, ((0, None, ()),), ()
+
+        monitor = Log(backend=SimulationBackend(seed=0))
+        tracker = monitor._write_tracker
+        clock = tracker.clock if tracker is not None else None
+        probe = _ConfigProbe(
+            TwoThreads(), monitor, project=lambda name, value: "hidden",
+            sym=(), seen=set(),
+        )
+        probe.observe(SchedulePoint(step=0, runnable=(0, 1), chosen=0, reason="start"))
+        monitor.items.append("entry")
+        probe.observe(SchedulePoint(step=1, runnable=(0, 1), chosen=1, reason="yield"))
+        if tracker is not None:
+            assert tracker.clock == clock
+        before, after = probe.configs
+        assert before[0] == after[0]
+        assert [entry[3] for entry in before[1]] == [0, 0]
+        assert [entry[3] for entry in after[1]] == [1, 0]
+        assert probe.keys[0] != probe.keys[1]
 
 
 class TestUnmergedDecisions:

@@ -80,3 +80,48 @@ class TestSpawn:
         seen = []
         backend.run([lambda: seen.append(backend.current_name())], ["special-name"])
         assert seen == ["special-name"]
+
+
+class TestSyncStateOrder:
+    """``sync_state`` lists threads in increasing tid order without sorting:
+    tids are handed out in increasing order and ``_threads`` keeps
+    insertion order.  These pin the cases that could break that."""
+
+    @staticmethod
+    def _record_tids(backend):
+        snapshots = []
+        backend.set_observer(
+            lambda point: snapshots.append(
+                [tid for tid, _state, _reason in backend.sync_state()[0]]
+            )
+        )
+        return snapshots
+
+    def test_thread_spawned_before_run(self):
+        backend = SimulationBackend(seed=1)
+        backend.run([lambda: None, lambda: None])
+        backend.spawn(lambda: None, name="pre-registered")
+        snapshots = self._record_tids(backend)
+        backend.run([lambda: None, lambda: None])
+        assert snapshots and all(tids == [2, 3, 4] for tids in snapshots)
+
+    def test_thread_spawned_mid_run(self):
+        backend = SimulationBackend(seed=1)
+
+        def parent():
+            backend.spawn(lambda: None, name="child")
+            backend.yield_control()
+
+        snapshots = self._record_tids(backend)
+        backend.run([parent, lambda: None], ["parent", "sibling"])
+        assert snapshots[0] == [0, 1]
+        assert snapshots[-1] == [0, 1, 2]
+        assert all(tids == sorted(tids) for tids in snapshots)
+
+    def test_after_recycle(self):
+        backend = SimulationBackend(seed=1)
+        backend.run([lambda: None, lambda: None, lambda: None])
+        backend.recycle()
+        snapshots = self._record_tids(backend)
+        backend.run([lambda: None, lambda: None])
+        assert snapshots and all(tids == [0, 1] for tids in snapshots)
