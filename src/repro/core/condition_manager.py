@@ -23,9 +23,9 @@ dicts) per hand-off: the monitor lock is held
 for the whole pass, so shared state cannot change mid-pass, and the context
 memoizes shared-variable and shared-expression reads — a batch of N entries
 over the same shared expression costs one read instead of N.  The context
-also selects the evaluation engine (``eval_engine="compiled"`` for the
-codegen closures of :mod:`repro.predicates.codegen`, ``"interpreted"`` for
-the tree walker) and attributes per-engine counters to the monitor stats.
+runs each predicate's codegen closure (:mod:`repro.predicates.codegen`),
+falls back to the tree walker where codegen declined or quarantined it, and
+attributes both counts to the monitor stats.
 
 Two generalizations serve the pluggable signalling policies
 (:mod:`repro.core.signalling`): ``signal_many(limit)`` amortizes one search
@@ -49,7 +49,6 @@ from repro.core.instrumentation import MonitorStats
 from repro.core.write_tracking import SCALAR_TYPES, WriteTracker
 from repro.predicates import EvalContext, EvaluationError, TagKind
 from repro.predicates.ast_nodes import Expr
-from repro.predicates.codegen import DEFAULT_ENGINE, validate_engine
 from repro.predicates.predicate import GlobalizedPredicate
 from repro.runtime.api import Backend, ConditionAPI, LockAPI
 
@@ -137,7 +136,6 @@ class ConditionManager:
         use_tags: bool = True,
         inactive_capacity: int = DEFAULT_INACTIVE_CAPACITY,
         tracer: Optional[object] = None,
-        eval_engine: str = DEFAULT_ENGINE,
         write_tracker: Optional[WriteTracker] = None,
     ) -> None:
         self._owner = owner
@@ -145,17 +143,11 @@ class ConditionManager:
         self._lock = lock
         self._stats = stats
         self.use_tags = use_tags
-        self.eval_engine = validate_engine(eval_engine)
         self._inactive_capacity = inactive_capacity
         self._tracer = tracer
-        # Incremental relay needs both a tracker (the monitor supports and
-        # wants write tracking) and the compiled engine; the interpreted
-        # engine stays a pure exhaustive baseline for the ablation study.
-        self._tracker = (
-            write_tracker
-            if write_tracker is not None and self.eval_engine == "compiled"
-            else None
-        )
+        # Incremental relay runs when the monitor supports and wants write
+        # tracking, i.e. when it hands over a tracker.
+        self._tracker = write_tracker
         #: Names the owning monitor class declares it writes through tracked
         #: stores (scenario-compiled monitors); reads of these never need the
         #: scalar-type check in :meth:`_mark_clean`.
@@ -430,7 +422,7 @@ class ConditionManager:
             ctx.reset()
             return ctx
         self._stats.eval_context_allocations += 1
-        ctx = EvalContext(self._owner, engine=self.eval_engine, stats=self._stats)
+        ctx = EvalContext(self._owner, stats=self._stats)
         if self._pooled_ctx is None:
             self._pooled_ctx = ctx
             self._pooled_ctx_busy = True
@@ -554,9 +546,9 @@ class ConditionManager:
         will never be honoured.
         """
         # A stats-less context: the validate-mode recheck is diagnostic and
-        # must not skew the engine-attribution counters (which would break
+        # must not skew the compiled/interpreted counters (which would break
         # the invariant compiled + interpreted == predicate_evaluations).
-        ctx = EvalContext(self._owner, engine=self.eval_engine)
+        ctx = EvalContext(self._owner)
         for entry in self._table.values():
             if not entry.active:
                 continue

@@ -51,7 +51,6 @@ from repro.core.instrumentation import MonitorStats
 from repro.core.signalling import SignallingPolicy, create_policy
 from repro.core.write_tracking import WriteTracker, incremental_enabled
 from repro.predicates.classify import ClassificationError
-from repro.predicates.codegen import DEFAULT_ENGINE, validate_engine
 from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
 from repro.predicates.predicate import (
     CompiledPredicate,
@@ -240,23 +239,16 @@ class AutoSynchMonitor(MonitorBase):
     validate:
         Check the relay-invariance property after every relay step that
         signalled nobody (slow; used by the validation sweeps).
-    eval_engine:
-        Predicate-evaluation engine: ``"compiled"`` (the default — each
-        predicate is lowered to a native Python closure, with transparent
-        fallback to the interpreter for anything codegen declines) or
-        ``"interpreted"`` (the tree-walking evaluator; the ablation
-        baseline).
-    incremental_relay:
-        Whether relay passes may use dirty-set search (skip re-evaluating
-        predicates none of whose shared variables were written since their
-        last false evaluation).  ``None`` — the default — defers to the
-        process-wide toggle
-        (:func:`repro.core.write_tracking.incremental_enabled`).  Either
-        way the monitor silently falls back to exhaustive search whenever
-        write tracking cannot be trusted (a subclass overriding
-        ``__setattr__``, preprocessor-transformed classes, the interpreted
-        engine) — incremental relay is a pure optimisation, never a
-        behaviour change.
+
+    Each predicate is lowered to a native Python closure, with transparent
+    fallback to the interpreter for anything codegen declines.  Relay passes
+    use dirty-set search (skip re-evaluating predicates none of whose shared
+    variables were written since their last false evaluation) while the
+    process-wide toggle :func:`repro.core.write_tracking.incremental_enabled`
+    is on, and silently fall back to exhaustive search whenever write
+    tracking cannot be trusted (a subclass overriding ``__setattr__``,
+    preprocessor-transformed classes) — incremental relay is a pure
+    optimisation, never a behaviour change.
     """
 
     #: The monitor's write tracker (None when incremental relay is off or
@@ -277,8 +269,6 @@ class AutoSynchMonitor(MonitorBase):
         inactive_capacity: int = DEFAULT_INACTIVE_CAPACITY,
         tracer: Optional[object] = None,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
-        incremental_relay: Optional[bool] = None,
         wait_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(backend, profile, tracer)
@@ -287,16 +277,10 @@ class AutoSynchMonitor(MonitorBase):
         #: its own (None: wait forever).  Measured in the backend's time
         #: units — seconds on real threads, scheduling steps under simulation.
         self._wait_timeout = wait_timeout
-        self._eval_engine = validate_engine(eval_engine)
         self._inactive_capacity = inactive_capacity
         self._predicate_cache: Dict[Tuple[str, frozenset], CompiledPredicate] = {}
         self._shared_name_cache: Optional[frozenset] = None
-        wants_tracking = (
-            incremental_relay
-            if incremental_relay is not None
-            else incremental_enabled()
-        )
-        if wants_tracking and self._write_tracking_supported():
+        if incremental_enabled() and self._write_tracking_supported():
             self._write_tracker = WriteTracker()
         if isinstance(signalling, str):
             try:
@@ -317,13 +301,14 @@ class AutoSynchMonitor(MonitorBase):
         # incremental relay path must see.  In-place container mutation does
         # not come through here — which is why the condition manager only
         # trusts the version vector for scalar-valued (or declared-tracked)
-        # reads.
+        # reads.  The tracker is read first, so writes on untracked monitors
+        # (and those made during construction, before the tracker exists)
+        # skip the name test.
         object.__setattr__(self, name, value)
-        if not name.startswith("_"):
-            tracker = self._write_tracker
-            if tracker is not None:
-                tracker.bump(name)
-                self._stats.tracked_writes += 1
+        tracker = self._write_tracker
+        if tracker is not None and not name.startswith("_"):
+            tracker.bump(name)
+            self._stats.tracked_writes += 1
 
     def _write_tracking_supported(self) -> bool:
         """Whether this class's shared-variable writes all reach our
@@ -367,11 +352,6 @@ class AutoSynchMonitor(MonitorBase):
     def signalling(self) -> str:
         """Name of the signalling policy this monitor instance uses."""
         return self._policy.name
-
-    @property
-    def eval_engine(self) -> str:
-        """The predicate-evaluation engine (``"compiled"``/``"interpreted"``)."""
-        return self._eval_engine
 
     @property
     def signalling_policy(self) -> SignallingPolicy:
@@ -437,14 +417,14 @@ class AutoSynchMonitor(MonitorBase):
             use_tags=use_tags,
             inactive_capacity=self._inactive_capacity,
             tracer=self._tracer,
-            eval_engine=self._eval_engine,
             write_tracker=self._write_tracker if incremental else None,
         )
 
     def _evaluate_predicate(
         self, compiled: CompiledPredicate, local_values: Optional[Mapping[str, object]]
     ) -> bool:
-        """Evaluate a (possibly complex) predicate with the configured engine.
+        """Evaluate a (possibly complex) predicate: its compiled closure, or
+        the interpreter where codegen declined or quarantined it.
 
         Used for the checks performed by the calling thread itself — the
         initial ``wait_until`` test and the broadcast policy's re-check —
@@ -452,28 +432,25 @@ class AutoSynchMonitor(MonitorBase):
         """
         stats = self._stats
         stats.predicate_evaluations += 1
-        if self._eval_engine == "compiled":
-            fn = compiled.compiled_fn()
-            if fn is not None:
-                stats.compiled_evaluations += 1
-                try:
-                    hook = self._fault_hook
-                    if hook is not None:
-                        hook.on_compiled_eval(self)
-                    with stats.time_bucket("compiled_eval_time"):
-                        return bool(
-                            fn(self, read_shared, local_values or _EMPTY_LOCALS)
-                        )
-                except EvaluationError:
-                    raise
-                except Exception:
-                    self._quarantine(compiled, stats)
+        fn = compiled.compiled_fn()
+        if fn is not None:
+            stats.compiled_evaluations += 1
+            try:
+                hook = self._fault_hook
+                if hook is not None:
+                    hook.on_compiled_eval(self)
+                with stats.time_bucket("compiled_eval_time"):
+                    return bool(fn(self, read_shared, local_values or _EMPTY_LOCALS))
+            except EvaluationError:
+                raise
+            except Exception:
+                self._quarantine(compiled, stats)
         stats.interpreted_evaluations += 1
         with stats.time_bucket("interpreted_eval_time"):
             return compiled.evaluate(self, local_values)
 
     def _predicate_holds(self, globalized: GlobalizedPredicate) -> bool:
-        """Evaluate a globalized predicate with the configured engine.
+        """Evaluate a globalized predicate: compiled closure, else interpreter.
 
         Used by the relay policies' wakeup re-check; the condition manager's
         batch searches instead evaluate through a shared per-pass
@@ -481,20 +458,19 @@ class AutoSynchMonitor(MonitorBase):
         """
         stats = self._stats
         stats.predicate_evaluations += 1
-        if self._eval_engine == "compiled":
-            fn = globalized.compiled_fn()
-            if fn is not None:
-                stats.compiled_evaluations += 1
-                try:
-                    hook = self._fault_hook
-                    if hook is not None:
-                        hook.on_compiled_eval(self)
-                    with stats.time_bucket("compiled_eval_time"):
-                        return bool(fn(self, read_shared, _EMPTY_LOCALS))
-                except EvaluationError:
-                    raise
-                except Exception:
-                    self._quarantine(globalized, stats)
+        fn = globalized.compiled_fn()
+        if fn is not None:
+            stats.compiled_evaluations += 1
+            try:
+                hook = self._fault_hook
+                if hook is not None:
+                    hook.on_compiled_eval(self)
+                with stats.time_bucket("compiled_eval_time"):
+                    return bool(fn(self, read_shared, _EMPTY_LOCALS))
+            except EvaluationError:
+                raise
+            except Exception:
+                self._quarantine(globalized, stats)
         stats.interpreted_evaluations += 1
         with stats.time_bucket("interpreted_eval_time"):
             return globalized.holds(self)

@@ -103,7 +103,6 @@ class Experiment:
         scale: str = "quick",
         runner: Optional[ExperimentRunner] = None,
         mechanisms: Optional[Sequence[str]] = None,
-        eval_engine: Optional[str] = None,
         executor: Optional[str] = None,
         jobs: Optional[int] = None,
         run_timeout: Optional[float] = None,
@@ -115,14 +114,13 @@ class Experiment:
         *mechanisms* overrides the configuration's comparison set — any
         names the problem supports (``"explicit"`` plus every registered
         signalling policy) are accepted, so ablations over new policies
-        reuse the paper's sweeps unchanged.  *eval_engine* overrides the
-        automatic monitors' predicate-evaluation engine the same way, and
-        *executor*/*jobs* select how the sweep's cells are executed (any
-        registered executor; the merged series is identical either way).
-        *run_timeout* caps each cell's wall-clock (hang verdict instead of
-        a wedged sweep) and *cell_retries* turns on per-cell retry with
-        backoff.  *backend* overrides the configuration's execution backend
-        (any name in :func:`repro.runtime.registry.available_backends`).
+        reuse the paper's sweeps unchanged.  *executor*/*jobs* select how
+        the sweep's cells are executed (any registered executor; the merged
+        series is identical either way).  *run_timeout* caps each cell's
+        wall-clock (hang verdict instead of a wedged sweep) and
+        *cell_retries* turns on per-cell retry with backoff.  *backend*
+        overrides the configuration's execution backend (any name in
+        :func:`repro.runtime.registry.available_backends`).
         """
         if scale not in ("quick", "full"):
             raise ValueError(f"unknown scale {scale!r}; expected 'quick' or 'full'")
@@ -130,7 +128,6 @@ class Experiment:
         config = self.configured(
             config,
             mechanisms,
-            eval_engine,
             executor,
             jobs,
             run_timeout,
@@ -144,22 +141,18 @@ class Experiment:
     def configured(
         config: RunConfig,
         mechanisms: Optional[Sequence[str]] = None,
-        eval_engine: Optional[str] = None,
         executor: Optional[str] = None,
         jobs: Optional[int] = None,
         run_timeout: Optional[float] = None,
         cell_retries: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> RunConfig:
-        """Return *config* with mechanisms / eval engine / executor /
-        backend / robustness knobs overridden (``None`` keeps the current
-        value)."""
+        """Return *config* with mechanisms / executor / backend / robustness
+        knobs overridden (``None`` keeps the current value)."""
         from dataclasses import replace
 
         if mechanisms:
             config = replace(config, mechanisms=tuple(mechanisms))
-        if eval_engine is not None:
-            config = replace(config, eval_engine=eval_engine)
         if run_timeout is not None:
             config = replace(config, run_timeout=run_timeout)
         if cell_retries is not None:

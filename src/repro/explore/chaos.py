@@ -33,7 +33,6 @@ from repro.explore.engine import (
 from repro.explore.repro_files import repro_payload, write_repro
 from repro.explore.shrink import shrink_failure
 from repro.faults import FaultPlan, available_fault_plans, create_fault_plan
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.runtime.simulation import RandomScheduler
 
 __all__ = [
@@ -154,7 +153,6 @@ def chaos_sweep(
     self_heal: bool = True,
     wait_timeout: Optional[float] = None,
     run_timeout: Optional[float] = None,
-    eval_engine: str = DEFAULT_ENGINE,
     max_steps: Optional[int] = DEFAULT_MAX_STEPS,
     problem_params: Optional[dict] = None,
     repro_dir: Optional[Union[str, Path]] = None,
@@ -191,7 +189,6 @@ def chaos_sweep(
                         threads=threads,
                         total_ops=total_ops,
                         seed=seed,
-                        eval_engine=eval_engine,
                         max_steps=max_steps,
                         problem_params=problem_params or {},
                         fault_plan=plan.to_dict(),

@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.errors import MonitorError, RelayInvarianceError, WaitTimeout
 from repro.core.monitor import MonitorBase
 from repro.harness.execution import FrozenMapping, create_executor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems import get_problem
 from repro.runtime.simulation import (
     DeadlockError,
@@ -147,7 +146,6 @@ class ExploreTask:
     threads: int = 2
     total_ops: int = 4
     seed: int = 0
-    eval_engine: str = DEFAULT_ENGINE
     validate: bool = False
     max_steps: Optional[int] = DEFAULT_MAX_STEPS
     #: Liveness budget (see :class:`StarvationBudgetWatcher`); ``None``
@@ -206,7 +204,6 @@ class ExploreTask:
             "threads": self.threads,
             "total_ops": self.total_ops,
             "seed": self.seed,
-            "eval_engine": self.eval_engine,
             "validate": self.validate,
             "max_steps": self.max_steps,
             "starvation_budget": self.starvation_budget,
@@ -226,6 +223,9 @@ class ExploreTask:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExploreTask":
+        # Older repro files carry an ``eval_engine`` key; both of its values
+        # evaluate predicates identically, so it is dropped.
+        data = {key: value for key, value in data.items() if key != "eval_engine"}
         return cls(**data)
 
 
@@ -593,7 +593,6 @@ def run_schedule(
         total_ops=task.total_ops,
         seed=task.seed,
         validate=task.validate,
-        eval_engine=task.eval_engine,
         **runtime.params,
     )
     if task.wait_timeout is not None:

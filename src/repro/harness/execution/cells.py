@@ -119,7 +119,6 @@ class RunCell:
     total_ops: int
     profile: bool
     validate: bool
-    eval_engine: str
     problem_params: FrozenMapping
     #: JSON spec of a runtime-registered scenario problem (see
     #: ``RunConfig.scenario_json``); lets worker processes resolve the
@@ -164,7 +163,6 @@ def enumerate_cells(config: "RunConfig") -> Tuple[RunCell, ...]:
                         total_ops=config.total_ops,
                         profile=config.profile,
                         validate=config.validate,
-                        eval_engine=config.eval_engine,
                         problem_params=params,
                         scenario_json=config.scenario_json,
                         run_timeout=config.run_timeout,
@@ -205,7 +203,6 @@ def execute_cell(cell: RunCell) -> RunResult:
         seed=cell.seed,
         profile=cell.profile,
         validate=cell.validate,
-        eval_engine=cell.eval_engine,
         **dict(cell.problem_params),
     )
 

@@ -150,8 +150,8 @@ class MeasurementPoint:
         """The point's content as a plain, deterministically-ordered dict.
 
         With ``include_timing=False`` every measured wall-clock quantity —
-        ``wall_time`` and any ``*_time`` extra (profiling buckets, per-engine
-        evaluation timings) — is omitted, leaving only fields that are exact
+        ``wall_time`` and any ``*_time`` extra (profiling buckets, evaluation
+        timings) — is omitted, leaving only fields that are exact
         functions of the run's event counts.  Two runs of the same config
         agree on that subset bit-for-bit regardless of executor, job count
         or machine load, which is what the serial-vs-process equivalence

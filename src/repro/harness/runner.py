@@ -37,7 +37,6 @@ from repro.harness.results import (
     MeasurementPoint,
     aggregate_runs,
 )
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems import get_problem
 from repro.problems.base import MECHANISMS, Problem
 
@@ -68,9 +67,6 @@ class RunConfig:
     profile: bool = False
     #: Run the automatic monitors with relay-invariance checking enabled.
     validate: bool = False
-    #: Predicate-evaluation engine for the automatic monitors
-    #: (``"compiled"`` or ``"interpreted"``).
-    eval_engine: str = DEFAULT_ENGINE
     #: Registered executor that runs the sweep's cells (``"serial"`` or
     #: ``"process"``; see :mod:`repro.harness.execution`).
     executor: str = "serial"

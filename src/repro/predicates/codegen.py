@@ -10,7 +10,8 @@ per *shape* — the tree with every constant replaced by a parameter — so
 shape's factory called with its constants, which the closure keeps as cells.
 
 Semantics are kept bit-for-bit identical to the interpreter, including which
-exceptions are raised (the engine-equivalence property test enforces this):
+exceptions are raised (the compiled-vs-interpreted equivalence property test
+enforces this):
 
 * shared-variable reads go through the same *reader* protocol
   (``reader(state, name)``) so :class:`~repro.predicates.evaluator.EvalContext`
@@ -27,10 +28,10 @@ Generated functions have the signature ``fn(state, reader, locals_map)`` and
 return the raw (uncoerced) value, mirroring ``evaluate``.
 
 :func:`compile_expr` returns ``None`` for IR it cannot lower (unknown node
-types, unsupported operators) — callers fall back to the interpreter, so the
-compiled engine is a pure optimisation, never a behaviour change.  The knob
-selecting between the engines is the ``eval_engine`` string validated by
-:func:`validate_engine` (``"compiled"``, the default, or ``"interpreted"``).
+types, unsupported operators) — callers fall back to the interpreter, so
+codegen is a pure optimisation, never a behaviour change.  Compiled closures
+are the only evaluation path; the interpreter runs just for the predicates
+codegen declines or quarantines.
 """
 
 from __future__ import annotations
@@ -57,20 +58,9 @@ from repro.predicates.ast_nodes import (
     unparse,
     walk,
 )
-# The engine constants live in the evaluator (the module both engines share)
-# and are re-exported here for backwards compatibility.
-from repro.predicates.evaluator import (
-    _BUILTINS,
-    DEFAULT_ENGINE,
-    ENGINES,
-    EvaluationError,
-    validate_engine,
-)
+from repro.predicates.evaluator import _BUILTINS, EvaluationError
 
 __all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "validate_engine",
     "compile_expr",
     "compiled_source",
     "parametrize_expr",

@@ -9,18 +9,15 @@ The evaluator is deliberately side-effect free: it only reads attributes,
 indexes containers, calls the whitelisted pure builtins, and calls query
 methods on the monitor when the predicate uses them.
 
-Two engines share these semantics (see :mod:`repro.predicates.codegen` for
-the second one):
-
-* the **interpreted** engine below — a tree walk over the IR.  The dispatch
-  table and per-node handlers are module-level, so ``evaluate`` does not
-  rebuild any closures per call; the per-node cost is one type lookup plus
-  one function call.
-* the **compiled** engine — each predicate is lowered to a generated Python
-  function.  Both engines read shared variables through the same *reader*
-  protocol: a callable ``reader(state, name)`` (default
-  :func:`read_shared`), which is what lets :class:`EvalContext` memoize
-  shared reads for a whole batch of evaluations.
+There is one evaluation path: each predicate runs as the native closure
+:mod:`repro.predicates.codegen` lowered it to, and the tree walk below
+(:func:`evaluate`) runs only where codegen declined a predicate or
+quarantined its closure.  The tree walk is also the reference semantics the
+property suites hold the closures to.  Its dispatch table and per-node
+handlers are module-level, so ``evaluate`` rebuilds no closures per call.
+Both read shared variables through the same *reader* protocol: a callable
+``reader(state, name)`` (default :func:`read_shared`), which is what lets
+:class:`EvalContext` memoize shared reads for a whole batch of evaluations.
 
 :class:`EvalContext` is the per-relay-pass context the condition manager
 evaluates through: while a monitor exit holds the lock, shared state cannot
@@ -54,35 +51,12 @@ from repro.predicates.ast_nodes import (
 from repro.predicates.errors import PredicateError
 
 __all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
     "EvaluationError",
     "EvalContext",
     "evaluate",
     "evaluate_bool",
     "read_shared",
-    "validate_engine",
 ]
-
-#: The available predicate-evaluation engines.
-ENGINES = ("compiled", "interpreted")
-
-#: Engine used when nothing is configured: compiled closures with transparent
-#: interpreter fallback.
-DEFAULT_ENGINE = "compiled"
-
-
-def validate_engine(name: str) -> str:
-    """Return *name* if it is a known evaluation engine, raise otherwise.
-
-    The error mirrors the plugin registries' unknown-name message, so a
-    typo'd ``eval_engine`` reads the same as a typo'd policy or scheduler.
-    """
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown eval engine {name!r}; available engines: {ENGINES}"
-        )
-    return name
 
 _BUILTINS = {
     "len": len,
@@ -113,9 +87,10 @@ class EvaluationError(PredicateError):
 def read_shared(state: object, name: str) -> object:
     """Read shared variable *name* from *state* (attribute or mapping key).
 
-    This is the default *reader*: both evaluation engines funnel every
-    shared-variable read through a ``reader(state, name)`` callable so a
-    caching reader (:meth:`EvalContext.read_shared`) can be substituted.
+    This is the default *reader*: compiled closures and the interpreter
+    funnel every shared-variable read through a ``reader(state, name)``
+    callable so a caching reader (:meth:`EvalContext.read_shared`) can be
+    substituted.
     """
     cls = state.__class__
     is_mapping = _IS_MAPPING_TYPE.get(cls)
@@ -134,12 +109,8 @@ def read_shared(state: object, name: str) -> object:
         ) from exc
 
 
-#: Backwards-compatible alias (the pre-engine name of :func:`read_shared`).
-_read_shared = read_shared
-
-
 # ---------------------------------------------------------------------------
-# The interpreted engine: module-level dispatch, no per-call closures
+# The interpreter: module-level dispatch, no per-call closures
 # ---------------------------------------------------------------------------
 
 _BINOPS = {
@@ -334,20 +305,17 @@ class EvalContext:
     * **shared-expression values** (:meth:`evaluate_shared`) — the tag
       structures' per-column expressions are evaluated once per pass.
 
-    :meth:`holds` dispatches a predicate evaluation to the configured engine
-    (``"compiled"`` native closures with interpreter fallback, or
-    ``"interpreted"``), wiring the memoizing reader into either one and
-    attributing counters/timings to *stats* when given.  The context must be
-    discarded at the end of the pass — caches never leak across passes.
+    :meth:`holds` evaluates a predicate through its compiled closure, or the
+    interpreter where there is none, wiring the memoizing reader into either
+    one and attributing counters/timings to *stats* when given.  The context
+    must be discarded at the end of the pass — caches never leak across
+    passes.
     """
 
-    __slots__ = ("state", "engine", "stats", "_reads", "_shared_exprs")
+    __slots__ = ("state", "stats", "_reads", "_shared_exprs")
 
-    def __init__(
-        self, state: object, engine: str = DEFAULT_ENGINE, stats: Optional[object] = None
-    ) -> None:
+    def __init__(self, state: object, stats: Optional[object] = None) -> None:
         self.state = state
-        self.engine = validate_engine(engine)
         self.stats = stats
         self._reads: Dict[str, object] = {}
         self._shared_exprs: Dict[str, object] = {}
@@ -394,36 +362,36 @@ class EvalContext:
     def holds(self, globalized) -> bool:
         """Evaluate a :class:`GlobalizedPredicate` through this context.
 
-        Uses the predicate's cached compiled closure when the engine is
-        ``"compiled"`` and codegen succeeded, the interpreter otherwise;
-        either way shared reads go through the per-pass cache.
+        Uses the predicate's cached compiled closure when codegen lowered it
+        and it is not quarantined, the interpreter otherwise (counted in
+        ``interpreted_evaluations``); either way shared reads go through the
+        per-pass cache.
         """
         stats = self.stats
-        if self.engine == "compiled":
-            fn = globalized.compiled_fn()
-            if fn is not None:
-                try:
-                    if stats is None:
-                        return bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
-                    stats.compiled_evaluations += 1
-                    if stats.profiling:
-                        started = time.perf_counter()
-                        result = bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
-                        stats.compiled_eval_time += time.perf_counter() - started
-                        return result
+        fn = globalized.compiled_fn()
+        if fn is not None:
+            try:
+                if stats is None:
                     return bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
-                except EvaluationError:
-                    # Semantic errors have guaranteed class parity with the
-                    # interpreter; re-running would raise the same thing.
-                    raise
-                except Exception:
-                    # The closure misbehaved in a way the interpreter cannot
-                    # (by construction their semantics agree): quarantine it
-                    # and degrade to the interpreter, this pass and forever.
-                    globalized.quarantine()
-                    if stats is not None:
-                        stats.compiled_evaluations -= 1
-                        stats.predicate_quarantines += 1
+                stats.compiled_evaluations += 1
+                if stats.profiling:
+                    started = time.perf_counter()
+                    result = bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
+                    stats.compiled_eval_time += time.perf_counter() - started
+                    return result
+                return bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
+            except EvaluationError:
+                # Semantic errors have guaranteed class parity with the
+                # interpreter; re-running would raise the same thing.
+                raise
+            except Exception:
+                # The closure misbehaved in a way the interpreter cannot
+                # (by construction their semantics agree): quarantine it
+                # and degrade to the interpreter, this pass and forever.
+                globalized.quarantine()
+                if stats is not None:
+                    stats.compiled_evaluations -= 1
+                    stats.predicate_quarantines += 1
         if stats is None:
             return bool(_ev(globalized.expr, self.state, _EMPTY_LOCALS, self.read_shared))
         stats.interpreted_evaluations += 1

@@ -112,7 +112,7 @@ class GlobalizedPredicate:
         return fn
 
     def quarantine(self) -> None:
-        """Permanently demote this predicate to the interpreted engine.
+        """Permanently demote this predicate to the interpreter.
 
         Called when the compiled closure raised a non-semantic exception
         (anything but ``EvaluationError``, whose class parity with the

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import AUTOMATIC_MODES, MonitorBase
 from repro.core.signalling import available_policies
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.runtime.api import Backend
 
 __all__ = [
@@ -135,7 +134,6 @@ class Problem(abc.ABC):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         **params: object,
     ) -> WorkloadSpec:
         """Construct the monitor and worker bodies for one saturation run.
@@ -145,9 +143,7 @@ class Problem(abc.ABC):
         documented by each problem).  ``total_ops`` is the total operation
         budget shared by the worker threads, so runtime measures
         synchronization overhead rather than total work.  ``validate``
-        enables the automatic monitor's relay-invariance checking;
-        ``eval_engine`` selects the predicate-evaluation engine of the
-        automatic monitors (``"compiled"``/``"interpreted"``).
+        enables the automatic monitor's relay-invariance checking.
         """
 
     def oracles(self, monitor: MonitorBase) -> Tuple[Oracle, ...]:
@@ -237,7 +233,6 @@ class Problem(abc.ABC):
         backend: Backend,
         profile: bool,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
     ) -> Dict[str, object]:
         """Constructor keyword arguments for the automatic monitor variants."""
         return {
@@ -245,5 +240,4 @@ class Problem(abc.ABC):
             "signalling": mechanism,
             "profile": profile,
             "validate": validate,
-            "eval_engine": eval_engine,
         }

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.runtime.api import Backend
 
@@ -136,7 +135,6 @@ class DiningPhilosophersProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         **params: object,
     ) -> WorkloadSpec:
         self._check_mechanism(mechanism)
@@ -147,7 +145,7 @@ class DiningPhilosophersProblem(Problem):
             monitor = ExplicitDiningTable(threads, backend=backend, profile=profile)
         else:
             monitor = AutoDiningTable(
-                threads, **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine)
+                threads, **self.monitor_kwargs(mechanism, backend, profile, validate)
             )
 
         # One "operation" is a full pick_up/put_down cycle (a meal).

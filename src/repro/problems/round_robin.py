@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.runtime.api import Backend
 
@@ -98,7 +97,6 @@ class RoundRobinProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         **params: object,
     ) -> WorkloadSpec:
         self._check_mechanism(mechanism)
@@ -109,7 +107,7 @@ class RoundRobinProblem(Problem):
             monitor = ExplicitRoundRobin(threads, backend=backend, profile=profile)
         else:
             monitor = AutoRoundRobin(
-                threads, **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine)
+                threads, **self.monitor_kwargs(mechanism, backend, profile, validate)
             )
 
         # Every thread must take the same number of turns or the rotation

@@ -238,7 +238,6 @@ class _SimThread:
         "go",
         "done",
         "real_thread",
-        "real_ident",
         "block_reason",
         "timed_out",
     )
@@ -255,7 +254,6 @@ class _SimThread:
         #: backend is quiescent and safe to recycle.
         self.done = _Latch()
         self.real_thread: Optional[threading.Thread] = None
-        self.real_ident: Optional[int] = None
         self.block_reason: Optional[str] = None
         #: Set by the kernel when a timed condition wait expired; consumed
         #: by :meth:`SimulationBackend.condition_wait` on resumption.
@@ -357,10 +355,9 @@ class SimulationBackend(Backend):
         self._conditions: List[SimCondition] = []
 
         self._lock = threading.Lock()
-        #: Fast path for :meth:`current_thread`: each carrier thread stores
-        #: the _SimThread it is carrying here, in :meth:`_carry`, so
-        #: simulation primitives skip the global lock and the ident->tid
-        #: dict lookup.
+        #: Serves :meth:`current_thread`: each carrier thread stores the
+        #: _SimThread it is carrying here, in :meth:`_carry`, so simulation
+        #: primitives find their thread without the global lock.
         self._tls = threading.local()
         #: Parked carrier OS threads, reused across runs (see
         #: :class:`_Carrier`).
@@ -370,25 +367,9 @@ class SimulationBackend(Backend):
         #: a fresh one.
         self._tainted = False
         self._threads: Dict[int, _SimThread] = {}
-        self._by_ident: Dict[int, int] = {}
-        self._runnable: List[int] = []
-        self._current: Optional[int] = None
         self._next_tid = 0
         self._running = False
-        self._abort = False
-        self._deadlock_message: Optional[str] = None
-        self._abandonment_message: Optional[str] = None
-        self._limit_exceeded = False
-        self._failures: List[BaseException] = []
-        self._done = _Latch()
-        self._steps = 0
-        #: tid -> (condition, deadline) for threads in a timed condition
-        #: wait; deadlines are in scheduling steps (see :meth:`now`).
-        self._timed_waits: Dict[int, tuple] = {}
-        #: tids the ``thread_crash`` fault marked for death; they raise
-        #: :class:`_InjectedDeath` at their next kernel primitive.
-        self._doomed: set = set()
-        self._recovery_attempts = 0
+        self._clear_run_fields()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -644,22 +625,30 @@ class SimulationBackend(Backend):
             for tid, sim_thread in self._threads.items()
             if sim_thread.state is _State.CREATED and sim_thread.real_thread is None
         }
-        self._by_ident = {}
-        self._runnable = []
-        self._current = None
-        self._abort = False
-        self._deadlock_message = None
-        self._abandonment_message = None
-        self._limit_exceeded = False
-        self._failures = []
-        self._done = _Latch()
-        self._steps = 0
-        self._timed_waits = {}
-        self._doomed = set()
-        self._recovery_attempts = 0
+        self._clear_run_fields()
         self._scheduler.reset(self._seed)
         if self._record_trace:
             self._trace = ScheduleTrace()
+
+    def _clear_run_fields(self) -> None:
+        """Reset the per-run scheduling and verdict state (shared by
+        construction, :meth:`run` and :meth:`recycle`)."""
+        self._runnable: List[int] = []
+        self._current: Optional[int] = None
+        self._abort = False
+        self._deadlock_message: Optional[str] = None
+        self._abandonment_message: Optional[str] = None
+        self._limit_exceeded = False
+        self._failures: List[BaseException] = []
+        self._done = _Latch()
+        self._steps = 0
+        #: tid -> (condition, deadline) for threads in a timed condition
+        #: wait; deadlines are in scheduling steps (see :meth:`now`).
+        self._timed_waits: Dict[int, tuple] = {}
+        #: tids the ``thread_crash`` fault marked for death; they raise
+        #: :class:`_InjectedDeath` at their next kernel primitive.
+        self._doomed: set = set()
+        self._recovery_attempts = 0
 
     def shutdown(self) -> None:
         """Retire this backend's parked carrier threads immediately.
@@ -719,20 +708,8 @@ class SimulationBackend(Backend):
         self._locks = []
         self._conditions = []
         self._threads = {}
-        self._by_ident = {}
-        self._runnable = []
-        self._current = None
         self._next_tid = 0
-        self._abort = False
-        self._deadlock_message = None
-        self._abandonment_message = None
-        self._limit_exceeded = False
-        self._failures = []
-        self._done = _Latch()
-        self._steps = 0
-        self._timed_waits = {}
-        self._doomed = set()
-        self._recovery_attempts = 0
+        self._clear_run_fields()
         self.metrics = BackendMetrics()
 
     def _create_thread_locked(
@@ -757,10 +734,7 @@ class SimulationBackend(Backend):
 
     def _carry(self, carrier: _Carrier, sim_thread: _SimThread) -> None:
         """Carry one simulated thread through one run (on a carrier thread)."""
-        sim_thread.real_ident = threading.get_ident()
         self._tls.sim_thread = sim_thread
-        with self._lock:
-            self._by_ident[sim_thread.real_ident] = sim_thread.tid
         sim_thread.go.wait()
         if not self._abort:
             try:
@@ -795,21 +769,15 @@ class SimulationBackend(Backend):
 
         Every simulation primitive (lock, condition, yield) starts here, so
         the lookup is served from a ``threading.local`` populated per job in
-        :meth:`_carry` — no global lock, no dict lookup.  The locked
-        ident-table path remains as a fallback for carrier threads that
-        predate the cache (none in practice).
+        :meth:`_carry` — no global lock, no dict lookup.  Any other thread
+        (one this backend is not carrying) gets :class:`SimulationError`.
         """
         sim_thread = getattr(self._tls, "sim_thread", None)
-        if sim_thread is not None:
-            return sim_thread
-        ident = threading.get_ident()
-        with self._lock:
-            tid = self._by_ident.get(ident)
-            if tid is None:
-                raise SimulationError(
-                    "simulation primitives may only be used from inside a simulated thread"
-                )
-            return self._threads[tid]
+        if sim_thread is None:
+            raise SimulationError(
+                "simulation primitives may only be used from inside a simulated thread"
+            )
+        return sim_thread
 
     def current_name(self) -> str:
         """Name of the currently running simulated thread."""

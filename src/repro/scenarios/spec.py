@@ -220,7 +220,6 @@ _RESERVED_NAMES = frozenset(
     {
         "backend",
         "condition_manager",
-        "eval_engine",
         "new_condition",
         "signal",
         "signal_all",

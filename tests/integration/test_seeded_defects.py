@@ -29,7 +29,6 @@ from repro.explore import (
     shrink_failure,
     write_repro,
 )
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Problem, WorkloadSpec
 
 LOSSY = "lossy_relay_test"
@@ -89,7 +88,6 @@ class UnorderedDiningProblem(Problem):
         seed=0,
         profile=False,
         validate=False,
-        eval_engine=DEFAULT_ENGINE,
         **params,
     ) -> WorkloadSpec:
         self._check_mechanism(mechanism)
@@ -176,6 +174,32 @@ class TestLossyPolicyIsCaught:
         payload = load_repro(path)
         replay = replay_repro(payload)
         assert replay.reproduced, replay.describe()
+        assert replay.outcome.kind == "missed_signal"
+
+    @pytest.mark.parametrize("legacy_engine", ["compiled", "interpreted"])
+    def test_repro_with_legacy_eval_engine_key_replays(
+        self, lossy_policy, tmp_path, legacy_engine
+    ):
+        # Repro files written before predicates had one evaluation path
+        # carry an ``eval_engine`` key in their task; both of its values
+        # must still load and replay to the recorded digest.
+        task = ExploreTask(
+            problem="bounded_buffer",
+            mechanism=lossy_policy,
+            threads=1,
+            total_ops=2,
+            problem_params={"capacity": 1},
+        )
+        report = explore_dfs(task)
+        failure = next(f for f in report.failures if f.kind == "missed_signal")
+        payload = repro_payload(task, failure, "dfs")
+        payload["task"]["eval_engine"] = legacy_engine
+        path = write_repro(tmp_path / f"legacy-{legacy_engine}.json", payload)
+        loaded = load_repro(path)
+        assert loaded["task"]["eval_engine"] == legacy_engine
+        replay = replay_repro(loaded)
+        assert replay.reproduced, replay.describe()
+        assert replay.outcome.digest == failure.digest
         assert replay.outcome.kind == "missed_signal"
 
     def test_correct_policy_passes_same_exploration(self):

@@ -1,7 +1,7 @@
 """Property: dirty-set relay search is observationally equivalent to exhaustive.
 
 The incremental relay path (write tracking + dirty-set candidate sets) is
-a pure search optimisation: for any (problem, mechanism, engine, seed) the
+a pure search optimisation: for any (problem, mechanism, seed) the
 run under incremental relay must produce the same outcome kind, the same
 scheduler decision trace, the same event digest and the same backend
 metrics (context switches included) as the run with the process-wide
@@ -20,7 +20,6 @@ from repro.runtime.simulation import RandomScheduler
 # Small, fast configurations; the property is about equivalence, not scale.
 PROBLEMS = ("bounded_buffer", "readers_writers", "round_robin", "h2o")
 MECHANISMS = ("autosynch", "autosynch_t", "relay_batched", "relay_fifo")
-ENGINES = ("compiled", "interpreted")
 
 
 def _run(task: ExploreTask, seed: int, incremental: bool):
@@ -35,17 +34,15 @@ def _run(task: ExploreTask, seed: int, incremental: bool):
 @given(
     problem=st.sampled_from(PROBLEMS),
     mechanism=st.sampled_from(MECHANISMS),
-    engine=st.sampled_from(ENGINES),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_incremental_matches_exhaustive(problem, mechanism, engine, seed):
+def test_incremental_matches_exhaustive(problem, mechanism, seed):
     task = ExploreTask(
         problem=problem,
         mechanism=mechanism,
         threads=2,
         total_ops=6,
         seed=seed,
-        eval_engine=engine,
         validate=True,
     )
     incremental = _run(task, seed, incremental=True)

@@ -1,4 +1,4 @@
-"""Unit tests for the predicate codegen engine (IR -> native closures)."""
+"""Unit tests for predicate codegen (IR -> native closures)."""
 
 from __future__ import annotations
 
@@ -18,13 +18,10 @@ from repro.predicates import (
     evaluate,
 )
 from repro.predicates.codegen import (
-    DEFAULT_ENGINE,
-    ENGINES,
     compile_expr,
     compile_shape,
     compiled_source,
     parametrize_expr,
-    validate_engine,
 )
 from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
 from repro.runtime import SimulationBackend
@@ -143,14 +140,6 @@ def test_compiled_source_is_inspectable():
     assert "__cg_read(state, 'count')" in source
 
 
-def test_validate_engine():
-    assert validate_engine("compiled") == "compiled"
-    assert validate_engine("interpreted") == "interpreted"
-    assert DEFAULT_ENGINE in ENGINES
-    with pytest.raises(ValueError):
-        validate_engine("jit")
-
-
 class _Buffer(AutoSynchMonitor):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -166,11 +155,19 @@ class _Buffer(AutoSynchMonitor):
         self.count -= 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_monitor_engine_attribution(engine):
+class _PoisonHook:
+    """Fault hook making every monitor-side compiled evaluation raise."""
+
+    def on_compiled_eval(self, monitor):
+        raise RuntimeError("poisoned closure")
+
+
+@pytest.mark.parametrize("poisoned", [False, True], ids=["closure", "quarantined"])
+def test_monitor_evaluation_attribution(poisoned):
     backend = SimulationBackend(seed=3)
-    buffer = _Buffer(backend=backend, eval_engine=engine)
-    assert buffer.eval_engine == engine
+    buffer = _Buffer(backend=backend)
+    if poisoned:
+        buffer._fault_hook = _PoisonHook()
 
     def producer():
         for _ in range(8):
@@ -183,22 +180,19 @@ def test_monitor_engine_attribution(engine):
     backend.run([producer, consumer])
     stats = buffer.stats
     assert buffer.count == 0
-    if engine == "compiled":
+    if poisoned:
+        # Each poisoned closure is quarantined and the interpreter answers.
+        assert stats.predicate_quarantines > 0
+        assert stats.interpreted_evaluations > 0
+    else:
+        # Codegen lowers every predicate: the interpreter never runs.
         assert stats.compiled_evaluations > 0
         assert stats.interpreted_evaluations == 0
-    else:
-        assert stats.interpreted_evaluations > 0
-        assert stats.compiled_evaluations == 0
-    # Engine attribution splits predicate_evaluations exactly.
+    # The compiled/interpreted counters split predicate_evaluations exactly.
     assert (
         stats.compiled_evaluations + stats.interpreted_evaluations
         == stats.predicate_evaluations
     )
-
-
-def test_monitor_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        _Buffer(backend=SimulationBackend(seed=0), eval_engine="jit")
 
 
 def expr_of(source, shared):

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.monitor import ExplicitMonitor
 from repro.harness.saturation import run_workload
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Problem, WorkloadSpec
 from repro.runtime.simulation import DeadlockError, SimulationBackend
 
@@ -29,7 +28,6 @@ class LockCycleProblem(Problem):
         seed=0,
         profile=False,
         validate=False,
-        eval_engine=DEFAULT_ENGINE,
         **params,
     ) -> WorkloadSpec:
         first = backend.create_lock(label="first")
@@ -69,7 +67,6 @@ class LoneWaiterProblem(Problem):
         seed=0,
         profile=False,
         validate=False,
-        eval_engine=DEFAULT_ENGINE,
         **params,
     ) -> WorkloadSpec:
         monitor = ExplicitMonitor(backend=backend)

@@ -18,6 +18,11 @@ from repro.predicates.ast_nodes import Name, Scope
 from repro.runtime import ThreadingBackend
 
 
+#: The two ways a predicate is evaluated: its codegen closure, or the
+#: interpreter fallback (forced here by quarantining the closure).
+PATHS = ["compiled", "interpreted"]
+
+
 class CountingState:
     """State object that counts every shared-variable read."""
 
@@ -78,21 +83,25 @@ class TestEvalContext:
         assert ctx.read_shared(state, "count") == 1
         assert EvalContext(state).read_shared(state, "count") == 99
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
-    def test_holds_reads_through_the_cache(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_holds_reads_through_the_cache(self, path):
+        # A quarantined predicate runs on the interpreter fallback, which
+        # must read through the same per-pass cache as the closure.
         state = CountingState(count=7)
         stats = MonitorStats()
-        ctx = EvalContext(state, engine=engine, stats=stats)
+        ctx = EvalContext(state, stats=stats)
         form = compile_predicate("count > 0", {"count"}).globalized()
+        if path == "interpreted":
+            form.quarantine()
         for _ in range(4):
             assert ctx.holds(form)
         assert state.reads == {"count": 1}
-        if engine == "compiled":
-            assert stats.compiled_evaluations == 4
-            assert stats.interpreted_evaluations == 0
-        else:
+        if path == "interpreted":
             assert stats.interpreted_evaluations == 4
             assert stats.compiled_evaluations == 0
+        else:
+            assert stats.compiled_evaluations == 4
+            assert stats.interpreted_evaluations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +109,7 @@ class TestEvalContext:
 # ---------------------------------------------------------------------------
 
 
-def make_manager(owner, use_tags, eval_engine="compiled"):
+def make_manager(owner, use_tags):
     backend = ThreadingBackend()
     lock = backend.create_lock()
     stats = MonitorStats()
@@ -110,29 +119,31 @@ def make_manager(owner, use_tags, eval_engine="compiled"):
         lock=lock,
         stats=stats,
         use_tags=use_tags,
-        eval_engine=eval_engine,
     )
     return manager, stats, lock
 
 
-def add_waiting_entry(manager, source, local_values=None):
+def add_waiting_entry(manager, source, local_values=None, path="compiled"):
     local_values = local_values or {}
     compiled = compile_predicate(source, {"count"}, set(local_values))
+    globalized = compiled.globalized(local_values)
+    if path == "interpreted":
+        globalized.quarantine()
     entry = manager.acquire_entry(
-        compiled.globalized(local_values), from_shared_predicate=compiled.is_shared
+        globalized, from_shared_predicate=compiled.is_shared
     )
     manager.add_waiter(entry)
     return entry
 
 
-@pytest.mark.parametrize("eval_engine", ["compiled", "interpreted"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("use_tags", [True, False])
-def test_one_shared_read_per_relay_pass(use_tags, eval_engine):
+def test_one_shared_read_per_relay_pass(use_tags, path):
     """N waiting predicates over the same shared variable cost one read."""
     state = CountingState(count=0)
-    manager, _, lock = make_manager(state, use_tags, eval_engine)
+    manager, stats, lock = make_manager(state, use_tags)
     for threshold in (10, 20, 30):
-        add_waiting_entry(manager, "count >= n", {"n": threshold})
+        add_waiting_entry(manager, "count >= n", {"n": threshold}, path)
 
     lock.acquire()
     try:
@@ -144,14 +155,29 @@ def test_one_shared_read_per_relay_pass(use_tags, eval_engine):
         assert state.reads == {"count": 2}
     finally:
         lock.release()
+    if use_tags:
+        # The threshold tags rule every entry out on the one tag read: no
+        # predicate runs on either path.
+        assert stats.predicate_evaluations == 0
+    else:
+        assert_evaluated_on(stats, path)
 
 
-@pytest.mark.parametrize("eval_engine", ["compiled", "interpreted"])
-def test_relay_batch_wakes_all_with_one_read(eval_engine):
+def assert_evaluated_on(stats, path):
+    """Every predicate evaluation ran on *path*, and at least one ran."""
+    assert stats.predicate_evaluations > 0
+    if path == "compiled":
+        assert stats.compiled_evaluations == stats.predicate_evaluations
+    else:
+        assert stats.interpreted_evaluations == stats.predicate_evaluations
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_relay_batch_wakes_all_with_one_read(path):
     state = CountingState(count=100)
-    manager, stats, lock = make_manager(state, True, eval_engine)
+    manager, stats, lock = make_manager(state, True)
     entries = [
-        add_waiting_entry(manager, "count >= n", {"n": threshold})
+        add_waiting_entry(manager, "count >= n", {"n": threshold}, path)
         for threshold in (10, 20, 30)
     ]
     lock.acquire()
@@ -163,6 +189,7 @@ def test_relay_batch_wakes_all_with_one_read(eval_engine):
     # One raw read served the tag expression and all three evaluations.
     assert state.reads == {"count": 1}
     assert stats.shared_read_cache_hits + stats.shared_expr_cache_hits > 0
+    assert_evaluated_on(stats, path)
 
 
 def test_find_missed_waiter_uses_its_own_context():
@@ -194,16 +221,3 @@ def test_fifo_relay_memoizes_too():
     finally:
         lock.release()
     assert state.reads == {"count": 1}
-
-
-def test_context_engine_follows_the_manager_knob():
-    state = CountingState(count=1)
-    manager, stats, lock = make_manager(state, True, eval_engine="interpreted")
-    add_waiting_entry(manager, "count >= n", {"n": 1})
-    lock.acquire()
-    try:
-        assert manager.relay_signal() is True
-    finally:
-        lock.release()
-    assert stats.interpreted_evaluations > 0
-    assert stats.compiled_evaluations == 0

@@ -19,7 +19,7 @@ class DeclaredMonitor(FakeMonitor):
     _tracked_write_names = frozenset({"items"})
 
 
-def make_manager(owner, use_tags=False, tracker=None, eval_engine="compiled"):
+def make_manager(owner, use_tags=False, tracker=None):
     backend = FakeBackend()
     stats = MonitorStats()
     manager = ConditionManager(
@@ -28,7 +28,6 @@ def make_manager(owner, use_tags=False, tracker=None, eval_engine="compiled"):
         lock=backend.create_lock(),
         stats=stats,
         use_tags=use_tags,
-        eval_engine=eval_engine,
         write_tracker=tracker,
     )
     return manager, stats
@@ -84,17 +83,27 @@ class TestDirtySetSearch:
         assert stats.predicate_evaluations == 2
         assert stats.relay_entries_skipped == 0
 
-    def test_interpreted_engine_falls_back_to_exhaustive(self):
+    def test_interpreter_fallback_keeps_dirty_set_skipping(self):
+        # A quarantined predicate is answered by the interpreter; the
+        # dirty-set search must skip and re-wake it exactly as a closure.
+        tracker = WriteTracker()
         owner = FakeMonitor(flag=0)
-        manager, stats = make_manager(
-            owner, tracker=WriteTracker(), eval_engine="interpreted"
-        )
-        assert manager.incremental is False
-        park(manager, "flag == 1", {"flag"})
+        manager, stats = make_manager(owner, tracker=tracker)
+        entry = park(manager, "flag == 1", {"flag"})
+        entry.globalized.quarantine()
+        assert manager.incremental is True
+
         assert not manager.relay_signal()
         assert not manager.relay_signal()
+        assert stats.predicate_evaluations == 1
+        assert stats.relay_entries_skipped == 1
+
+        owner.flag = 1
+        tracker.bump("flag")
+        assert manager.relay_signal()
         assert stats.predicate_evaluations == 2
-        assert stats.relay_entries_skipped == 0
+        assert stats.interpreted_evaluations == 2
+        assert stats.compiled_evaluations == 0
 
     def test_container_fields_are_never_marked_clean(self):
         tracker = WriteTracker()

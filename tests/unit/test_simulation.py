@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.runtime import DeadlockError, SimulationBackend
@@ -44,9 +46,51 @@ class TestBasicExecution:
         assert seen == [("worker-a", 0)]
 
     def test_primitives_outside_simulation_are_rejected(self, sim_backend):
+        # Only the thread a backend is carrying may use its primitives: the
+        # main thread, a plain OS thread started mid-run and a carrier of
+        # another backend all get the same SimulationError.
         lock = sim_backend.create_lock()
-        with pytest.raises(SimulationError):
+        expected = "simulation primitives may only be used from inside a simulated thread"
+        with pytest.raises(SimulationError, match=expected):
             lock.acquire()
+        other = SimulationBackend(seed=2)
+        messages = []
+
+        def probe(target):
+            try:
+                target.acquire()
+            except SimulationError as error:
+                messages.append(str(error))
+
+        def worker():
+            plain = threading.Thread(target=probe, args=(lock,))
+            plain.start()
+            plain.join()
+            probe(other.create_lock())
+
+        sim_backend.run([worker])
+        assert messages == [expected, expected]
+
+    @pytest.mark.parametrize(
+        "primitive",
+        ["lock_release", "wait", "notify", "notify_all", "yield_control", "current_name"],
+    )
+    def test_every_primitive_rejects_an_unsimulated_caller(self, sim_backend, primitive):
+        lock = sim_backend.create_lock()
+        condition = sim_backend.create_condition(lock)
+        calls = {
+            "lock_release": lock.release,
+            "wait": condition.wait,
+            "notify": condition.notify,
+            "notify_all": condition.notify_all,
+            "yield_control": sim_backend.yield_control,
+            "current_name": sim_backend.current_name,
+        }
+        with pytest.raises(
+            SimulationError,
+            match="simulation primitives may only be used from inside a simulated thread",
+        ):
+            calls[primitive]()
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

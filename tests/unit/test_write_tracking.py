@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.monitor import AutoSynchMonitor
 from repro.core.write_tracking import (
     WriteTracker,
@@ -31,6 +29,28 @@ class PreprocessedCell(Cell):
     """Carries the source-to-source preprocessor marker."""
 
     _autosynch_options = {"from": "preprocessor"}
+
+
+class Buffer(AutoSynchMonitor):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.count = 0
+        self.capacity = 2
+
+    def put(self):
+        self.wait_until("count < capacity")
+        self.count += 1
+
+    def take(self):
+        self.wait_until("count > 0")
+        self.count -= 1
+
+
+class PoisonHook:
+    """Fault hook making every monitor-side compiled evaluation raise."""
+
+    def on_compiled_eval(self, monitor):
+        raise RuntimeError("poisoned closure")
 
 
 class TestWriteTracker:
@@ -82,8 +102,27 @@ class TestGlobalToggle:
         try:
             cell = Cell(backend=SimulationBackend(seed=1))
             assert cell.write_tracker is None
+            assert cell.condition_manager.incremental is False
         finally:
             set_incremental_enabled(previous)
+        cell.value = 7
+        cell._hidden = 1
+        assert (cell.value, cell._hidden) == (7, 1)
+        assert cell.stats.tracked_writes == 0
+
+    def test_toggle_is_read_at_construction(self):
+        # The toggle is the only switch: a monitor keeps the search it was
+        # built with, whichever way the toggle flips afterwards.
+        tracked = Cell(backend=SimulationBackend(seed=1))
+        previous = set_incremental_enabled(False)
+        try:
+            untracked = Cell(backend=SimulationBackend(seed=1))
+            assert tracked.write_tracker is not None
+            assert tracked.condition_manager.incremental is True
+        finally:
+            set_incremental_enabled(previous)
+        assert untracked.write_tracker is None
+        assert untracked.condition_manager.incremental is False
 
 
 class TestMonitorIntegration:
@@ -110,16 +149,6 @@ class TestMonitorIntegration:
         cell._bump_write("value")
         assert tracker.version("value") == tracker.clock > clock
 
-    def test_incremental_relay_kwarg_overrides_global(self):
-        backend = SimulationBackend(seed=1)
-        assert Cell(backend=backend, incremental_relay=False).write_tracker is None
-        previous = set_incremental_enabled(False)
-        try:
-            cell = Cell(backend=SimulationBackend(seed=1), incremental_relay=True)
-            assert cell.write_tracker is not None
-        finally:
-            set_incremental_enabled(previous)
-
     def test_custom_setattr_disables_tracking(self):
         cell = CustomSetattrCell(backend=SimulationBackend(seed=1))
         assert cell.write_tracker is None
@@ -128,31 +157,34 @@ class TestMonitorIntegration:
         cell = PreprocessedCell(backend=SimulationBackend(seed=1))
         assert cell.write_tracker is None
 
-    def test_interpreted_engine_disables_manager_incremental(self):
-        cell = Cell(backend=SimulationBackend(seed=1), eval_engine="interpreted")
-        # The monitor may still track writes, but the manager must not use
-        # them: the interpreted engine stays a pure exhaustive baseline.
-        assert cell.condition_manager.incremental is False
-
-    def test_compiled_engine_manager_is_incremental(self):
+    def test_manager_is_incremental_by_default(self):
         cell = Cell(backend=SimulationBackend(seed=1))
         assert cell.condition_manager.incremental is True
+
+    def test_quarantined_predicates_keep_incremental_relay(self):
+        # Closures that raise are quarantined mid-run and the interpreter
+        # answers from then on, under the same dirty-set search.
+        backend = SimulationBackend(seed=3)
+        buffer = Buffer(backend=backend)
+        buffer._fault_hook = PoisonHook()
+        assert buffer.condition_manager.incremental is True
+
+        def producer():
+            for _ in range(8):
+                buffer.put()
+
+        def consumer():
+            for _ in range(8):
+                buffer.take()
+
+        backend.run([producer, consumer])
+        stats = buffer.stats
+        assert buffer.count == 0
+        assert stats.predicate_quarantines > 0
+        assert stats.interpreted_evaluations > 0
+        assert stats.tracked_writes > 0
 
     def test_autosynch_t_policy_opts_out(self):
         cell = Cell(backend=SimulationBackend(seed=1), signalling="autosynch_t")
         assert cell.condition_manager.incremental is False
 
-
-class TestEngineValidation:
-    def test_unknown_engine_lists_valid_engines(self):
-        with pytest.raises(ValueError) as excinfo:
-            Cell(backend=SimulationBackend(seed=1), eval_engine="copmiled")
-        message = str(excinfo.value)
-        assert "unknown eval engine 'copmiled'" in message
-        assert "compiled" in message and "interpreted" in message
-
-    def test_eval_context_validates_engine(self):
-        from repro.predicates import EvalContext
-
-        with pytest.raises(ValueError, match="available engines"):
-            EvalContext(object(), engine="jit")
