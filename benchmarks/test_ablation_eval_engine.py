@@ -36,6 +36,9 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval_engine.json"
 #: Evaluations per timing sample in the micro benchmark.
 MICRO_ITERATIONS = 20_000
 
+#: Timing samples per engine in the micro benchmark (the best one counts).
+SAMPLES = 5
+
 #: Required micro speedup of the codegen closures (acceptance bar).
 REQUIRED_SPEEDUP = 2.0
 
@@ -100,32 +103,39 @@ def _globalized_forms(problem: str):
     return state, forms
 
 
-def _time_holds(state, forms, engine) -> float:
-    """Seconds for MICRO_ITERATIONS evaluations of every form (best of 3)."""
+def _time_engines(state, forms) -> tuple:
+    """Seconds for MICRO_ITERATIONS evaluations of every form, per engine:
+    ``(interpreted, compiled)``, each the best of SAMPLES.
+
+    The two engines' samples alternate, so a burst of load from other
+    processes on the host lands on both engines' samples alike instead of
+    on every sample of one of them.
+    """
     import time
 
-    if engine == "compiled":
-        fns = [form.compiled_fn() for form in forms]
-        assert all(fn is not None for fn in fns), "codegen declined a predicate"
+    fns = [form.compiled_fn() for form in forms]
+    assert all(fn is not None for fn in fns), "codegen declined a predicate"
+    exprs = [form.expr for form in forms]
 
-        def body():
-            for fn in fns:
-                fn(state, read_shared, _EMPTY_LOCALS)
+    def compiled_body():
+        for fn in fns:
+            fn(state, read_shared, _EMPTY_LOCALS)
 
-    else:
-        exprs = [form.expr for form in forms]
+    def interpreted_body():
+        for expr in exprs:
+            evaluate(expr, state)
 
-        def body():
-            for expr in exprs:
-                evaluate(expr, state)
-
-    best = float("inf")
-    for _ in range(3):
+    def sample(body) -> float:
         started = time.perf_counter()
         for _ in range(MICRO_ITERATIONS):
             body()
-        best = min(best, time.perf_counter() - started)
-    return best
+        return time.perf_counter() - started
+
+    interpreted = compiled = float("inf")
+    for _ in range(SAMPLES):
+        interpreted = min(interpreted, sample(interpreted_body))
+        compiled = min(compiled, sample(compiled_body))
+    return interpreted, compiled
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -143,9 +153,7 @@ def test_compiled_holds_speedup(benchmark, problem):
 
     def compare():
         state, forms = _globalized_forms(problem)
-        interpreted = _time_holds(state, forms, "interpreted")
-        compiled = _time_holds(state, forms, "compiled")
-        return interpreted, compiled
+        return _time_engines(state, forms)
 
     interpreted, compiled = benchmark.pedantic(compare, rounds=1, iterations=1)
     evaluations = MICRO_ITERATIONS * len(WORKLOAD_PREDICATES[problem][1])

@@ -23,7 +23,7 @@ from repro.core.errors import (
     WaitTimeout,
 )
 from repro.core.heaps import ThresholdHeap
-from repro.core.instrumentation import MonitorStats, Stopwatch
+from repro.core.instrumentation import MonitorStats
 from repro.core.monitor import (
     AUTOMATIC_MODES,
     AutoSynchMonitor,
@@ -53,7 +53,6 @@ __all__ = [
     "RelayInvarianceError",
     "PredicateEntry",
     "SignallingPolicy",
-    "Stopwatch",
     "ThresholdHeap",
     "TraceEvent",
     "Tracer",

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.errors import MonitorUsageError
+from repro.core.monitor import _raw_setattr
 from repro.predicates.evaluator import evaluate
 
 __all__ = ["monitor_entry", "wait_until_async", "run_action"]
@@ -59,9 +60,8 @@ class monitor_entry:
         mutex = monitor._mutex
         _require_async_backend(monitor, mutex, "acquire_async")
         monitor.stats.entries += 1
-        with monitor.stats.time_bucket("lock_time"):
-            await mutex.acquire_async()
-        monitor._owner_id = monitor.backend.current_id()
+        await mutex.acquire_async()
+        _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
         monitor._trace("enter", detail=self._method_name)
         return monitor
 
@@ -71,7 +71,7 @@ class monitor_entry:
             monitor._before_release()
         finally:
             monitor._trace("exit", detail=self._method_name)
-            monitor._owner_id = None
+            _raw_setattr(monitor, "_owner_id", None)
             monitor._mutex.release()
         return False
 
@@ -79,12 +79,11 @@ class monitor_entry:
 async def _park(monitor, condition, remaining: Optional[float]) -> bool:
     """Await one park request: the coroutine twin of ``_block_on``."""
     _require_async_backend(monitor, condition, "wait_async")
-    monitor._owner_id = None
+    _raw_setattr(monitor, "_owner_id", None)
     try:
-        with monitor.stats.time_bucket("await_time"):
-            return await condition.wait_async(remaining)
+        return await condition.wait_async(remaining)
     finally:
-        monitor._owner_id = monitor.backend.current_id()
+        _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
 
 
 async def wait_until_async(
@@ -100,7 +99,7 @@ async def wait_until_async(
     """
     monitor._require_monitor_held("wait_until")
     compiled = monitor._compiled(predicate, local_values)
-    if monitor._evaluate_predicate(compiled, local_values):
+    if monitor._predicate_holds(compiled, local_values):
         return
     if timeout is None:
         timeout = monitor._wait_timeout

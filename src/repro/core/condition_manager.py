@@ -268,66 +268,64 @@ class ConditionManager:
             entry.pending_signals -= 1
 
     def _activate(self, entry: PredicateEntry) -> None:
-        with self._stats.time_bucket("tag_manager_time"):
-            self._order_seq += 1
-            entry.order_seq = self._order_seq
-            if self._tracker is not None:
-                # A reactivated entry may be reusing a retired table row, so
-                # any cleanliness recorded in a previous life is void.
-                entry.seen_clock = None
-                globalized = entry.globalized
-                entry.tracked_names = (
-                    None if globalized.uses_queries() else globalized.read_set()
-                )
-            if not self.use_tags:
-                self._add_untagged(entry)
-            else:
-                for tag in entry.globalized.tags:
-                    self._stats.tag_insertions += 1
-                    if tag.kind is TagKind.EQUIVALENCE:
-                        index = self._index_for(tag.expr_key, tag.shared_expr)
-                        index.equivalence.setdefault(tag.key, []).append(entry)
-                    elif tag.kind is TagKind.THRESHOLD:
-                        index = self._index_for(tag.expr_key, tag.shared_expr)
-                        if tag.op in LOWER_BOUND_OPS:
-                            index.lower_heap.add(tag.key, tag.op, entry)
-                        else:
-                            index.upper_heap.add(tag.key, tag.op, entry)
+        self._order_seq += 1
+        entry.order_seq = self._order_seq
+        if self._tracker is not None:
+            # A reactivated entry may be reusing a retired table row, so
+            # any cleanliness recorded in a previous life is void.
+            entry.seen_clock = None
+            globalized = entry.globalized
+            entry.tracked_names = (
+                None if globalized.uses_queries() else globalized.read_set()
+            )
+        if not self.use_tags:
+            self._add_untagged(entry)
+        else:
+            for tag in entry.globalized.tags:
+                self._stats.tag_insertions += 1
+                if tag.kind is TagKind.EQUIVALENCE:
+                    index = self._index_for(tag.expr_key, tag.shared_expr)
+                    index.equivalence.setdefault(tag.key, []).append(entry)
+                elif tag.kind is TagKind.THRESHOLD:
+                    index = self._index_for(tag.expr_key, tag.shared_expr)
+                    if tag.op in LOWER_BOUND_OPS:
+                        index.lower_heap.add(tag.key, tag.op, entry)
                     else:
-                        self._add_untagged(entry)
-            entry.active = True
-            self._active_count += 1
+                        index.upper_heap.add(tag.key, tag.op, entry)
+                else:
+                    self._add_untagged(entry)
+        entry.active = True
+        self._active_count += 1
 
     def _deactivate(self, entry: PredicateEntry) -> None:
-        with self._stats.time_bucket("tag_manager_time"):
-            if not self.use_tags:
-                self._discard_untagged(entry)
-            else:
-                for tag in entry.globalized.tags:
-                    self._stats.tag_removals += 1
-                    if tag.kind is TagKind.EQUIVALENCE:
-                        index = self._indices.get(tag.expr_key)
-                        if index is not None:
-                            bucket = index.equivalence.get(tag.key)
-                            if bucket is not None:
-                                if entry in bucket:
-                                    bucket.remove(entry)
-                                if not bucket:
-                                    del index.equivalence[tag.key]
-                            self._drop_index_if_empty(index)
-                    elif tag.kind is TagKind.THRESHOLD:
-                        index = self._indices.get(tag.expr_key)
-                        if index is not None:
-                            if tag.op in LOWER_BOUND_OPS:
-                                index.lower_heap.discard(tag.key, tag.op, entry)
-                            else:
-                                index.upper_heap.discard(tag.key, tag.op, entry)
-                            self._drop_index_if_empty(index)
-                    else:
-                        self._discard_untagged(entry)
-            entry.active = False
-            entry.pending_signals = 0
-            self._active_count -= 1
+        if not self.use_tags:
+            self._discard_untagged(entry)
+        else:
+            for tag in entry.globalized.tags:
+                self._stats.tag_removals += 1
+                if tag.kind is TagKind.EQUIVALENCE:
+                    index = self._indices.get(tag.expr_key)
+                    if index is not None:
+                        bucket = index.equivalence.get(tag.key)
+                        if bucket is not None:
+                            if entry in bucket:
+                                bucket.remove(entry)
+                            if not bucket:
+                                del index.equivalence[tag.key]
+                        self._drop_index_if_empty(index)
+                elif tag.kind is TagKind.THRESHOLD:
+                    index = self._indices.get(tag.expr_key)
+                    if index is not None:
+                        if tag.op in LOWER_BOUND_OPS:
+                            index.lower_heap.discard(tag.key, tag.op, entry)
+                        else:
+                            index.upper_heap.discard(tag.key, tag.op, entry)
+                        self._drop_index_if_empty(index)
+                else:
+                    self._discard_untagged(entry)
+        entry.active = False
+        entry.pending_signals = 0
+        self._active_count -= 1
         self._retire(entry)
 
     def _add_untagged(self, entry: PredicateEntry) -> None:
@@ -438,15 +436,14 @@ class ConditionManager:
         if self._active_count == 0:
             # Nobody is waiting on anything: the pass is trivially
             # exhaustive.  Monitor exits vastly outnumber waits in most
-            # workloads, so skipping the context/timing machinery here is
+            # workloads, so skipping the evaluation-context set-up here is
             # a measurable win per monitor operation.
             return 0
-        with self._stats.time_bucket("relay_signal_time"):
-            ctx = self._eval_context()
-            try:
-                signalled = self._relay_search_pass(limit, ctx)
-            finally:
-                self._release_context(ctx)
+        ctx = self._eval_context()
+        try:
+            signalled = self._relay_search_pass(limit, ctx)
+        finally:
+            self._release_context(ctx)
         if self._tracer is not None:
             self._tracer.record(
                 "relay",
@@ -480,43 +477,42 @@ class ConditionManager:
         self._stats.relay_signal_calls += 1
         if self._active_count == 0:
             return False  # nobody waiting: trivially exhaustive
-        with self._stats.time_bucket("relay_signal_time"):
-            ctx = self._eval_context()
-            try:
-                best: Optional[PredicateEntry] = None
-                best_seq: Optional[int] = None
-                incremental = self._tracker is not None and not self.use_tags
-                if incremental:
-                    entries, clock = self._untagged_candidates()
-                    self._stats.relay_entries_skipped += (
-                        len(self._untagged) - len(entries)
-                    )
-                else:
-                    clock = 0
-                    # Without tags every active entry lives in _untagged, which
-                    # skips the retired/shared entries _table keeps around; with
-                    # tags the table is the only complete view.
-                    entries = (
-                        self._table.values() if self.use_tags else self._untagged.values()
-                    )
-                for entry in entries:
-                    if not entry.active or entry.unsignalled_waiters <= 0:
-                        continue
-                    self._stats.exhaustive_checks += 1
-                    self._stats.predicate_evaluations += 1
-                    if not ctx.holds(entry.globalized):
-                        if incremental:
-                            self._mark_clean(entry, ctx, clock)
-                        continue
-                    seq = entry.next_unsignalled_seq
-                    if best is None or (
-                        seq is not None and (best_seq is None or seq < best_seq)
-                    ):
-                        best, best_seq = entry, seq
-                if best is not None:
-                    self._signal(best)
-            finally:
-                self._release_context(ctx)
+        ctx = self._eval_context()
+        try:
+            best: Optional[PredicateEntry] = None
+            best_seq: Optional[int] = None
+            incremental = self._tracker is not None and not self.use_tags
+            if incremental:
+                entries, clock = self._untagged_candidates()
+                self._stats.relay_entries_skipped += (
+                    len(self._untagged) - len(entries)
+                )
+            else:
+                clock = 0
+                # Without tags every active entry lives in _untagged, which
+                # skips the retired/shared entries _table keeps around; with
+                # tags the table is the only complete view.
+                entries = (
+                    self._table.values() if self.use_tags else self._untagged.values()
+                )
+            for entry in entries:
+                if not entry.active or entry.unsignalled_waiters <= 0:
+                    continue
+                self._stats.exhaustive_checks += 1
+                self._stats.predicate_evaluations += 1
+                if not ctx.holds(entry.globalized):
+                    if incremental:
+                        self._mark_clean(entry, ctx, clock)
+                    continue
+                seq = entry.next_unsignalled_seq
+                if best is None or (
+                    seq is not None and (best_seq is None or seq < best_seq)
+                ):
+                    best, best_seq = entry, seq
+            if best is not None:
+                self._signal(best)
+        finally:
+            self._release_context(ctx)
         if self._tracer is not None:
             self._tracer.record(
                 "relay",

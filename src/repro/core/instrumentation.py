@@ -1,11 +1,11 @@
-"""Counters and timers used to reproduce the paper's measurements.
+"""Event counters used to reproduce the paper's measurements.
 
-``MonitorStats`` collects both event counters (predicate evaluations, relay
-signals, wake-ups, tag-structure activity, compiled-vs-interpreted
-evaluation counts and EvalContext cache hits) and, when profiling is enabled,
-wall-clock time buckets matching Table 1 of the paper (await / lock /
-relaySignal / tag manager / others) plus compiled/interpreted evaluation
-timings.
+``MonitorStats`` holds integer event counters only (predicate evaluations,
+relay signals, wake-ups, tag-structure activity, compiled-vs-interpreted
+evaluation counts and EvalContext cache hits).  The paper's Table 1 CPU-usage
+breakdown (await / lock / relaySignal / tag manager / others) is modelled
+from these counts through the cost model (see
+:mod:`repro.harness.profiling`), not measured with clocks.
 
 The counters are updated while the monitor lock is held, so no extra
 synchronization is needed on top of it.
@@ -13,16 +13,15 @@ synchronization is needed on top of it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Dict
 
-__all__ = ["MonitorStats", "Stopwatch"]
+__all__ = ["MonitorStats"]
 
 
 @dataclass
 class MonitorStats:
-    """Event counters and time buckets for one monitor instance."""
+    """Event counters for one monitor instance."""
 
     # --- event counters -------------------------------------------------
     entries: int = 0
@@ -80,86 +79,25 @@ class MonitorStats:
     #: monitor's run (chaos mode; 0 outside fault-injection runs).
     faults_injected: int = 0
 
-    # --- time buckets (seconds), populated only when profiling ----------
-    await_time: float = 0.0
-    lock_time: float = 0.0
-    relay_signal_time: float = 0.0
-    tag_manager_time: float = 0.0
-    method_time: float = 0.0
-    #: Wall-clock spent inside compiled predicate evaluations.
-    compiled_eval_time: float = 0.0
-    #: Wall-clock spent inside interpreted predicate evaluations.
-    interpreted_eval_time: float = 0.0
-
-    profiling: bool = False
-
     #: Field names served to :meth:`snapshot`, resolved once at import time
     #: — dataclass field introspection per call shows up in exploration
-    #: throughput profiles.
+    #: throughput measurements.
     _SNAPSHOT_FIELDS: ClassVar[tuple] = ()
 
-    def snapshot(self) -> Dict[str, float]:
-        """Return all counters and buckets as a plain dictionary."""
+    def snapshot(self) -> Dict[str, int]:
+        """Return all counters as a plain dictionary."""
         get = self.__dict__
         return {name: get[name] for name in MonitorStats._SNAPSHOT_FIELDS}
 
     def reset(self) -> None:
-        """Zero every counter and time bucket (profiling flag is preserved)."""
-        profiling = self.profiling
-        for f in fields(self):
-            setattr(self, f.name, type(getattr(self, f.name))())
-        self.profiling = profiling
+        """Zero every counter."""
+        for name in MonitorStats._SNAPSHOT_FIELDS:
+            setattr(self, name, 0)
 
     def merge(self, other: "MonitorStats") -> None:
         """Accumulate *other* into this object (used to aggregate repetitions)."""
-        for f in fields(self):
-            if f.name == "profiling":
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    # --- time-bucket helpers ---------------------------------------------
-
-    def time_bucket(self, bucket: str) -> "Stopwatch":
-        """Return a context manager that adds elapsed time to *bucket*.
-
-        When profiling is off the stopwatch is a no-op, so instrumented code
-        paths stay cheap during throughput benchmarks.
-        """
-        return Stopwatch(self, bucket) if self.profiling else _NULL_STOPWATCH
+        for name in MonitorStats._SNAPSHOT_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-MonitorStats._SNAPSHOT_FIELDS = tuple(
-    f.name for f in fields(MonitorStats) if f.name != "profiling"
-)
-
-
-class Stopwatch:
-    """Context manager adding elapsed wall-clock time to a stats bucket."""
-
-    __slots__ = ("_stats", "_bucket", "_start")
-
-    def __init__(self, stats: MonitorStats, bucket: str) -> None:
-        self._stats = stats
-        self._bucket = bucket
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        elapsed = time.perf_counter() - self._start
-        setattr(self._stats, self._bucket, getattr(self._stats, self._bucket) + elapsed)
-
-
-class _NullStopwatch:
-    """No-op stand-in used when profiling is disabled."""
-
-    def __enter__(self) -> "_NullStopwatch":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_STOPWATCH = _NullStopwatch()
+MonitorStats._SNAPSHOT_FIELDS = tuple(f.name for f in fields(MonitorStats))

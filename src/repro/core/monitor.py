@@ -42,16 +42,20 @@ configured policy instance.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.condition_manager import DEFAULT_INACTIVE_CAPACITY, ConditionManager
 from repro.core.errors import MonitorUsageError
-from repro.predicates.evaluator import EvaluationError
 from repro.core.instrumentation import MonitorStats
 from repro.core.signalling import SignallingPolicy, create_policy
 from repro.core.write_tracking import WriteTracker, incremental_enabled
 from repro.predicates.classify import ClassificationError
-from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
+from repro.predicates.evaluator import (
+    _EMPTY_LOCALS,
+    EvaluationError,
+    evaluate_bool,
+    read_shared,
+)
 from repro.predicates.predicate import (
     CompiledPredicate,
     GlobalizedPredicate,
@@ -106,6 +110,13 @@ def _wrap_entry(func: Callable) -> Callable:
     return wrapper
 
 
+#: Stores monitor bookkeeping (the ``_owner_id`` written on every entry, exit
+#: and park) without running a subclass's ``__setattr__``: ownership is not a
+#: shared variable, so :class:`AutoSynchMonitor`'s write-tracking hook has
+#: nothing to record for it.
+_raw_setattr = object.__setattr__
+
+
 class MonitorBase:
     """Common machinery: the monitor lock, entry-method wrapping and stats."""
 
@@ -128,11 +139,10 @@ class MonitorBase:
     def __init__(
         self,
         backend: Optional[Backend] = None,
-        profile: bool = False,
         tracer: Optional[object] = None,
     ) -> None:
         self._backend = backend if backend is not None else ThreadingBackend()
-        self._stats = MonitorStats(profiling=profile)
+        self._stats = MonitorStats()
         self._tracer = tracer
         self._mutex = self._backend.create_lock()
         self._owner_id: Optional[object] = None
@@ -141,7 +151,7 @@ class MonitorBase:
 
     @property
     def stats(self) -> MonitorStats:
-        """Event counters and (optional) time buckets for this monitor."""
+        """Event counters for this monitor."""
         return self._stats
 
     @property
@@ -180,9 +190,8 @@ class MonitorBase:
 
     def _enter(self, method_name: str = "") -> None:
         self._stats.entries += 1
-        with self._stats.time_bucket("lock_time"):
-            self._mutex.acquire()
-        self._owner_id = self._backend.current_id()
+        self._mutex.acquire()
+        _raw_setattr(self, "_owner_id", self._backend.current_id())
         self._trace("enter", detail=method_name)
 
     def _leave(self, method_name: str = "") -> None:
@@ -190,7 +199,7 @@ class MonitorBase:
             self._before_release()
         finally:
             self._trace("exit", detail=method_name)
-            self._owner_id = None
+            _raw_setattr(self, "_owner_id", None)
             self._mutex.release()
 
     def _before_release(self) -> None:
@@ -232,8 +241,6 @@ class AutoSynchMonitor(MonitorBase):
         ``"autosynch_t"``, ``"baseline"``, ``"relay_batched"``,
         ``"relay_fifo"``, ...), a :class:`SignallingPolicy` subclass, or a
         configured policy instance.
-    profile:
-        Enable wall-clock time buckets (Table 1 measurements).
     inactive_capacity:
         How many inactive complex predicates to keep cached for reuse.
     validate:
@@ -249,6 +256,10 @@ class AutoSynchMonitor(MonitorBase):
     tracking cannot be trusted (a subclass overriding ``__setattr__``,
     preprocessor-transformed classes) — incremental relay is a pure
     optimisation, never a behaviour change.
+
+    :attr:`stats` counts events only (entries, waits, evaluations, relay
+    passes, tag operations, ...); the paper's Table 1 CPU-usage breakdown
+    is modelled from those counters (:mod:`repro.harness.profiling`).
     """
 
     #: The monitor's write tracker (None when incremental relay is off or
@@ -265,13 +276,12 @@ class AutoSynchMonitor(MonitorBase):
         self,
         backend: Optional[Backend] = None,
         signalling: object = "autosynch",
-        profile: bool = False,
         inactive_capacity: int = DEFAULT_INACTIVE_CAPACITY,
         tracer: Optional[object] = None,
         validate: bool = False,
         wait_timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(backend, profile, tracer)
+        super().__init__(backend, tracer)
         self._validate = validate
         #: Default timeout applied to every ``wait_until`` that does not pass
         #: its own (None: wait forever).  Measured in the backend's time
@@ -389,7 +399,7 @@ class AutoSynchMonitor(MonitorBase):
         """
         self._require_monitor_held("wait_until")
         compiled = self._compiled(predicate, local_values)
-        if self._evaluate_predicate(compiled, local_values):
+        if self._predicate_holds(compiled, local_values):
             return
         if timeout is None:
             timeout = self._wait_timeout
@@ -420,75 +430,45 @@ class AutoSynchMonitor(MonitorBase):
             write_tracker=self._write_tracker if incremental else None,
         )
 
-    def _evaluate_predicate(
-        self, compiled: CompiledPredicate, local_values: Optional[Mapping[str, object]]
+    def _predicate_holds(
+        self,
+        predicate: Union[CompiledPredicate, GlobalizedPredicate],
+        local_values: Optional[Mapping[str, object]] = None,
     ) -> bool:
-        """Evaluate a (possibly complex) predicate: its compiled closure, or
-        the interpreter where codegen declined or quarantined it.
+        """Evaluate *predicate*: its compiled closure, or the interpreter
+        where codegen declined or quarantined it.
 
         Used for the checks performed by the calling thread itself — the
-        initial ``wait_until`` test and the broadcast policy's re-check —
-        where local values are still live.
-        """
-        stats = self._stats
-        stats.predicate_evaluations += 1
-        fn = compiled.compiled_fn()
-        if fn is not None:
-            stats.compiled_evaluations += 1
-            try:
-                hook = self._fault_hook
-                if hook is not None:
-                    hook.on_compiled_eval(self)
-                with stats.time_bucket("compiled_eval_time"):
-                    return bool(fn(self, read_shared, local_values or _EMPTY_LOCALS))
-            except EvaluationError:
-                raise
-            except Exception:
-                self._quarantine(compiled, stats)
-        stats.interpreted_evaluations += 1
-        with stats.time_bucket("interpreted_eval_time"):
-            return compiled.evaluate(self, local_values)
-
-    def _predicate_holds(self, globalized: GlobalizedPredicate) -> bool:
-        """Evaluate a globalized predicate: compiled closure, else interpreter.
-
-        Used by the relay policies' wakeup re-check; the condition manager's
-        batch searches instead evaluate through a shared per-pass
+        initial ``wait_until`` test and the broadcast policy's re-check of a
+        (possibly complex) predicate with live local values, and the relay
+        policies' wakeup re-check of a globalized one.  The condition
+        manager's batch searches instead evaluate through a shared per-pass
         :class:`~repro.predicates.evaluator.EvalContext`.
+
+        A closure that raises anything but ``EvaluationError`` (which has
+        guaranteed class parity with the interpreter) diverged from the tree
+        walker: it is quarantined and the interpreter answers, with the
+        compiled-evaluation counter rolled back so ``compiled +
+        interpreted == predicate_evaluations`` still holds.
         """
         stats = self._stats
         stats.predicate_evaluations += 1
-        fn = globalized.compiled_fn()
+        fn = predicate.compiled_fn()
         if fn is not None:
             stats.compiled_evaluations += 1
             try:
                 hook = self._fault_hook
                 if hook is not None:
                     hook.on_compiled_eval(self)
-                with stats.time_bucket("compiled_eval_time"):
-                    return bool(fn(self, read_shared, _EMPTY_LOCALS))
+                return bool(fn(self, read_shared, local_values or _EMPTY_LOCALS))
             except EvaluationError:
                 raise
             except Exception:
-                self._quarantine(globalized, stats)
+                predicate.quarantine()
+                stats.compiled_evaluations -= 1
+                stats.predicate_quarantines += 1
         stats.interpreted_evaluations += 1
-        with stats.time_bucket("interpreted_eval_time"):
-            return globalized.holds(self)
-
-    @staticmethod
-    def _quarantine(predicate: object, stats: MonitorStats) -> None:
-        """Demote a misbehaving compiled closure to the interpreter.
-
-        ``EvaluationError`` never lands here — it has guaranteed class
-        parity with the interpreter, so re-raising is the honest outcome;
-        anything else means the closure diverged from the tree walker and
-        can no longer be trusted.  The compiled-evaluation counter is
-        rolled back so ``compiled + interpreted == predicate_evaluations``
-        still holds after the interpreter answers instead.
-        """
-        predicate.quarantine()
-        stats.compiled_evaluations -= 1
-        stats.predicate_quarantines += 1
+        return evaluate_bool(predicate.expr, self, local_values)
 
     def _create_condition(self) -> ConditionAPI:
         """Create a condition variable tied to the monitor lock."""
@@ -498,16 +478,15 @@ class AutoSynchMonitor(MonitorBase):
         self, condition: ConditionAPI, timeout: Optional[float] = None
     ) -> bool:
         """Release the monitor and block on *condition* (owner bookkeeping
-        and the ``await_time`` bucket included).
+        included).
 
         Returns whether the wake-up was a notification (False: the timed
         wait expired); either way the monitor lock is re-held."""
-        self._owner_id = None
+        _raw_setattr(self, "_owner_id", None)
         try:
-            with self._stats.time_bucket("await_time"):
-                return condition.wait(timeout)
+            return condition.wait(timeout)
         finally:
-            self._owner_id = self._backend.current_id()
+            _raw_setattr(self, "_owner_id", self._backend.current_id())
 
     def try_self_heal(self) -> Optional[ConditionAPI]:
         """Attempt to recover from an imminent deadlock (pure bookkeeping).
@@ -598,14 +577,6 @@ class ExplicitMonitor(MonitorBase):
     including the burden of choosing the right condition to signal.
     """
 
-    def __init__(
-        self,
-        backend: Optional[Backend] = None,
-        profile: bool = False,
-        tracer: Optional[object] = None,
-    ) -> None:
-        super().__init__(backend, profile, tracer)
-
     def new_condition(self, name: Optional[str] = None) -> ConditionAPI:
         """Create a condition variable tied to the monitor lock."""
         condition = self._backend.create_condition(self._mutex)
@@ -623,12 +594,11 @@ class ExplicitMonitor(MonitorBase):
         self._require_monitor_held("wait_on")
         self._stats.waits += 1
         self._trace("wait", predicate=self._condition_label(condition))
-        self._owner_id = None
+        _raw_setattr(self, "_owner_id", None)
         try:
-            with self._stats.time_bucket("await_time"):
-                condition.wait()
+            condition.wait()
         finally:
-            self._owner_id = self._backend.current_id()
+            _raw_setattr(self, "_owner_id", self._backend.current_id())
         self._stats.wakeups += 1
         self._trace("wakeup", predicate=self._condition_label(condition))
 

@@ -268,17 +268,7 @@ class RelayPolicyBase(SignallingPolicy):
     def _relay_checked(self) -> bool:
         """One relay step, with the monitor's validate-mode invariance check."""
         monitor = self.monitor
-        stats = monitor.stats
-        skipped_before = stats.relay_entries_skipped
         signalled = self.relay()
-        self.on_relay_pass(
-            signalled, stats.relay_entries_skipped - skipped_before
-        )
         if monitor._validate and not signalled:
             monitor._check_no_missed_signal()
         return signalled
-
-    def on_relay_pass(self, signalled: bool, skipped: int) -> None:
-        """Observe one relay pass: whether it signalled and how many entries
-        the dirty-set search skipped (0 on exhaustive passes).  Policies may
-        override this to adapt or report; the default does nothing."""

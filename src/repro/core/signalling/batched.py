@@ -40,19 +40,9 @@ class BatchedRelayPolicy(RelayPolicyBase):
         if batch_limit < 1:
             raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
         self.batch_limit = batch_limit
-        #: Running totals observed through :meth:`on_relay_pass`.
-        self.passes = 0
-        self.entries_skipped = 0
 
     def relay(self) -> bool:
         return self._manager.signal_many(self.batch_limit) > 0
 
-    def on_relay_pass(self, signalled: bool, skipped: int) -> None:
-        self.passes += 1
-        self.entries_skipped += skipped
-
     def describe(self) -> str:
-        label = f"{self.description} (k={self.batch_limit})"
-        if self.entries_skipped:
-            label += f", {self.entries_skipped} entries dirty-skipped"
-        return label
+        return f"{self.description} (k={self.batch_limit})"

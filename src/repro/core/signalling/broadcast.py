@@ -66,7 +66,7 @@ class BroadcastPolicy(SignallingPolicy):
             )
             yield self._condition, remaining
             stats.wakeups += 1
-            if monitor._evaluate_predicate(compiled, local_values):
+            if monitor._predicate_holds(compiled, local_values):
                 monitor._trace("wakeup", predicate=compiled.source)
                 return
             if deadline is not None and backend.now() >= deadline:

@@ -117,7 +117,6 @@ class RunCell:
     seed: int
     backend: str
     total_ops: int
-    profile: bool
     validate: bool
     problem_params: FrozenMapping
     #: JSON spec of a runtime-registered scenario problem (see
@@ -161,7 +160,6 @@ def enumerate_cells(config: "RunConfig") -> Tuple[RunCell, ...]:
                         ),
                         backend=config.backend,
                         total_ops=config.total_ops,
-                        profile=config.profile,
                         validate=config.validate,
                         problem_params=params,
                         scenario_json=config.scenario_json,
@@ -201,7 +199,6 @@ def execute_cell(cell: RunCell) -> RunResult:
         threads=cell.x_value,
         total_ops=cell.total_ops,
         seed=cell.seed,
-        profile=cell.profile,
         validate=cell.validate,
         **dict(cell.problem_params),
     )

@@ -2,15 +2,12 @@
 
 The paper profiles the round-robin access pattern with YourKit and reports,
 per mechanism, how much CPU time is spent in ``await``, lock handling,
-``relaySignal`` and tag management.  Here the same breakdown is produced from
-the monitor's own instrumentation:
-
-* on the **threading** backend with ``profile=True`` the buckets are measured
-  wall-clock times;
-* on the **simulation** backend the buckets are modelled from the exact event
-  counts using the cost model, which preserves the paper's headline
-  observation (tagging removes ~95% of the relaySignal cost for a small tag
-  management overhead).
+``relaySignal`` and tag management.  Here the same breakdown is modelled
+from the monitor's exact event counters (:class:`~repro.core.MonitorStats`)
+and the backend's metrics through the cost model, on every backend; no
+clock is read.  The model preserves the paper's headline observation
+(tagging removes ~95% of the relaySignal cost for a small tag management
+overhead).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ BUCKETS = ("await", "lock", "relay_signal", "tag_manager", "others")
 
 @dataclass(frozen=True)
 class UsageBreakdown:
-    """Per-mechanism time split, in seconds (measured or modelled)."""
+    """Per-mechanism time split, in modelled seconds."""
 
     mechanism: str
     await_time: float
@@ -58,16 +55,6 @@ class UsageBreakdown:
         """Fraction of the total spent in *bucket* (0 when the total is 0)."""
         value = getattr(self, f"{bucket}_time")
         return value / self.total if self.total else 0.0
-
-
-def _measured_breakdown(result: RunResult) -> UsageBreakdown:
-    stats = result.monitor_stats
-    await_time = stats.get("await_time", 0.0)
-    lock_time = stats.get("lock_time", 0.0)
-    relay = stats.get("relay_signal_time", 0.0)
-    tag = stats.get("tag_manager_time", 0.0)
-    others = max(result.wall_time - (await_time + lock_time + relay + tag), 0.0)
-    return UsageBreakdown(result.mechanism, await_time, lock_time, relay, tag, others)
 
 
 def modelled_breakdown_from_counters(
@@ -101,31 +88,13 @@ def modelled_breakdown_from_counters(
     return UsageBreakdown(mechanism, await_time, lock_time, relay, tag, others)
 
 
-def _modelled_breakdown(result: RunResult, cost_model: CostModel) -> UsageBreakdown:
-    return modelled_breakdown_from_counters(
-        result.mechanism, result.monitor_stats, result.backend_metrics, cost_model
-    )
-
-
 def cpu_usage_breakdown(
     result: RunResult, cost_model: CostModel = DEFAULT_COST_MODEL
 ) -> UsageBreakdown:
-    """Build the Table-1-style breakdown for one run.
-
-    Measured time buckets are used when they were collected (threading
-    backend with profiling on); otherwise the breakdown is modelled from the
-    event counts.
-    """
-    stats = result.monitor_stats
-    measured_total = (
-        stats.get("await_time", 0.0)
-        + stats.get("lock_time", 0.0)
-        + stats.get("relay_signal_time", 0.0)
-        + stats.get("tag_manager_time", 0.0)
+    """Build the Table-1-style breakdown for one run from its counters."""
+    return modelled_breakdown_from_counters(
+        result.mechanism, result.monitor_stats, result.backend_metrics, cost_model
     )
-    if measured_total > 0:
-        return _measured_breakdown(result)
-    return _modelled_breakdown(result, cost_model)
 
 
 def series_usage_breakdowns(
@@ -139,7 +108,7 @@ def series_usage_breakdowns(
     every raw monitor counter and, prefixed with ``backend_``, every
     backend metric), not from raw :class:`RunResult` values — so breakdowns
     can be built after the executor merge, no matter which process produced
-    the underlying runs.  ``threads`` selects the x value to profile
+    the underlying runs.  ``threads`` selects the x value to break down
     (default: the largest in the series, matching the paper's Table 1).
     """
     if threads is None:

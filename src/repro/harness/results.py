@@ -149,9 +149,8 @@ class MeasurementPoint:
     def canonical_items(self, include_timing: bool = True) -> Dict[str, object]:
         """The point's content as a plain, deterministically-ordered dict.
 
-        With ``include_timing=False`` every measured wall-clock quantity —
-        ``wall_time`` and any ``*_time`` extra (profiling buckets, evaluation
-        timings) — is omitted, leaving only fields that are exact
+        With ``include_timing=False`` the one measured wall-clock quantity,
+        ``wall_time``, is omitted, leaving only fields that are exact
         functions of the run's event counts.  Two runs of the same config
         agree on that subset bit-for-bit regardless of executor, job count
         or machine load, which is what the serial-vs-process equivalence
@@ -170,12 +169,7 @@ class MeasurementPoint:
         }
         if include_timing:
             items["wall_time"] = self.wall_time
-        extra = {
-            key: value
-            for key, value in sorted(self.extra.items())
-            if include_timing or not key.endswith("_time")
-        }
-        items["extra"] = extra
+        items["extra"] = dict(sorted(self.extra.items()))
         return items
 
 

@@ -64,7 +64,6 @@ class RunConfig:
     drop_extremes: bool = True
     backend: str = "simulation"
     seed: int = 0
-    profile: bool = False
     #: Run the automatic monitors with relay-invariance checking enabled.
     validate: bool = False
     #: Registered executor that runs the sweep's cells (``"serial"`` or

@@ -50,7 +50,6 @@ def run_workload(
     threads: int,
     total_ops: int,
     seed: int = 0,
-    profile: bool = False,
     verify: bool = True,
     validate: bool = False,
     **problem_params: object,
@@ -68,7 +67,6 @@ def run_workload(
         threads=threads,
         total_ops=total_ops,
         seed=seed,
-        profile=profile,
         validate=validate,
         **problem_params,
     )

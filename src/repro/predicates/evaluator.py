@@ -29,7 +29,6 @@ shared expression costs one read instead of N.
 from __future__ import annotations
 
 import operator
-import time
 from typing import Callable, Dict, Mapping, Optional
 
 from repro.predicates.ast_nodes import (
@@ -374,11 +373,6 @@ class EvalContext:
                 if stats is None:
                     return bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
                 stats.compiled_evaluations += 1
-                if stats.profiling:
-                    started = time.perf_counter()
-                    result = bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
-                    stats.compiled_eval_time += time.perf_counter() - started
-                    return result
                 return bool(fn(self.state, self.read_shared, _EMPTY_LOCALS))
             except EvaluationError:
                 # Semantic errors have guaranteed class parity with the
@@ -395,11 +389,4 @@ class EvalContext:
         if stats is None:
             return bool(_ev(globalized.expr, self.state, _EMPTY_LOCALS, self.read_shared))
         stats.interpreted_evaluations += 1
-        if stats.profiling:
-            started = time.perf_counter()
-            result = bool(
-                _ev(globalized.expr, self.state, _EMPTY_LOCALS, self.read_shared)
-            )
-            stats.interpreted_eval_time += time.perf_counter() - started
-            return result
         return bool(_ev(globalized.expr, self.state, _EMPTY_LOCALS, self.read_shared))

@@ -90,7 +90,7 @@ def autosynch(cls: type) -> type: ...
 
 @overload
 def autosynch(
-    *, signalling: str = ..., backend: object = ..., profile: bool = ...
+    *, signalling: str = ..., backend: object = ...
 ) -> Callable[[type], type]: ...
 
 

@@ -132,7 +132,6 @@ class Problem(abc.ABC):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         **params: object,
     ) -> WorkloadSpec:
@@ -231,13 +230,11 @@ class Problem(abc.ABC):
     def monitor_kwargs(
         mechanism: str,
         backend: Backend,
-        profile: bool,
         validate: bool = False,
     ) -> Dict[str, object]:
         """Constructor keyword arguments for the automatic monitor variants."""
         return {
             "backend": backend,
             "signalling": mechanism,
-            "profile": profile,
             "validate": validate,
         }

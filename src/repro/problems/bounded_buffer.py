@@ -170,7 +170,6 @@ class BoundedBufferProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         capacity: int = DEFAULT_CAPACITY,
         **params: object,
@@ -180,10 +179,10 @@ class BoundedBufferProblem(Problem):
             raise ValueError("the bounded buffer needs at least one producer/consumer pair")
 
         if mechanism == "explicit":
-            monitor = ExplicitBoundedBuffer(capacity, backend=backend, profile=profile)
+            monitor = ExplicitBoundedBuffer(capacity, backend=backend)
         else:
             monitor = AutoBoundedBuffer(
-                capacity, **self.monitor_kwargs(mechanism, backend, profile, validate)
+                capacity, **self.monitor_kwargs(mechanism, backend, validate)
             )
 
         # ``total_ops`` counts puts + takes; items produced must equal items

@@ -133,7 +133,6 @@ class DiningPhilosophersProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         **params: object,
     ) -> WorkloadSpec:
@@ -142,10 +141,10 @@ class DiningPhilosophersProblem(Problem):
             raise ValueError("need at least two philosophers")
 
         if mechanism == "explicit":
-            monitor = ExplicitDiningTable(threads, backend=backend, profile=profile)
+            monitor = ExplicitDiningTable(threads, backend=backend)
         else:
             monitor = AutoDiningTable(
-                threads, **self.monitor_kwargs(mechanism, backend, profile, validate)
+                threads, **self.monitor_kwargs(mechanism, backend, validate)
             )
 
         # One "operation" is a full pick_up/put_down cycle (a meal).

@@ -158,7 +158,6 @@ class H2OProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         **params: object,
     ) -> WorkloadSpec:
@@ -167,10 +166,10 @@ class H2OProblem(Problem):
             raise ValueError("the H2O problem needs at least two hydrogen threads")
 
         if mechanism == "explicit":
-            monitor = ExplicitWaterFactory(backend=backend, profile=profile)
+            monitor = ExplicitWaterFactory(backend=backend)
         else:
             monitor = AutoWaterFactory(
-                **self.monitor_kwargs(mechanism, backend, profile, validate)
+                **self.monitor_kwargs(mechanism, backend, validate)
             )
 
         # Each molecule is one oxygen_ready() call plus two hydrogen_ready()

@@ -133,7 +133,6 @@ class ParameterizedBoundedBufferProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         capacity: int = DEFAULT_CAPACITY,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -145,12 +144,10 @@ class ParameterizedBoundedBufferProblem(Problem):
         max_batch = min(max_batch, capacity)
 
         if mechanism == "explicit":
-            monitor = ExplicitParameterizedBoundedBuffer(
-                capacity, backend=backend, profile=profile
-            )
+            monitor = ExplicitParameterizedBoundedBuffer(capacity, backend=backend)
         else:
             monitor = AutoParameterizedBoundedBuffer(
-                capacity, **self.monitor_kwargs(mechanism, backend, profile, validate)
+                capacity, **self.monitor_kwargs(mechanism, backend, validate)
             )
 
         # Pre-draw every consumer's take sizes so that the producer knows the

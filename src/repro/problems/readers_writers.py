@@ -184,7 +184,6 @@ class ReadersWritersProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         readers_per_writer: int = DEFAULT_READERS_PER_WRITER,
         **params: object,
@@ -196,10 +195,10 @@ class ReadersWritersProblem(Problem):
         readers = max(1, readers_per_writer * writers)
 
         if mechanism == "explicit":
-            monitor = ExplicitReadersWriters(backend=backend, profile=profile)
+            monitor = ExplicitReadersWriters(backend=backend)
         else:
             monitor = AutoReadersWriters(
-                **self.monitor_kwargs(mechanism, backend, profile, validate)
+                **self.monitor_kwargs(mechanism, backend, validate)
             )
 
         workers = writers + readers

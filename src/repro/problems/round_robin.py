@@ -95,7 +95,6 @@ class RoundRobinProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         **params: object,
     ) -> WorkloadSpec:
@@ -104,10 +103,10 @@ class RoundRobinProblem(Problem):
             raise ValueError("need at least one thread")
 
         if mechanism == "explicit":
-            monitor = ExplicitRoundRobin(threads, backend=backend, profile=profile)
+            monitor = ExplicitRoundRobin(threads, backend=backend)
         else:
             monitor = AutoRoundRobin(
-                threads, **self.monitor_kwargs(mechanism, backend, profile, validate)
+                threads, **self.monitor_kwargs(mechanism, backend, validate)
             )
 
         # Every thread must take the same number of turns or the rotation

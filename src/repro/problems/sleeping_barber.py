@@ -177,7 +177,6 @@ class SleepingBarberProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         chairs: int = DEFAULT_CHAIRS,
         **params: object,
@@ -188,13 +187,13 @@ class SleepingBarberProblem(Problem):
 
         if mechanism == "explicit":
             monitor = ExplicitBarberShop(
-                chairs, num_customers=threads, backend=backend, profile=profile
+                chairs, num_customers=threads, backend=backend
             )
         else:
             monitor = AutoBarberShop(
                 chairs,
                 num_customers=threads,
-                **self.monitor_kwargs(mechanism, backend, profile, validate),
+                **self.monitor_kwargs(mechanism, backend, validate),
             )
 
         visits_per_customer = self._split_ops(max(total_ops, threads), threads)

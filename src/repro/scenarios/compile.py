@@ -241,7 +241,6 @@ class ScenarioProblem(Problem):
         threads: int,
         total_ops: int,
         seed: int = 0,
-        profile: bool = False,
         validate: bool = False,
         **params: object,
     ) -> WorkloadSpec:
@@ -286,7 +285,7 @@ class ScenarioProblem(Problem):
 
         monitor = self.monitor_cls(
             state,
-            **self.monitor_kwargs(mechanism, backend, profile, validate),
+            **self.monitor_kwargs(mechanism, backend, validate),
         )
 
         targets: List[Callable[[], None]] = []

@@ -44,18 +44,18 @@ def test_repeated_runs_stay_correct(mechanism):
         )
 
 
-def test_profiled_run_collects_time_buckets():
+def test_threaded_run_reports_integer_counters():
+    """Real threads fill the same exact event counters as the simulation."""
     problem = get_problem("round_robin")
     backend = ThreadingBackend()
     result = run_workload(
-        problem, "autosynch", backend, threads=6, total_ops=180, seed=1,
-        profile=True, verify=True,
+        problem, "autosynch", backend, threads=6, total_ops=180, seed=1, verify=True
     )
     stats = result.monitor_stats
-    assert stats["lock_time"] > 0
-    assert stats["relay_signal_time"] > 0
-    # Tag management only happens when predicates are (de)registered.
-    assert stats["tag_manager_time"] >= 0
+    assert all(type(value) is int for value in stats.values())
+    assert not any(name.endswith("_time") for name in stats)
+    assert stats["entries"] >= result.operations
+    assert stats["relay_signal_calls"] > 0
 
 
 def test_monitors_are_independent_between_runs():

@@ -86,7 +86,6 @@ class UnorderedDiningProblem(Problem):
         threads,
         total_ops,
         seed=0,
-        profile=False,
         validate=False,
         **params,
     ) -> WorkloadSpec:

@@ -26,7 +26,6 @@ class LockCycleProblem(Problem):
         threads,
         total_ops,
         seed=0,
-        profile=False,
         validate=False,
         **params,
     ) -> WorkloadSpec:
@@ -65,7 +64,6 @@ class LoneWaiterProblem(Problem):
         threads,
         total_ops,
         seed=0,
-        profile=False,
         validate=False,
         **params,
     ) -> WorkloadSpec:

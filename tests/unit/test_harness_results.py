@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.harness import (
@@ -169,6 +171,29 @@ class TestSeries:
         assert "explicit" in text and "autosynch" in text
 
 
+class TestMeasurementPoint:
+    def test_canonical_items_without_timing_drop_only_wall_time(self):
+        point = MeasurementPoint(
+            problem="demo",
+            mechanism="autosynch",
+            backend="simulation",
+            threads=4,
+            repetitions=3,
+            wall_time=0.7,
+            modelled_runtime=1.5,
+            context_switches=100.0,
+            predicate_evaluations=7.0,
+            signals=3.0,
+            extra={"spurious_wakeups": 2.0, "modelled_await_time": 0.25},
+        )
+        timed = point.canonical_items()
+        untimed = point.canonical_items(include_timing=False)
+        assert timed["wall_time"] == 0.7
+        assert "wall_time" not in untimed
+        assert untimed["extra"] == {"modelled_await_time": 0.25, "spurious_wakeups": 2.0}
+        assert {key: value for key, value in timed.items() if key != "wall_time"} == untimed
+
+
 class TestFormatTable:
     def test_alignment_and_headers(self):
         text = format_table(["name", "value"], [["alpha", 1], ["b", 123456]])
@@ -187,30 +212,19 @@ class TestFormatTable:
 
 
 class TestProfilingBreakdown:
-    def test_modelled_breakdown_used_without_measured_buckets(self):
+    def test_breakdown_is_modelled_from_counters(self):
         run = make_run()
         breakdown = cpu_usage_breakdown(run)
         assert breakdown.total > 0
         assert breakdown.relay_signal_time > 0
 
-    def test_measured_buckets_take_precedence(self):
+    def test_time_keys_in_stats_do_not_change_breakdown(self):
         run = make_run()
         stats = dict(run.monitor_stats)
         stats.update({"await_time": 0.5, "lock_time": 0.1, "relay_signal_time": 0.2,
                       "tag_manager_time": 0.05})
-        measured = RunResult(
-            problem=run.problem,
-            mechanism=run.mechanism,
-            backend="threading",
-            threads=run.threads,
-            wall_time=1.0,
-            operations=run.operations,
-            backend_metrics=run.backend_metrics,
-            monitor_stats=stats,
-        )
-        breakdown = cpu_usage_breakdown(measured)
-        assert breakdown.await_time == pytest.approx(0.5)
-        assert breakdown.others_time == pytest.approx(1.0 - 0.85)
+        timed = dataclasses.replace(run, monitor_stats=stats)
+        assert cpu_usage_breakdown(timed) == cpu_usage_breakdown(run)
 
     def test_share_sums_to_one(self):
         breakdown = cpu_usage_breakdown(make_run())

@@ -1,10 +1,12 @@
-"""Unit tests for monitor statistics and the profiling stopwatch."""
+"""Unit tests for the monitor's event counters."""
 
 from __future__ import annotations
 
-import time
+from dataclasses import fields
 
-from repro.core.instrumentation import MonitorStats, Stopwatch
+import repro.core
+from repro.core import instrumentation
+from repro.core.instrumentation import MonitorStats
 
 
 class TestMonitorStats:
@@ -12,7 +14,6 @@ class TestMonitorStats:
         stats = MonitorStats()
         assert stats.entries == 0
         assert stats.predicate_evaluations == 0
-        assert stats.await_time == 0.0
 
     def test_snapshot_contains_all_counters(self):
         stats = MonitorStats()
@@ -21,27 +22,25 @@ class TestMonitorStats:
         snapshot = stats.snapshot()
         assert snapshot["entries"] == 3
         assert snapshot["relay_signal_calls"] == 2
-        assert "profiling" not in snapshot
+        assert all(type(value) is int for value in snapshot.values())
 
-    def test_reset_zeroes_everything_but_keeps_profiling_flag(self):
-        stats = MonitorStats(profiling=True)
+    def test_reset_zeroes_every_counter(self):
+        stats = MonitorStats()
         stats.entries = 5
-        stats.await_time = 1.5
+        stats.tracked_writes = 7
         stats.reset()
-        assert stats.entries == 0
-        assert stats.await_time == 0.0
-        assert stats.profiling is True
+        assert set(stats.snapshot().values()) == {0}
 
     def test_merge_accumulates(self):
         first = MonitorStats()
         second = MonitorStats()
         first.entries = 2
-        first.await_time = 0.5
+        first.waits = 1
         second.entries = 3
-        second.await_time = 0.25
+        second.waits = 4
         first.merge(second)
         assert first.entries == 5
-        assert first.await_time == 0.75
+        assert first.waits == 5
 
     def test_merge_does_not_modify_other(self):
         first = MonitorStats()
@@ -50,31 +49,32 @@ class TestMonitorStats:
         first.merge(second)
         assert second.entries == 3
 
+    def test_merge_accumulates_every_counter(self):
+        first = MonitorStats()
+        second = MonitorStats()
+        names = [f.name for f in fields(MonitorStats)]
+        for index, name in enumerate(names, start=1):
+            setattr(first, name, index)
+            setattr(second, name, 10 * index)
+        first.merge(second)
+        assert first.snapshot() == {
+            name: 11 * index for index, name in enumerate(names, start=1)
+        }
 
-class TestStopwatch:
-    def test_time_bucket_accumulates_when_profiling(self):
-        stats = MonitorStats(profiling=True)
-        with stats.time_bucket("relay_signal_time"):
-            time.sleep(0.002)
-        with stats.time_bucket("relay_signal_time"):
-            time.sleep(0.002)
-        assert stats.relay_signal_time >= 0.003
 
-    def test_time_bucket_is_noop_without_profiling(self):
-        stats = MonitorStats(profiling=False)
-        with stats.time_bucket("relay_signal_time"):
-            time.sleep(0.002)
-        assert stats.relay_signal_time == 0.0
+class TestCountersOnly:
+    def test_every_field_is_an_integer_counter(self):
+        for f in fields(MonitorStats):
+            assert f.type in (int, "int"), f.name
+            assert f.default == 0, f.name
+            assert not f.name.endswith("_time"), f.name
 
-    def test_stopwatch_direct_use(self):
-        stats = MonitorStats(profiling=True)
-        watch = Stopwatch(stats, "lock_time")
-        with watch:
-            pass
-        assert stats.lock_time >= 0.0
+    def test_no_wall_clock_buckets(self):
+        stats = MonitorStats()
+        assert not hasattr(stats, "profiling")
+        assert not hasattr(stats, "time_bucket")
 
-    def test_different_buckets_are_independent(self):
-        stats = MonitorStats(profiling=True)
-        with stats.time_bucket("await_time"):
-            pass
-        assert stats.tag_manager_time == 0.0
+    def test_core_exports_no_stopwatch(self):
+        assert "MonitorStats" in repro.core.__all__
+        assert "Stopwatch" not in repro.core.__all__
+        assert not hasattr(instrumentation, "Stopwatch")

@@ -92,6 +92,13 @@ class TestEntryMethods:
         assert cell.backend is backend
         assert cell.stats.entries == 0
 
+    def test_profile_is_not_a_monitor_option(self):
+        # Monitors measure with event counters only; there is no timing mode.
+        with pytest.raises(TypeError):
+            Cell(profile=True)
+        with pytest.raises(TypeError):
+            ExplicitCell(profile=True)
+
 
 class TestWaitUntil:
     def test_fast_path_does_not_register_predicates(self):

@@ -31,6 +31,18 @@ class PreprocessedCell(Cell):
     _autosynch_options = {"from": "preprocessor"}
 
 
+class Reader(Cell):
+    def read(self):
+        return self.value
+
+    def wait_positive(self):
+        self.wait_until("value > 0")
+        return self.value
+
+    def set(self, value):
+        self.value = value
+
+
 class Buffer(AutoSynchMonitor):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -183,6 +195,35 @@ class TestMonitorIntegration:
         assert stats.predicate_quarantines > 0
         assert stats.interpreted_evaluations > 0
         assert stats.tracked_writes > 0
+
+    def test_ownership_is_not_a_tracked_write(self, monkeypatch):
+        # Entering, leaving and parking record the owner without running the
+        # write-tracking hook: a read-only entry method makes no __setattr__
+        # call at all, and a park/wake cycle makes none for the owner.
+        names = []
+        original = AutoSynchMonitor.__setattr__
+
+        def counting_setattr(self, name, value):
+            names.append(name)
+            original(self, name, value)
+
+        monkeypatch.setattr(AutoSynchMonitor, "__setattr__", counting_setattr)
+        backend = SimulationBackend(seed=1)
+        reader = Reader(backend=backend)
+        assert reader.write_tracker is not None
+        constructed = reader.stats.tracked_writes
+        results = []
+        names.clear()
+        backend.run([lambda: results.append(reader.read())])
+        assert results == [0]
+        assert names == []
+        assert reader.stats.tracked_writes == constructed
+
+        backend.run([lambda: results.append(reader.wait_positive()), lambda: reader.set(5)])
+        assert results == [0, 5]
+        assert reader.stats.waits >= 1
+        assert "_owner_id" not in names
+        assert names.count("value") == reader.stats.tracked_writes - constructed == 1
 
     def test_autosynch_t_policy_opts_out(self):
         cell = Cell(backend=SimulationBackend(seed=1), signalling="autosynch_t")
