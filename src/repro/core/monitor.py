@@ -42,14 +42,13 @@ configured policy instance.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Mapping, Optional, Union
 
 from repro.core.condition_manager import DEFAULT_INACTIVE_CAPACITY, ConditionManager
 from repro.core.errors import MonitorUsageError
 from repro.core.instrumentation import MonitorStats
 from repro.core.signalling import SignallingPolicy, create_policy
 from repro.core.write_tracking import WriteTracker, incremental_enabled
-from repro.predicates.classify import ClassificationError
 from repro.predicates.evaluator import (
     _EMPTY_LOCALS,
     EvaluationError,
@@ -110,15 +109,24 @@ def _wrap_entry(func: Callable) -> Callable:
     return wrapper
 
 
-#: Stores monitor bookkeeping (the ``_owner_id`` written on every entry, exit
-#: and park) without running a subclass's ``__setattr__``: ownership is not a
-#: shared variable, so :class:`AutoSynchMonitor`'s write-tracking hook has
-#: nothing to record for it.
+#: Stores framework state without running a subclass's ``__setattr__``: each
+#: slot's one write in the constructors, and the ``_owner_id`` of every entry,
+#: exit and park.  None of it is a shared variable, so
+#: :class:`AutoSynchMonitor`'s write-tracking hook has nothing to record.
 _raw_setattr = object.__setattr__
 
 
 class MonitorBase:
-    """Common machinery: the monitor lock, entry-method wrapping and stats."""
+    """Common machinery: the monitor lock, entry-method wrapping and stats.
+
+    Framework state lives in ``__slots__``, never in the instance
+    ``__dict__``: ``vars(monitor)`` holds the user's fields and nothing else.
+    """
+
+    __slots__ = (
+        "_backend", "_stats", "_tracer", "_mutex", "_owner_id",
+        "__dict__", "__weakref__",
+    )
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -141,11 +149,12 @@ class MonitorBase:
         backend: Optional[Backend] = None,
         tracer: Optional[object] = None,
     ) -> None:
-        self._backend = backend if backend is not None else ThreadingBackend()
-        self._stats = MonitorStats()
-        self._tracer = tracer
-        self._mutex = self._backend.create_lock()
-        self._owner_id: Optional[object] = None
+        backend = backend if backend is not None else ThreadingBackend()
+        _raw_setattr(self, "_backend", backend)
+        _raw_setattr(self, "_stats", MonitorStats())
+        _raw_setattr(self, "_tracer", tracer)
+        _raw_setattr(self, "_mutex", backend.create_lock())
+        _raw_setattr(self, "_owner_id", None)
 
     # -- public introspection ------------------------------------------------
 
@@ -260,17 +269,17 @@ class AutoSynchMonitor(MonitorBase):
     :attr:`stats` counts events only (entries, waits, evaluations, relay
     passes, tag operations, ...); the paper's Table 1 CPU-usage breakdown
     is modelled from those counters (:mod:`repro.harness.profiling`).
+
+    Framework state lives in ``__slots__``, so ``vars(monitor)`` is exactly
+    the user's fields: public ones are shared variables, and a leading
+    underscore marks the user's private state, which bare predicate names do
+    not resolve to and write tracking ignores.
     """
 
-    #: The monitor's write tracker (None when incremental relay is off or
-    #: write tracking is unsupported for this class).  A class-level default
-    #: so ``__setattr__`` works during ``__init__`` itself.
-    _write_tracker: Optional[WriteTracker] = None
-
-    #: Fault-injection hook (a :class:`repro.faults.FaultInjector`), consulted
-    #: before every compiled predicate evaluation.  Class-level default so
-    #: monitors without fault injection pay one attribute read, nothing more.
-    _fault_hook: Optional[object] = None
+    __slots__ = (
+        "_validate", "_wait_timeout", "_inactive_capacity", "_predicate_cache",
+        "_write_tracker", "_fault_hook", "_policy", "_cond_mgr",
+    )
 
     def __init__(
         self,
@@ -282,27 +291,32 @@ class AutoSynchMonitor(MonitorBase):
         wait_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(backend, tracer)
-        self._validate = validate
-        #: Default timeout applied to every ``wait_until`` that does not pass
-        #: its own (None: wait forever).  Measured in the backend's time
-        #: units — seconds on real threads, scheduling steps under simulation.
-        self._wait_timeout = wait_timeout
-        self._inactive_capacity = inactive_capacity
-        self._predicate_cache: Dict[Tuple[str, frozenset], CompiledPredicate] = {}
-        self._shared_name_cache: Optional[frozenset] = None
-        if incremental_enabled() and self._write_tracking_supported():
-            self._write_tracker = WriteTracker()
+        _raw_setattr(self, "_validate", validate)
+        # Default timeout applied to every ``wait_until`` that does not pass
+        # its own (None: wait forever).  Measured in the backend's time
+        # units — seconds on real threads, scheduling steps under simulation.
+        _raw_setattr(self, "_wait_timeout", wait_timeout)
+        _raw_setattr(self, "_inactive_capacity", inactive_capacity)
+        _raw_setattr(self, "_predicate_cache", {})
+        # The write tracker: None when incremental relay is off or write
+        # tracking is unsupported for this class.
+        tracking = incremental_enabled() and self._write_tracking_supported()
+        _raw_setattr(self, "_write_tracker", WriteTracker() if tracking else None)
+        # Fault-injection hook (a :class:`repro.faults.FaultInjector`),
+        # consulted before every compiled predicate evaluation.
+        _raw_setattr(self, "_fault_hook", None)
         if isinstance(signalling, str):
             try:
-                self._policy = create_policy(signalling)
+                policy = create_policy(signalling)
             except ValueError as error:
                 raise ValueError(f"unknown signalling mode: {error}") from None
         else:
             # Class/instance specs: construction errors (e.g. a bad
             # batch_limit) are the policy's own and must surface verbatim.
-            self._policy = create_policy(signalling)
-        self._policy.bind(self)
-        self._cond_mgr: Optional[ConditionManager] = self._policy.condition_manager
+            policy = create_policy(signalling)
+        _raw_setattr(self, "_policy", policy)
+        policy.bind(self)
+        _raw_setattr(self, "_cond_mgr", policy.condition_manager)
 
     # -- write tracking ---------------------------------------------------------
 
@@ -312,10 +326,13 @@ class AutoSynchMonitor(MonitorBase):
         # not come through here — which is why the condition manager only
         # trusts the version vector for scalar-valued (or declared-tracked)
         # reads.  The tracker is read first, so writes on untracked monitors
-        # (and those made during construction, before the tracker exists)
-        # skip the name test.
+        # skip the name test; before ``super().__init__()`` its slot is unset,
+        # the write goes untracked and ``_run_entry`` reports the missing call.
         object.__setattr__(self, name, value)
-        tracker = self._write_tracker
+        try:
+            tracker = self._write_tracker
+        except AttributeError:
+            return
         if tracker is not None and not name.startswith("_"):
             tracker.bump(name)
             self._stats.tracked_writes += 1
@@ -537,33 +554,14 @@ class AutoSynchMonitor(MonitorBase):
 
     # -- predicate compilation ---------------------------------------------------
 
-    def _shared_names(self) -> frozenset:
-        """The monitor's public field names, memoized per instance."""
-        if self._shared_name_cache is None:
-            self._shared_name_cache = frozenset(
-                name for name in vars(self) if not name.startswith("_")
-            )
-        return self._shared_name_cache
-
     def _compiled(
         self, source: str, local_values: Mapping[str, object]
     ) -> CompiledPredicate:
         key = (source, frozenset(local_values))
         compiled = self._predicate_cache.get(key)
         if compiled is None:
-            try:
-                compiled = compile_predicate(
-                    source, self._shared_names(), set(local_values)
-                )
-            except ClassificationError:
-                # A field assigned after the shared-name set was computed
-                # (e.g. lazily, in a later entry method) would misclassify as
-                # unknown: invalidate the memoized set and retry against the
-                # monitor's current fields before giving up.
-                self._shared_name_cache = None
-                compiled = compile_predicate(
-                    source, self._shared_names(), set(local_values)
-                )
+            shared = [name for name in vars(self) if not name.startswith("_")]
+            compiled = compile_predicate(source, shared, set(local_values))
             self._predicate_cache[key] = compiled
         return compiled
 
@@ -576,6 +574,8 @@ class ExplicitMonitor(MonitorBase):
     methods — exactly the discipline required by ``java.util.concurrent``,
     including the burden of choosing the right condition to signal.
     """
+
+    __slots__ = ()
 
     def new_condition(self, name: Optional[str] = None) -> ConditionAPI:
         """Create a condition variable tied to the monitor lock."""

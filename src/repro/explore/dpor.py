@@ -11,7 +11,7 @@ same replayable prefixes).
 Two reductions compose:
 
 1. **Configuration merging.**  Two exploration nodes with equal *abstract
-   configurations* — the monitor's public variables (optionally projected by
+   configurations* — the monitor's fields (optionally projected by
    :meth:`Problem.state_projection`), every kernel thread's scheduling state
    plus a per-thread progress fingerprint, and all lock/condition queues —
    root isomorphic schedule subtrees, because every simulated thread is a
@@ -166,7 +166,7 @@ class _ConfigProbe:
     At every decision from ``start`` below the branching horizon (decision
     ``max_depth + 1``, unbounded without a depth bound) — right after the
     oracles checked that state — builds the abstract configuration
-    ``((public monitor var names, their projected values), per-thread
+    ``((monitor field names, their projected values), per-thread
     (tid, state, block_reason, fingerprint), locks, conds)``, then its
     canonical key; without symmetry classes the configuration is its own
     key and ``keys`` is ``configs``.
@@ -217,14 +217,14 @@ class _ConfigProbe:
         self._start = start
         self._stop_from = stop_from
         self._horizon = max_depth + 1 if max_depth is not None else math.inf
-        #: The monitor's attribute names when ``_names`` was last derived,
-        #: and its public names in sorted order.
+        #: The monitor's field names when ``_names`` was last derived, and
+        #: the same names in sorted order.
         self._layout: Optional[tuple] = None
         self._names: Tuple[str, ...] = ()
         self._fps: Dict[int, int] = defaultdict(int)
         if fingerprints:
             self._fps.update(fingerprints)
-        #: (public names, full abstract values, locks, chosen tid) of the
+        #: (field names, full abstract values, locks, chosen tid) of the
         #: previous decision: what advancing the chosen thread's fingerprint
         #: across its slice compares against.
         self._previous: Optional[tuple] = None
@@ -239,9 +239,7 @@ class _ConfigProbe:
         layout = tuple(values)
         if layout != self._layout:
             self._layout = layout
-            self._names = tuple(
-                sorted(name for name in layout if not name.startswith("_"))
-            )
+            self._names = tuple(sorted(layout))
         names = self._names
         project = self._project
         # One pass: each value is read and abstracted once, and projected

@@ -181,7 +181,7 @@ class Problem(abc.ABC):
         """Optional abstraction of monitor state for DPOR config merging.
 
         The DPOR explorer merges two exploration nodes when their *abstract
-        configurations* — monitor public variables plus kernel thread/lock
+        configurations* — the monitor's fields plus kernel thread/lock
         state — coincide, on the argument that equal configurations have
         isomorphic schedule subtrees.  That argument needs every variable's
         abstraction to preserve the monitor's control flow and the problem's

@@ -540,6 +540,34 @@ class TestFingerprint:
         assert probe.keys[0] != probe.keys[1]
 
 
+class TestConfigurationFields:
+    def test_private_user_fields_are_part_of_the_configuration(self):
+        """The configuration is every field in ``vars(monitor)``: user
+        state under a private name may steer the monitor's future too, so
+        dropping it could merge configurations that differ."""
+
+        class Stash(AutoSynchMonitor):
+            def __init__(self, hidden, **kwargs):
+                super().__init__(**kwargs)
+                self.count = 0
+                self._hidden = hidden
+
+        class OneThread:
+            def sync_state(self):
+                return ((0, "running", None),), ((0, None, ()),), ()
+
+        configs = []
+        for hidden in (1, 2):
+            monitor = Stash(hidden, backend=SimulationBackend(seed=0))
+            probe = _ConfigProbe(OneThread(), monitor, project=None, sym=(), seen=set())
+            probe.observe(SchedulePoint(step=0, runnable=(0,), chosen=0, reason="start"))
+            configs.append(probe.configs[0])
+        first, second = configs
+        assert first[0] == (("_hidden", "count"), (1, 0))
+        assert second[0] == (("_hidden", "count"), (2, 0))
+        assert first != second
+
+
 class TestUnmergedDecisions:
     def test_starvation_oracle_before_the_probe_branches_unreduced(self):
         """When an oracle fires at a decision, the probe never sees that

@@ -11,7 +11,10 @@ from repro.core import (
     MonitorUsageError,
     query_method,
 )
+from repro.preprocessor import autosynch, waituntil
+from repro.problems import available_problems, get_problem
 from repro.runtime import SimulationBackend, ThreadingBackend
+from repro.scenarios import ScenarioProblem
 
 
 class Cell(AutoSynchMonitor):
@@ -281,3 +284,62 @@ class TestExplicitMonitor:
             ["consumer", "producer"],
         )
         assert results == [99]
+
+
+@autosynch
+class Turnstile:
+    """Written in the preprocessor's surface syntax."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.inside = 0
+
+    def enter(self):
+        waituntil(self.inside < self.limit)
+        self.inside += 1
+
+
+#: The private fields the built-in problems' own monitor classes assign.
+USER_PRIVATE_FIELDS = {("readers_writers", "explicit"): {"_turn_conditions"}}
+
+
+class TestFrameworkState:
+    """Framework state lives in slots: ``vars(monitor)`` is the user's fields."""
+
+    @pytest.mark.parametrize("cls", [AutoSynchMonitor, ExplicitMonitor])
+    def test_bare_monitor_has_no_fields(self, cls):
+        assert vars(cls(backend=SimulationBackend(seed=1))) == {}
+
+    @pytest.mark.parametrize(
+        "name, mechanism",
+        [
+            (name, mechanism)
+            for name in available_problems()
+            for mechanism in ("explicit", "autosynch")
+            if mechanism in get_problem(name).mechanisms
+        ],
+    )
+    def test_builtin_problem_monitors_hold_only_user_fields(self, name, mechanism):
+        problem = get_problem(name)
+        built = problem.build(mechanism, SimulationBackend(seed=1), threads=2, total_ops=4)
+        fields = set(vars(built.monitor))
+        private = {field for field in fields if field.startswith("_")}
+        assert fields - private
+        assert private == USER_PRIVATE_FIELDS.get((name, mechanism), set())
+        if isinstance(problem, ScenarioProblem):
+            assert fields == set(problem.spec.state_names())
+
+    def test_preprocessed_monitor_holds_only_user_fields(self):
+        gate = Turnstile(2)
+        gate.enter()
+        assert vars(gate) == {"limit": 2, "inside": 1}
+
+    def test_user_private_fields_stay_in_the_dict(self):
+        class Tally(AutoSynchMonitor):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.total = 0
+                self._seen = []
+
+        assert vars(Tally()) == {"total": 0, "_seen": []}
+

@@ -225,6 +225,15 @@ class TestMonitorIntegration:
         assert "_owner_id" not in names
         assert names.count("value") == reader.stats.tracked_writes - constructed == 1
 
+        # Framework state is written without the hook as well: building a
+        # monitor and one park/wake cycle make hook calls for the user's
+        # fields only.
+        names.clear()
+        buffer = Buffer(backend=backend)
+        backend.run([buffer.take, buffer.put])
+        assert buffer.stats.waits == 1
+        assert names == ["count", "capacity", "count", "count"]
+
     def test_autosynch_t_policy_opts_out(self):
         cell = Cell(backend=SimulationBackend(seed=1), signalling="autosynch_t")
         assert cell.condition_manager.incremental is False
