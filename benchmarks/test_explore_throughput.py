@@ -11,8 +11,9 @@ fuzz-generated pipeline scenario under three cost models:
 * **prefix-shared** — the real :func:`explore_dfs` path: shared runtime plus
   verified-depth replay, so a child run costs O(suffix) in oracle work.
 
-Timing is best-of-:data:`ROUNDS` wall clock per leg: this box's scheduler
-noise swamps means, minima are stable.  Results land in
+Timing is best-of-:data:`ROUNDS` wall clock per leg, the legs interleaved
+round by round so a burst of outside load hits all of them alike: this
+box's scheduler noise swamps means, minima are stable.  Results land in
 ``BENCH_explore_throughput.json`` at the repository root (CI uploads it as
 an artifact).  The hard gates:
 
@@ -23,8 +24,9 @@ an artifact).  The hard gates:
 * prefix-shared must beat the cold cost model by
   :data:`REQUIRED_COLD_SPEEDUP` on every config — the machine-relative
   floor.  The cold mirror understates PR 9's true cost (it still enjoys
-  this PR's kernel wins: carrier-thread pooling, raw-lock gate handoffs),
-  which is why its required ratio is lower than the PR 9 one; and
+  the later kernel wins: the simulated threads are coroutines stepped on
+  one OS thread, so no run spawns or hands off between OS threads), which
+  is why its required ratio is lower than the pinned baseline's; and
 * every leg must visit the same schedule count and reach ``complete`` —
   throughput work may never change what the search proves.
 """
@@ -130,8 +132,6 @@ def _mirror_dfs(task: ExploreTask, shared_runtime: bool) -> int:
             clear_predicate_memo()
             cold_runtime = TaskRuntime(task)
             outcome = run_prefix(task, prefix, runtime=cold_runtime)
-            # Retire the throwaway backend's carriers now — thousands of
-            # 10s-idle OS threads would otherwise slow the later legs.
             cold_runtime.close()
         visited += 1
         choices = outcome.trace.choices()
@@ -143,15 +143,6 @@ def _mirror_dfs(task: ExploreTask, shared_runtime: bool) -> int:
     return visited
 
 
-def _best_of(fn) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _measure_config(task: ExploreTask, label: str) -> dict:
     clear_runtime_cache()
     clear_predicate_memo()
@@ -159,31 +150,34 @@ def _measure_config(task: ExploreTask, label: str) -> dict:
     assert reference.complete
     schedules = reference.schedules_visited
 
-    legs = {}
-
-    def leg(name, fn, visited_fn):
-        count = visited_fn()
+    runs = {
+        "cold": lambda: _mirror_dfs(task, shared_runtime=False),
+        "cached_build": lambda: _mirror_dfs(task, shared_runtime=True),
+        "prefix_shared": lambda: explore_dfs(task).schedules_visited,
+    }
+    for name, run in runs.items():
+        count = run()
         assert count == schedules, (
             f"{label}/{name}: visited {count} schedules, reference {schedules}"
         )
-        seconds = _best_of(fn)
-        legs[name] = {
-            "best_seconds": round(seconds, 5),
-            "sched_per_sec": round(schedules / seconds, 1),
-        }
-
-    leg("cold",
-        lambda: _mirror_dfs(task, shared_runtime=False),
-        lambda: _mirror_dfs(task, shared_runtime=False))
-    leg("cached_build",
-        lambda: _mirror_dfs(task, shared_runtime=True),
-        lambda: _mirror_dfs(task, shared_runtime=True))
     # Warm the process-wide cache once so prefix-shared rounds measure the
     # steady state every frontier probe actually sees.
     task_runtime(task)
-    leg("prefix_shared",
-        lambda: explore_dfs(task),
-        lambda: explore_dfs(task).schedules_visited)
+    # Round by round, one timing of each leg: a burst of load from other
+    # processes lands on all three legs alike instead of on one of them.
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(ROUNDS):
+        for name, run in runs.items():
+            t0 = time.perf_counter()
+            run()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    legs = {
+        name: {
+            "best_seconds": round(seconds, 5),
+            "sched_per_sec": round(schedules / seconds, 1),
+        }
+        for name, seconds in best.items()
+    }
 
     speedup = legs["prefix_shared"]["sched_per_sec"] / legs["cold"]["sched_per_sec"]
     return {

@@ -7,10 +7,13 @@ exact entry protocol with ``await``-able primitives:
 
 * :func:`monitor_entry` — async context manager mirroring
   ``MonitorBase._enter`` / ``_leave`` (stats, owner bookkeeping, traces,
-  and the policy's ``on_monitor_exit`` relay on the way out);
+  and the policy's ``on_monitor_exit`` relay on the way out), with
+  :func:`enter_async` as its entry half;
 * :func:`wait_until_async` — ``AutoSynchMonitor.wait_until`` driven over
   the signalling policy's :meth:`~repro.core.signalling.SignallingPolicy.
   wait_steps` generator, awaiting ``condition.wait_async`` at each park;
+* :func:`wait_on_async` — ``ExplicitMonitor.wait_on``, awaiting the
+  condition instead of blocking on it;
 * :func:`run_action` — one compiled scenario action (binds → pre → guard
   → effects), the coroutine twin of the generated entry methods.
 
@@ -18,8 +21,11 @@ Because the wait loop itself lives in ``wait_steps`` — shared verbatim with
 the blocking ``on_wait`` driver — relay ordering, spurious-wakeup handling,
 timeout deadlines and validate-mode checks cannot diverge between sync and
 coroutine waiters.  Requires a backend whose primitives expose
-``acquire_async`` / ``wait_async`` (the asyncio backend); anything else
-fails fast with :class:`~repro.core.errors.MonitorUsageError`.
+``acquire_async`` / ``wait_async`` (the asyncio backend, and the simulation
+kernel for coroutine-hosted threads); anything else fails fast with
+:class:`~repro.core.errors.MonitorUsageError`.  The coroutine twins the
+simulation kernel steps (:mod:`repro.preprocessor.twins`) are built on
+these drivers.
 """
 
 from __future__ import annotations
@@ -29,8 +35,15 @@ from typing import Optional
 from repro.core.errors import MonitorUsageError
 from repro.core.monitor import _raw_setattr
 from repro.predicates.evaluator import evaluate
+from repro.runtime.api import COMPLETED
 
-__all__ = ["monitor_entry", "wait_until_async", "run_action"]
+__all__ = [
+    "enter_async",
+    "monitor_entry",
+    "wait_until_async",
+    "wait_on_async",
+    "run_action",
+]
 
 
 def _require_async_backend(monitor, primitive: object, operation: str) -> None:
@@ -40,6 +53,31 @@ def _require_async_backend(monitor, primitive: object, operation: str) -> None:
             f"waiters (its primitives have no {operation!r}); run coroutine "
             "workloads on the 'asyncio' backend"
         )
+
+
+def enter_async(monitor, method_name: str = "coroutine-entry"):
+    """The awaitable twin of ``MonitorBase._enter``: acquire the monitor
+    mutex with ``await`` and take ownership for the current task; leave
+    with the synchronous ``monitor._leave`` (which never blocks).  Already
+    complete when the mutex was free."""
+    mutex = monitor._mutex
+    _require_async_backend(monitor, mutex, "acquire_async")
+    monitor.stats.entries += 1
+    acquire = mutex.acquire_async()
+    if acquire is COMPLETED:
+        _entered(monitor, method_name)
+        return COMPLETED
+    return _enter_contended(monitor, method_name, acquire)
+
+
+async def _enter_contended(monitor, method_name: str, acquire) -> None:
+    await acquire
+    _entered(monitor, method_name)
+
+
+def _entered(monitor, method_name: str) -> None:
+    _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
+    monitor._trace("enter", detail=method_name)
 
 
 class monitor_entry:
@@ -56,23 +94,11 @@ class monitor_entry:
         self._method_name = method_name
 
     async def __aenter__(self):
-        monitor = self._monitor
-        mutex = monitor._mutex
-        _require_async_backend(monitor, mutex, "acquire_async")
-        monitor.stats.entries += 1
-        await mutex.acquire_async()
-        _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
-        monitor._trace("enter", detail=self._method_name)
-        return monitor
+        await enter_async(self._monitor, self._method_name)
+        return self._monitor
 
     async def __aexit__(self, *exc_info: object) -> bool:
-        monitor = self._monitor
-        try:
-            monitor._before_release()
-        finally:
-            monitor._trace("exit", detail=self._method_name)
-            _raw_setattr(monitor, "_owner_id", None)
-            monitor._mutex.release()
+        self._monitor._leave(self._method_name)
         return False
 
 
@@ -86,26 +112,31 @@ async def _park(monitor, condition, remaining: Optional[float]) -> bool:
         _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
 
 
-async def wait_until_async(
+def wait_until_async(
     monitor, predicate: str, timeout: Optional[float] = None, **local_values: object
-) -> None:
+):
     """``monitor.wait_until(...)`` for a coroutine holding the monitor.
 
     Must be called inside :func:`monitor_entry` (the monitor lock held by
     the current task).  Semantics — globalization, relay-before-wait,
     spurious wakeups, ``WaitTimeout`` in the backend's time units — are the
     signalling policy's own ``wait_steps`` generator, so they are identical
-    to the blocking path by construction.
+    to the blocking path by construction.  Already complete when the
+    predicate holds at once.
     """
     monitor._require_monitor_held("wait_until")
     compiled = monitor._compiled(predicate, local_values)
     if monitor._predicate_holds(compiled, local_values):
-        return
+        return COMPLETED
     if timeout is None:
         timeout = monitor._wait_timeout
-    steps = monitor.signalling_policy.wait_steps(
-        compiled, local_values, timeout=timeout
+    return _wait(
+        monitor, monitor.signalling_policy.wait_steps(compiled, local_values, timeout=timeout)
     )
+
+
+async def _wait(monitor, steps) -> None:
+    """Drive a policy's ``wait_steps`` generator, awaiting each park."""
     try:
         try:
             condition, remaining = next(steps)
@@ -119,6 +150,23 @@ async def wait_until_async(
                 return
     finally:
         steps.close()
+
+
+async def wait_on_async(monitor, condition) -> None:
+    """``monitor.wait_on(condition)`` for a coroutine holding an explicit
+    monitor: the same stats and traces, awaiting the condition."""
+    monitor._require_monitor_held("wait_on")
+    monitor.stats.waits += 1
+    label = monitor._condition_label(condition)
+    monitor._trace("wait", predicate=label)
+    _require_async_backend(monitor, condition, "wait_async")
+    _raw_setattr(monitor, "_owner_id", None)
+    try:
+        await condition.wait_async()
+    finally:
+        _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
+    monitor.stats.wakeups += 1
+    monitor._trace("wakeup", predicate=label)
 
 
 async def run_action(monitor, action: str, **local_values: object) -> None:
@@ -146,7 +194,8 @@ async def run_action(monitor, action: str, **local_values: object) -> None:
         raise MonitorUsageError(
             "run_action may not be nested inside a monitor entry"
         )
-    async with monitor_entry(monitor, action):
+    await enter_async(monitor, action)
+    try:
         for name, expr in runtime.binds:
             local_values[name] = evaluate(expr, monitor, local_values)
         for assignment in runtime.pre:
@@ -155,3 +204,5 @@ async def run_action(monitor, action: str, **local_values: object) -> None:
             await wait_until_async(monitor, runtime.guard, **local_values)
         for assignment in runtime.effect:
             assignment.apply(monitor, local_values)
+    finally:
+        monitor._leave(action)

@@ -36,7 +36,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import MonitorError, RelayInvarianceError, WaitTimeout
-from repro.core.monitor import MonitorBase
+from repro.core.monitor import AutoSynchMonitor, MonitorBase
 from repro.harness.execution import FrozenMapping, create_executor
 from repro.problems import get_problem
 from repro.runtime.simulation import (
@@ -418,8 +418,7 @@ class TaskRuntime:
 
     Exploring a task runs the same configuration thousands of times; the
     resolved problem, the parsed fault plan and — most importantly — a
-    recyclable :class:`SimulationBackend` with its warm carrier-thread pool
-    are identical across those runs.  A ``TaskRuntime`` holds them so a run
+    recyclable :class:`SimulationBackend` are identical across those runs.  A ``TaskRuntime`` holds them so a run
     only pays backend reset + workload execution instead of a cold build.
 
     Normally obtained through the process-wide seed-normalized cache
@@ -475,11 +474,12 @@ class TaskRuntime:
         self._backend = backend
 
     def close(self) -> None:
-        """Retire the parked backend's carrier threads immediately.
+        """Shut the parked backend down.
 
-        Without this a discarded runtime's carriers linger for the kernel's
-        idle timeout; a workload that churns through runtimes (cache
-        eviction, cold benchmark legs) would pile up idle OS threads.
+        Built-in workloads run as coroutines and leave nothing to release;
+        a task whose bodies ran in the kernel's thread adapter leaves pooled
+        carrier threads, which would otherwise linger for the kernel's idle
+        timeout.
         """
         backend, self._backend = self._backend, None
         if backend is not None:
@@ -524,7 +524,7 @@ def task_runtime(task: ExploreTask) -> TaskRuntime:
 
 def clear_runtime_cache() -> None:
     """Drop every cached :class:`TaskRuntime` (benchmarking/test hook),
-    retiring their carrier threads."""
+    closing each."""
     while _RUNTIME_CACHE:
         _RUNTIME_CACHE.popitem()[1].close()
 
@@ -532,10 +532,10 @@ def clear_runtime_cache() -> None:
 def _forget_runtimes_after_fork() -> None:
     """Empty the runtime cache in a forked child.
 
-    The cached backends dispatch to carrier threads that exist only in the
-    parent; a child dispatching to them would wait forever.  The entries are
-    dropped, not closed: retiring a carrier signals a thread the child does
-    not have.
+    A cached backend's thread adapter may pool carrier threads that exist
+    only in the parent; a child dispatching to them would wait forever.  The
+    entries are dropped, not closed: retiring a carrier signals a thread the
+    child does not have.
     """
     _RUNTIME_CACHE.clear()
 
@@ -595,7 +595,10 @@ def run_schedule(
         validate=task.validate,
         **runtime.params,
     )
-    if task.wait_timeout is not None:
+    if task.wait_timeout is not None and isinstance(spec.monitor, AutoSynchMonitor):
+        # Only the automatic monitor has (and reads) the slot; on any other
+        # monitor the write would land in vars(monitor), among the user's
+        # fields and in every DPOR configuration key.
         spec.monitor._wait_timeout = task.wait_timeout
     injector = runtime.build_injector()
     if injector is not None:
@@ -643,7 +646,7 @@ def run_schedule(
     t_built = perf_counter()
     status, kind, message = "ok", "ok", ""
     try:
-        backend.run(spec.targets, spec.names)
+        backend.run(spec.targets_for(backend), spec.names)
         spec.verify()
     except StopRun as exc:
         message = str(exc)

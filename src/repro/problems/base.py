@@ -22,7 +22,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import AUTOMATIC_MODES, MonitorBase
 from repro.core.signalling import available_policies
+from repro.preprocessor.twins import coroutine_twin
 from repro.runtime.api import Backend
+from repro.runtime.simulation import SimulationBackend
 
 __all__ = [
     "EXPLICIT_MECHANISM",
@@ -100,6 +102,18 @@ class WorkloadSpec:
     #: Total number of monitor operations the workload performs (approximate,
     #: used to normalize per-operation costs in reports).
     operations: int = 0
+
+    def targets_for(self, backend: Backend) -> List[Callable[[], object]]:
+        """The thread bodies to run on *backend*.
+
+        The simulation kernel gets each body's generated coroutine twin
+        (see :mod:`repro.preprocessor.twins`), which it steps on one OS
+        thread; a body without a twin, and every other backend, gets the
+        body itself.  Both forms make the same decisions and counts.
+        """
+        if not isinstance(backend, SimulationBackend):
+            return self.targets
+        return [coroutine_twin(target) or target for target in self.targets]
 
 
 class Problem(abc.ABC):

@@ -1,12 +1,13 @@
 """Deterministic cooperative simulation backend.
 
-The simulator runs each simulated thread on a real Python thread but allows
-exactly one of them to execute at a time; control is handed from thread to
-thread only at synchronization points (lock acquisition, condition wait,
-thread exit, explicit yields).  Scheduling decisions are made by a seeded
-policy, so a whole experiment is reproducible bit-for-bit, and the kernel
-counts every hand-off, giving exact context-switch counts that do not depend
-on the GIL or on OS scheduling noise.
+The simulator steps its simulated threads one at a time on the calling OS
+thread — coroutine targets as coroutines, plain callables through a thread
+adapter — and hands control from thread to thread only at synchronization
+points (contended lock acquisition, condition wait, thread exit, explicit
+yields).  Scheduling decisions are made by a seeded policy, so a whole
+experiment is reproducible bit-for-bit, and the kernel counts every
+hand-off, giving exact context-switch counts that do not depend on the GIL
+or on OS scheduling noise.
 
 This is the substrate used to reproduce the *shape* of the paper's
 evaluation: the quantities the paper's argument rests on (context switches

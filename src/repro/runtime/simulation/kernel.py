@@ -1,10 +1,28 @@
 """The simulation kernel: a deterministic cooperative scheduler.
 
-Every simulated thread is carried by a real Python thread, but the kernel
-allows exactly one of them to execute at any moment.  Control is transferred
-only at synchronization points — contended lock acquisition, condition wait,
-thread exit, or an explicit yield — and the next thread to run is chosen by a
-seeded scheduling policy, so runs are fully reproducible.
+Simulated threads take turns on the OS thread that called
+:meth:`SimulationBackend.run`.  The kernel's *stepper* resumes one simulated
+thread at a time and lets it run until it asks for a scheduling decision —
+at a contended lock acquisition, a condition wait, an explicit yield, or its
+exit — then makes the decision with a seeded scheduling policy and resumes
+the thread it chose.  Runs are therefore fully reproducible.
+
+A simulated thread is hosted one of two ways; both speak the same request
+protocol, so the stepper makes every decision either way:
+
+* **Coroutine-hosted** — a target that is a coroutine function (``async
+  def``) runs as a coroutine on the stepper's own OS thread.  Its blocking
+  primitives (:meth:`SimLock.acquire_async`, :meth:`SimCondition.wait_async`,
+  :meth:`SimulationBackend.yield_async`) ``await`` a decision request, which
+  suspends the coroutine back into the stepper; a switch is a generator
+  ``send``, not an OS context switch.  The built-in workloads reach the
+  kernel this way through coroutine twins generated from their synchronous
+  source (:mod:`repro.preprocessor.twins`).
+* **Adapter-hosted** — any other callable (tests, user code, anything without
+  source) runs in the thread adapter: a pooled carrier OS thread that posts
+  its decision requests to the stepper and parks until the stepper resumes
+  it.  Its primitives are the ordinary blocking ``acquire``/``wait``/
+  :meth:`SimulationBackend.yield_control`.
 
 The kernel also owns the run-wide metrics: every hand-off of control is one
 context switch, every condition wait and notification is counted, which gives
@@ -14,11 +32,13 @@ the exact quantities the paper's evaluation reasons about.
 from __future__ import annotations
 
 import enum
+import inspect
 import threading
-from collections import deque
+import types
+from time import monotonic
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runtime.api import Backend, BackendMetrics, ThreadHandle
+from repro.runtime.api import COMPLETED, Backend, BackendMetrics, ThreadHandle
 from repro.runtime.simulation.schedulers import (
     SchedulePoint,
     Scheduler,
@@ -51,6 +71,10 @@ RECOVERY_ATTEMPT_LIMIT = 32
 #: How many trailing schedule decisions a hang autopsy reports.
 HANG_AUTOPSY_DECISIONS = 10
 
+#: Seconds a hung run waits for its adapter-hosted threads to unwind before
+#: the backend gives up on them (and is marked tainted).
+HANG_DRAIN_GRACE = 5.0
+
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation backend."""
@@ -68,10 +92,10 @@ class SimulationLimitError(SimulationError):
 class SimulationHangError(SimulationError):
     """Raised when the wall-clock ``run_timeout`` fires: the simulation made
     no progress, but unlike a detected deadlock the kernel cannot say why
-    (typically a simulated thread blocked on something outside the kernel's
-    control).  The message carries a full autopsy — parked threads, their
-    block reasons, the hang inspector's predicate report and the last few
-    schedule decisions — instead of a bare "did not finish"."""
+    (typically an adapter-hosted thread blocked on something outside the
+    kernel's control).  The message carries a full autopsy — parked threads,
+    their block reasons, the hang inspector's predicate report and the last
+    few schedule decisions — instead of a bare "did not finish"."""
 
 
 class MonitorAbandonedError(SimulationError):
@@ -89,7 +113,7 @@ class _SimulationAbort(BaseException):
 
 class _InjectedDeath(BaseException):
     """Raised inside a doomed simulated thread (the ``thread_crash`` fault)
-    at its next kernel primitive.  The carrier treats it as a silent thread
+    at its next kernel primitive.  The kernel treats it as a silent thread
     exit — no failure is recorded; whatever the sudden death breaks (an
     abandoned lock, an unfinished workload) must surface on its own."""
 
@@ -102,10 +126,73 @@ class _State(enum.Enum):
     FINISHED = "finished"
 
 
+@types.coroutine
+def _decide(reason: str):
+    """Suspend the calling coroutine-hosted thread into the stepper with a
+    decision request; returns once the stepper resumes the thread.
+
+    *reason* is why control is up for grabs (the thread's block reason, or
+    ``"yield"``); it flows into the recorded decision point.  An adapter-
+    hosted thread posts the same request through :meth:`_ThreadAdapter.
+    decide`.
+    """
+    yield reason
+
+
+#: Returned by :meth:`_ThreadAdapter.wait_report` when the adapter-hosted
+#: thread did not report before the wall-clock deadline.
+_HUNG = object()
+
+
+class _SimThread:
+    """Book-keeping for one simulated thread."""
+
+    __slots__ = (
+        "tid",
+        "name",
+        "target",
+        "state",
+        "block_reason",
+        "timed_out",
+        "adapted",
+        "coro",
+        "go",
+    )
+
+    def __init__(self, tid: int, name: str, target: Callable[[], object]) -> None:
+        self.tid = tid
+        self.name = name
+        self.target = target
+        self.state = _State.CREATED
+        self.block_reason: Optional[str] = None
+        #: Set by the kernel when a timed condition wait expired; consumed
+        #: by the wait primitive on resumption.
+        self.timed_out = False
+        #: Whether the thread adapter carries this thread (a plain
+        #: callable) rather than the stepper stepping it as a coroutine.
+        code = getattr(target, "__code__", None)
+        self.adapted = not (
+            code.co_flags & inspect.CO_COROUTINE
+            if code is not None
+            else inspect.iscoroutinefunction(target)
+        )
+        #: The coroutine object, created when the stepper first resumes a
+        #: coroutine-hosted thread.
+        self.coro = None
+        #: The adapter's resume gate (adapter-hosted threads only, set when
+        #: a carrier is dispatched).
+        self.go: Optional[_Gate] = None
+
+
+# ----------------------------------------------------------------------
+# The thread adapter: plain callables on pooled carrier OS threads
+# ----------------------------------------------------------------------
+
+
 class _Gate:
     """One-token handoff gate: a binary semaphore over a raw lock.
 
-    Cheaper than :class:`threading.Event` for the kernel's one-producer,
+    Cheaper than :class:`threading.Event` for the adapter's one-producer,
     one-consumer control handoffs (an Event pays an internal Condition
     round-trip per set/wait cycle; a raw lock is a single futex operation).
     ``set`` deposits a wake token — duplicate sets merge, exactly like
@@ -132,41 +219,10 @@ class _Gate:
         return self._lock.acquire(timeout=timeout)
 
 
-class _Latch:
-    """One-shot sticky flag over a raw lock: a cheaper ``threading.Event``.
-
-    ``set`` opens the latch permanently (duplicates merge); ``wait``
-    re-deposits the token after consuming it, so any number of sequential
-    or concurrent waiters pass once it is open.  Used for run/thread
-    completion flags, which are set once and never cleared — unlike
-    :class:`_Gate`, whose token is consumed per handoff.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._lock.acquire()
-
-    def set(self) -> None:
-        try:
-            self._lock.release()
-        except RuntimeError:
-            pass  # already open
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        if timeout is None:
-            self._lock.acquire()
-        elif not self._lock.acquire(timeout=timeout):
-            return False
-        self._lock.release()  # stay open for the next waiter
-        return True
-
-
 #: How long a parked carrier waits for its next job before retiring its OS
-#: thread.  Exploration redispatches carriers within microseconds; the
-#: timeout only matters for backends that are discarded without being
-#: recycled, whose carriers would otherwise sleep forever.
+#: thread.  Only matters for backends that are discarded without
+#: :meth:`SimulationBackend.shutdown`, whose carriers would otherwise sleep
+#: forever.
 CARRIER_IDLE_TIMEOUT = 10.0
 
 #: Poison job: a carrier dispatched this retires instead of carrying.
@@ -174,28 +230,25 @@ _RETIRE = object()
 
 
 class _Carrier:
-    """A pooled OS thread that carries simulated threads, one run at a time.
+    """A pooled OS thread that carries adapter-hosted simulated threads, one
+    at a time.
 
-    Spawning a fresh OS thread per simulated thread per schedule dominates
-    the cost of short exploration runs, so each backend parks its carriers
-    between runs and re-dispatches them.  A carrier loops forever: wait for
-    a job, carry the simulated thread to completion, park back in the
-    backend's idle pool.  Carriers are daemons; one that never returns from
-    a stuck run is simply abandoned (and the backend marked tainted) rather
-    than reused.
+    A carrier loops forever: wait for a job, carry the simulated thread to
+    completion, park back in the adapter's idle pool.  Carriers are daemons;
+    one that never returns from a stuck run is simply abandoned (and the
+    backend marked tainted) rather than reused.
     """
 
-    __slots__ = ("_backend", "_gate", "_job", "thread")
+    __slots__ = ("_adapter", "_gate", "_job", "thread")
 
-    def __init__(self, backend: "SimulationBackend") -> None:
-        self._backend = backend
+    def __init__(self, adapter: "_ThreadAdapter") -> None:
+        self._adapter = adapter
         self._gate = _Gate()
-        self._job: Optional[_SimThread] = None
+        self._job: object = None
         self.thread = threading.Thread(target=self._loop, name="sim-carrier", daemon=True)
         self.thread.start()
 
-    def dispatch(self, sim_thread: "_SimThread") -> None:
-        sim_thread.real_thread = self.thread
+    def dispatch(self, sim_thread: _SimThread) -> None:
         self._job = sim_thread
         self._gate.set()
 
@@ -208,12 +261,12 @@ class _Carrier:
         self._gate.set()
 
     def _loop(self) -> None:
+        adapter = self._adapter
         while True:
             if not self._gate.wait_for(CARRIER_IDLE_TIMEOUT):
-                backend = self._backend
-                with backend._lock:
+                with adapter._lock:
                     try:
-                        backend._idle_carriers.remove(self)
+                        adapter._idle.remove(self)
                     except ValueError:
                         # A dispatch (or retire) claimed this carrier
                         # concurrently with the timeout; its job (and wake
@@ -224,40 +277,92 @@ class _Carrier:
             self._job = None
             if sim_thread is _RETIRE:
                 return
-            self._backend._carry(self, sim_thread)
+            adapter.carry(self, sim_thread)
 
 
-class _SimThread:
-    """Book-keeping for one simulated thread."""
+class _ThreadAdapter:
+    """Hosts plain-callable simulated threads for the stepper.
 
-    __slots__ = (
-        "tid",
-        "name",
-        "target",
-        "state",
-        "go",
-        "done",
-        "real_thread",
-        "block_reason",
-        "timed_out",
-    )
+    Each adapter-hosted thread runs on a carrier OS thread from a pool kept
+    across runs.  The protocol mirrors a coroutine's: the carrier runs the
+    thread's code until it needs a decision, posts the request
+    (:meth:`decide`) and parks; the stepper, blocked in :meth:`resume` /
+    :meth:`wait_report`, picks the request up, decides, and later resumes
+    the thread by opening its gate.  Exactly one side runs at any moment.
+    """
 
-    def __init__(self, tid: int, name: str, target: Callable[[], None]) -> None:
-        self.tid = tid
-        self.name = name
-        self.target = target
-        self.state = _State.CREATED
-        self.go = _Gate()
-        #: Set by the carrier once this simulated thread's job is fully over
-        #: — after ``_on_exit`` ran *and* the carrier parked back in the
-        #: idle pool, so waiting on ``done`` for every thread guarantees the
-        #: backend is quiescent and safe to recycle.
-        self.done = _Latch()
-        self.real_thread: Optional[threading.Thread] = None
-        self.block_reason: Optional[str] = None
-        #: Set by the kernel when a timed condition wait expired; consumed
-        #: by :meth:`SimulationBackend.condition_wait` on resumption.
-        self.timed_out = False
+    __slots__ = ("_kernel", "_lock", "_idle", "_report", "_posted")
+
+    def __init__(self, kernel: "SimulationBackend") -> None:
+        self._kernel = kernel
+        #: Guards the idle pool against a carrier retiring on its timeout.
+        self._lock = threading.Lock()
+        self._idle: List[_Carrier] = []
+        #: Opened by a carrier when it posted a request (or its exit).
+        self._report = _Gate()
+        self._posted: Optional[str] = None
+
+    def start(self, sim_thread: _SimThread) -> None:
+        """Dispatch a carrier for *sim_thread*; it waits for its first
+        resume before running any of the thread's code."""
+        sim_thread.go = _Gate()
+        # List.pop is atomic under the GIL; only a retiring carrier's
+        # remove() needs the pool lock.
+        try:
+            carrier = self._idle.pop()
+        except IndexError:
+            carrier = _Carrier(self)
+        carrier.dispatch(sim_thread)
+
+    def resume(self, sim_thread: _SimThread, deadline: float) -> object:
+        """Run *sim_thread* until its next request (stepper side)."""
+        sim_thread.go.set()
+        return self.wait_report(deadline)
+
+    def wait_report(self, deadline: float) -> object:
+        """The request the running carrier posted: a decision reason, None
+        for the thread's exit, or :data:`_HUNG` past *deadline*."""
+        if not self._report.wait_for(max(deadline - monotonic(), 0.0)):
+            return _HUNG
+        return self._posted
+
+    def decide(self, sim_thread: _SimThread, reason: str) -> None:
+        """Post a decision request and park until resumed (carrier side)."""
+        self._posted = reason
+        self._report.set()
+        sim_thread.go.wait()
+
+    def carry(self, carrier: _Carrier, sim_thread: _SimThread) -> None:
+        """Carry one simulated thread through one run (on its carrier)."""
+        kernel = self._kernel
+        kernel._tls.sim_thread = sim_thread
+        sim_thread.go.wait()
+        if not kernel._abort:
+            try:
+                sim_thread.target()
+            except (_SimulationAbort, _InjectedDeath):
+                # An aborted run unwinding, or the thread_crash fault: a
+                # silent exit.  Locks it owns stay owned — abandonment
+                # detection (not this handler) reports that.
+                pass
+            except BaseException as exc:
+                kernel._record_failure(exc)
+        kernel._tls.sim_thread = None
+        # Park first, then report the exit: once the stepper has seen every
+        # exit, all carriers are back in the pool and the backend is
+        # quiescent (safe to recycle).
+        with self._lock:
+            self._idle.append(carrier)
+        self._posted = None
+        self._report.set()
+
+    def shutdown(self) -> None:
+        """Retire every parked carrier's OS thread now."""
+        with self._lock:
+            carriers = self._idle
+            self._idle = []
+        for carrier in carriers:
+            carrier.retire()
 
 
 class _SimHandle(ThreadHandle):
@@ -268,11 +373,9 @@ class _SimHandle(ThreadHandle):
 
     def join(self, timeout: Optional[float] = None) -> None:
         # Joining from inside the simulation would deadlock the scheduler, so
-        # joining is only meaningful after run() returned; by then the thread
-        # has finished.  Waits on the per-thread completion event rather than
-        # the carrier OS thread, which is pooled and outlives the run.
-        if self._sim_thread.real_thread is not None:
-            self._sim_thread.done.wait(timeout)
+        # joining is only meaningful after run() returned — and by then
+        # every thread has finished (or, after a hang, been given up on).
+        del timeout
 
     @property
     def name(self) -> str:
@@ -285,6 +388,10 @@ class _SimHandle(ThreadHandle):
 
 class SimulationBackend(Backend):
     """Deterministic cooperative backend.
+
+    Every run is stepped on the calling OS thread (see the module
+    docstring): coroutine targets are stepped directly, plain callables
+    through the thread adapter.
 
     Parameters
     ----------
@@ -302,7 +409,10 @@ class SimulationBackend(Backend):
         Optional upper bound on the number of scheduling steps per run.
     run_timeout:
         Wall-clock safety net for :meth:`run`; a run that has not finished by
-        then is aborted with :class:`SimulationError`.
+        then is aborted with :class:`SimulationHangError`.  It catches an
+        adapter-hosted thread blocked outside the kernel and a run that
+        keeps deciding without end; a coroutine that blocks its OS thread
+        outside the kernel blocks the stepper with it.
     record_trace:
         Record every scheduling decision as a
         :class:`~repro.runtime.simulation.schedulers.ScheduleTrace`
@@ -355,16 +465,14 @@ class SimulationBackend(Backend):
         self._conditions: List[SimCondition] = []
 
         self._lock = threading.Lock()
-        #: Serves :meth:`current_thread`: each carrier thread stores the
-        #: _SimThread it is carrying here, in :meth:`_carry`, so simulation
-        #: primitives find their thread without the global lock.
+        #: Serves :meth:`current_thread`: the simulated thread each OS thread
+        #: is acting for — set by the stepper while it steps a coroutine or
+        #: decides for a thread, and by a carrier for the thread it carries.
         self._tls = threading.local()
-        #: Parked carrier OS threads, reused across runs (see
-        #: :class:`_Carrier`).
-        self._idle_carriers: List[_Carrier] = []
-        #: Set when a run left carrier threads stuck (wall-clock hang);
-        #: a tainted backend refuses :meth:`recycle` — callers must build
-        #: a fresh one.
+        self._adapter = _ThreadAdapter(self)
+        #: Set when a run left adapter-hosted threads stuck (wall-clock
+        #: hang); a tainted backend refuses :meth:`recycle` — callers must
+        #: build a fresh one.
         self._tainted = False
         self._threads: Dict[int, _SimThread] = {}
         self._next_tid = 0
@@ -527,17 +635,19 @@ class SimulationBackend(Backend):
         self._conditions.append(condition)
         return condition
 
-    def spawn(self, target: Callable[[], None], name: Optional[str] = None) -> _SimHandle:
+    def spawn(self, target: Callable[[], object], name: Optional[str] = None) -> _SimHandle:
         """Add a new simulated thread.
 
         Before :meth:`run` starts this registers the thread for the next run;
         while a run is in progress (called from a simulated thread) the new
-        thread becomes runnable immediately.
+        thread becomes runnable immediately.  A coroutine function is stepped
+        as a coroutine, any other callable runs in the thread adapter.
         """
         with self._lock:
             sim_thread = self._create_thread_locked(target, name)
             if self._running:
-                self._start_real_thread(sim_thread)
+                if sim_thread.adapted:
+                    self._adapter.start(sim_thread)
                 sim_thread.state = _State.RUNNABLE
                 self._runnable.append(sim_thread.tid)
         return _SimHandle(sim_thread)
@@ -548,12 +658,14 @@ class SimulationBackend(Backend):
 
     def run(
         self,
-        targets: Sequence[Callable[[], None]],
+        targets: Sequence[Callable[[], object]],
         names: Optional[Sequence[str]] = None,
     ) -> None:
         """Run all *targets* as simulated threads until every one finishes.
 
-        Raises :class:`DeadlockError` if all live threads block,
+        Coroutine functions are stepped as coroutines on the calling OS
+        thread; other callables run in the thread adapter.  Raises
+        :class:`DeadlockError` if all live threads block,
         :class:`SimulationLimitError` if ``max_steps`` is exceeded, and
         re-raises the first exception raised inside a simulated thread.
         """
@@ -571,7 +683,8 @@ class SimulationBackend(Backend):
             return
 
         for sim_thread in pending:
-            self._start_real_thread(sim_thread)
+            if sim_thread.adapted:
+                self._adapter.start(sim_thread)
 
         with self._lock:
             self._running = True
@@ -579,33 +692,17 @@ class SimulationBackend(Backend):
                 sim_thread.state = _State.RUNNABLE
                 self._runnable.append(sim_thread.tid)
             first = self._pick_next_locked()
-        if first is not None:
-            first.go.set()
-
-        finished = self._done.wait(self._run_timeout)
-        if not finished:
-            with self._lock:
-                # Autopsy first: the abort below unwinds the very
-                # bookkeeping (block reasons, waiter queues, predicate
-                # entries) the diagnosis needs.
-                autopsy = self._hang_autopsy_locked()
-                self._abort = True
-                self._wake_all_locked()
-            self._done.wait(5.0)
+        try:
+            autopsy = self._step(first)
+        finally:
+            self._tls.sim_thread = None
             self._running = False
-            # Carriers may still be wedged inside the stuck run; never hand
-            # them another job.
-            self._tainted = True
+
+        if autopsy is not None:
             raise SimulationHangError(
                 f"simulation did not finish within {self._run_timeout} "
                 f"seconds\n{autopsy}"
             )
-
-        for sim_thread in self._threads.values():
-            if sim_thread.real_thread is not None and not sim_thread.done.wait(timeout=5.0):
-                self._tainted = True
-        self._running = False
-
         if self._abandonment_message is not None:
             raise MonitorAbandonedError(self._abandonment_message)
         if self._deadlock_message is not None:
@@ -623,7 +720,7 @@ class SimulationBackend(Backend):
         self._threads = {
             tid: sim_thread
             for tid, sim_thread in self._threads.items()
-            if sim_thread.state is _State.CREATED and sim_thread.real_thread is None
+            if sim_thread.state is _State.CREATED
         }
         self._clear_run_fields()
         self._scheduler.reset(self._seed)
@@ -640,7 +737,6 @@ class SimulationBackend(Backend):
         self._abandonment_message: Optional[str] = None
         self._limit_exceeded = False
         self._failures: List[BaseException] = []
-        self._done = _Latch()
         self._steps = 0
         #: tid -> (condition, deadline) for threads in a timed condition
         #: wait; deadlines are in scheduling steps (see :meth:`now`).
@@ -651,21 +747,17 @@ class SimulationBackend(Backend):
         self._recovery_attempts = 0
 
     def shutdown(self) -> None:
-        """Retire this backend's parked carrier threads immediately.
+        """Retire the thread adapter's parked carrier threads immediately.
 
-        A discarded backend's carriers otherwise linger for
-        :data:`CARRIER_IDLE_TIMEOUT` before releasing their OS threads —
-        harmless one at a time, but a workload that churns through backends
-        (cold benchmark legs, runtime-cache eviction) can accumulate
-        thousands of idle threads and measurably slow the live ones.
-        Idempotent; safe between runs.  Stuck carriers of a tainted backend
-        are not in the idle pool and stay abandoned, as before.
+        Only adapter-hosted threads use carriers; a backend that only ever
+        stepped coroutines has none.  A discarded backend's carriers
+        otherwise linger for :data:`CARRIER_IDLE_TIMEOUT` before releasing
+        their OS threads — harmless one at a time, but a workload that
+        churns through backends could accumulate idle threads.  Idempotent;
+        safe between runs.  Stuck carriers of a tainted backend are not in
+        the idle pool and stay abandoned.
         """
-        with self._lock:
-            carriers = self._idle_carriers
-            self._idle_carriers = []
-        for carrier in carriers:
-            carrier.retire()
+        self._adapter.shutdown()
 
     def recycle(
         self,
@@ -673,7 +765,7 @@ class SimulationBackend(Backend):
         policy: Optional[SchedulerSpec] = None,
     ) -> None:
         """Reset this backend to fresh-construction state, keeping the
-        carrier-thread pool.
+        thread adapter's carrier pool.
 
         After recycling, the backend behaves exactly like a newly
         constructed ``SimulationBackend(seed=..., policy=..., ...)``: thread
@@ -681,12 +773,12 @@ class SimulationBackend(Backend):
         are zeroed, and all observers/inspectors/injectors are cleared — so
         recorded traces and digests compare bit-for-bit with a fresh
         backend's.  The schedule explorer recycles one backend across the
-        thousands of runs of a task instead of paying construction plus OS
-        thread spawns every run.
+        thousands of runs of a task instead of paying construction every
+        run.
 
         Raises :class:`SimulationError` if a run is in progress or a
-        previous run left carriers stuck (wall-clock hang) — callers should
-        fall back to constructing a fresh backend.
+        previous run left adapter-hosted threads stuck (wall-clock hang) —
+        callers should fall back to constructing a fresh backend.
         """
         if self._running:
             raise SimulationError("recycle() called while a simulation is in progress")
@@ -713,7 +805,7 @@ class SimulationBackend(Backend):
         self.metrics = BackendMetrics()
 
     def _create_thread_locked(
-        self, target: Callable[[], None], name: Optional[str]
+        self, target: Callable[[], object], name: Optional[str]
     ) -> _SimThread:
         tid = self._next_tid
         self._next_tid += 1
@@ -722,43 +814,132 @@ class SimulationBackend(Backend):
         self.metrics.threads_spawned += 1
         return sim_thread
 
-    def _start_real_thread(self, sim_thread: _SimThread) -> None:
-        # Reuse a parked carrier when one is idle; spawn a new one otherwise.
-        # List.pop is atomic under the GIL, so both the locked (spawn) and
-        # unlocked (run) call sites are safe.
-        try:
-            carrier = self._idle_carriers.pop()
-        except IndexError:
-            carrier = _Carrier(self)
-        carrier.dispatch(sim_thread)
-
-    def _carry(self, carrier: _Carrier, sim_thread: _SimThread) -> None:
-        """Carry one simulated thread through one run (on a carrier thread)."""
-        self._tls.sim_thread = sim_thread
-        sim_thread.go.wait()
-        if not self._abort:
-            try:
-                sim_thread.target()
-            except _SimulationAbort:
-                pass
-            except _InjectedDeath:
-                # The thread_crash fault: die silently, exactly as if the
-                # thread vanished mid-flight.  Locks it owns stay owned —
-                # abandonment detection (not this handler) reports that.
-                pass
-            except BaseException as exc:
-                with self._lock:
-                    self._failures.append(exc)
-                    self._abort = True
-                    self._wake_all_locked()
-        self._on_exit(sim_thread)
-        self._tls.sim_thread = None
-        # Park first, then signal completion: once every thread's ``done``
-        # event is set, all carriers are back in the pool and the backend is
-        # quiescent (safe to recycle).
+    def _record_failure(self, exc: BaseException) -> None:
+        """An exception escaped a simulated thread: abort the run with it."""
         with self._lock:
-            self._idle_carriers.append(carrier)
-        sim_thread.done.set()
+            self._failures.append(exc)
+            self._abort = True
+
+    # ------------------------------------------------------------------
+    # The stepper
+    # ------------------------------------------------------------------
+
+    def _step(self, sim_thread: Optional[_SimThread]) -> Optional[str]:
+        """Resume threads and decide, until the run is over.
+
+        Each turn resumes *sim_thread* until its next request — a decision
+        reason, or None once it finished — and makes the decision on its
+        behalf.  An aborted run is unwound afterwards.  Returns the hang
+        autopsy when the wall-clock net fired, else None.
+        """
+        deadline = monotonic() + self._run_timeout
+        last = sim_thread
+        while sim_thread is not None:
+            if monotonic() >= deadline:
+                return self._abort_hung(sim_thread, running=False)
+            last = sim_thread
+            reason = self._resume(sim_thread, deadline)
+            if reason is _HUNG:
+                return self._abort_hung(sim_thread, running=True)
+            with self._lock:
+                if reason is None:
+                    sim_thread = self._finish_locked(sim_thread)
+                else:
+                    sim_thread = self._pick_next_locked(reason)
+        if self._abort:
+            self._unwind(last, deadline)
+        return None
+
+    def _resume(self, sim_thread: _SimThread, deadline: float) -> object:
+        """Run *sim_thread* until its next request: a decision reason, None
+        once it finished, or :data:`_HUNG` (adapter-hosted threads only)."""
+        self._tls.sim_thread = sim_thread
+        if sim_thread.adapted:
+            return self._adapter.resume(sim_thread, deadline)
+        try:
+            coro = sim_thread.coro
+            if coro is None:
+                if self._abort:
+                    return None  # never started: nothing to unwind
+                coro = sim_thread.coro = sim_thread.target()
+            request = coro.send(None)
+            if type(request) is not str:
+                # Awaiting anything but a simulation primitive (an asyncio
+                # sleep, a future) would suspend the thread behind the
+                # kernel's back: fail it at that await instead.
+                request = coro.throw(SimulationError(
+                    f"simulated thread {sim_thread.name} awaited {request!r}, "
+                    "which is not a simulation primitive"
+                ))
+            return request
+        except StopIteration:
+            return None
+        except (_SimulationAbort, _InjectedDeath):
+            # An aborted run unwinding, or the thread_crash fault: a silent
+            # exit.  Locks it owns stay owned — abandonment detection (not
+            # this handler) reports that.
+            return None
+        except BaseException as exc:
+            self._record_failure(exc)
+            return None
+
+    def _finish_locked(self, sim_thread: _SimThread) -> Optional[_SimThread]:
+        """*sim_thread* exited: the next thread to resume, if any."""
+        sim_thread.state = _State.FINISHED
+        if self._current == sim_thread.tid:
+            self._current = None
+        if self._abort:
+            return None
+        return self._pick_next_locked(reason="exit")
+
+    def _unwind(
+        self, first: Optional[_SimThread], deadline: float, running: bool = False
+    ) -> None:
+        """Finish every thread of an aborted run, one at a time.
+
+        *first* — the thread whose request ended the run — unwinds first,
+        then the rest in thread-id order, each resumed until it exits (its
+        next primitive raises :class:`_SimulationAbort`; a decision it asks
+        for on the way out is void).  ``running`` says *first* is an
+        adapter-hosted thread still running (a hang), so its report is
+        awaited instead of resuming it.  A thread that does not report by
+        *deadline* is left behind and the backend marked tainted.
+        """
+        order = list(self._threads.values())
+        if first is not None:
+            order.remove(first)
+            order.insert(0, first)
+        for sim_thread in order:
+            waiting = running and sim_thread is first
+            while sim_thread.state is not _State.FINISHED:
+                if waiting:
+                    waiting = False
+                    reason = self._adapter.wait_report(deadline)
+                else:
+                    reason = self._resume(sim_thread, deadline)
+                if reason is _HUNG:
+                    self._tainted = True
+                    break
+                if reason is None:
+                    with self._lock:
+                        self._finish_locked(sim_thread)
+
+    def _abort_hung(self, sim_thread: _SimThread, running: bool) -> str:
+        """The wall-clock net fired with *sim_thread* current: diagnose,
+        abort, unwind what can be unwound, and return the autopsy."""
+        with self._lock:
+            # Autopsy first: the unwinding below dismantles the very
+            # bookkeeping (block reasons, waiter queues, predicate entries)
+            # the diagnosis needs.
+            autopsy = self._hang_autopsy_locked()
+            self._abort = True
+        self._unwind(sim_thread, monotonic() + HANG_DRAIN_GRACE, running=running)
+        # Carriers may still be wedged inside the stuck run: never hand them
+        # another job, and give later runs an adapter of their own.
+        self._tainted = True
+        self._adapter.shutdown()
+        self._adapter = _ThreadAdapter(self)
+        return autopsy
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -768,14 +949,26 @@ class SimulationBackend(Backend):
         """Return the simulated thread corresponding to the calling thread.
 
         Every simulation primitive (lock, condition, yield) starts here, so
-        the lookup is served from a ``threading.local`` populated per job in
-        :meth:`_carry` — no global lock, no dict lookup.  Any other thread
-        (one this backend is not carrying) gets :class:`SimulationError`.
+        the lookup is served from a ``threading.local`` — no global lock, no
+        dict lookup.  Any other thread (one this backend is neither stepping
+        nor carrying) gets :class:`SimulationError`.
         """
         sim_thread = getattr(self._tls, "sim_thread", None)
         if sim_thread is None:
             raise SimulationError(
                 "simulation primitives may only be used from inside a simulated thread"
+            )
+        return sim_thread
+
+    def _blocking_caller(self, primitive: str) -> _SimThread:
+        """The calling simulated thread, which must be adapter-hosted: a
+        coroutine-hosted thread cannot park inside a synchronous call."""
+        sim_thread = self.current_thread()
+        if not sim_thread.adapted:
+            raise SimulationError(
+                f"simulated thread {sim_thread.name} runs as a coroutine and must "
+                f"await the {primitive}_async primitive instead of calling the "
+                f"blocking {primitive}()"
             )
         return sim_thread
 
@@ -806,7 +999,6 @@ class SimulationBackend(Backend):
         if self._max_steps is not None and self._steps >= self._max_steps:
             self._limit_exceeded = True
             self._abort = True
-            self._wake_all_locked()
             return None
         if not self._runnable:
             return self._handle_no_runnable_locked()
@@ -829,11 +1021,9 @@ class SimulationBackend(Backend):
         sim_thread.block_reason = None
         point: Optional[SchedulePoint] = None
         if self._trace is not None or self._observer is not None:
+            # Positional: the keyword form costs half as much again.
             point = SchedulePoint(
-                step=self._steps,
-                runnable=tuple(sorted(self._runnable + [tid])),
-                chosen=tid,
-                reason=reason,
+                self._steps, tuple(sorted(self._runnable + [tid])), tid, reason
             )
         if self._trace is not None:
             self._trace.append(point)
@@ -854,24 +1044,26 @@ class SimulationBackend(Backend):
     def _fail_locked(self, exc: BaseException) -> None:
         """Abort the run with *exc* from inside the scheduling machinery.
 
-        Scheduler and observer callbacks run on paths (``_on_exit``) outside
-        the per-thread try/except in :meth:`_runner`, so their exceptions are
-        funnelled through the failure list instead of being allowed to kill a
-        carrier thread and hang the run until the timeout.
+        Scheduler, observer and fault-injection callbacks run in the
+        stepper's decisions, outside any simulated thread's code, so their
+        exceptions are funnelled through the failure list and surface from
+        :meth:`run`.
         """
         self._failures.append(exc)
         self._abort = True
-        self._wake_all_locked()
 
     def _handle_no_runnable_locked(self) -> Optional[_SimThread]:
         live = [t for t in self._threads.values() if t.state is not _State.FINISHED]
         blocked = [t for t in live if t.state is _State.BLOCKED]
         self._current = None
-        if not live or not blocked:
-            # Either everything finished, or the only live thread is the one
-            # currently exiting/blocking — nothing to do until it proceeds.
-            if not live:
-                self._done.set()
+        if not live:
+            return None  # everything finished: the run is over
+        if not blocked:
+            # Live threads that are neither runnable nor blocked: only a
+            # kernel bug leaves the stepper nothing to resume like this.
+            self._fail_locked(
+                SimulationError("internal error: live threads but none runnable or blocked")
+            )
             return None
         # Timed waiters outrank deadlock: with nothing runnable, simulation
         # time jumps to the earliest pending deadline (real time would pass
@@ -908,7 +1100,6 @@ class SimulationBackend(Backend):
                 f"can never run again — {details}"
             )
             self._abort = True
-            self._wake_all_locked()
             return None
         # Self-healing: let the recovery hook re-promise a lost signal
         # before the deadlock is declared final.
@@ -942,13 +1133,7 @@ class SimulationBackend(Backend):
                 message = f"{message}; {extra}"
         self._deadlock_message = message
         self._abort = True
-        self._wake_all_locked()
         return None
-
-    def _wake_all_locked(self) -> None:
-        for sim_thread in self._threads.values():
-            if sim_thread.state is not _State.FINISHED:
-                sim_thread.go.set()
 
     def _make_runnable_locked(self, tid: int) -> None:
         sim_thread = self._threads[tid]
@@ -958,99 +1143,94 @@ class SimulationBackend(Backend):
         sim_thread.block_reason = None
         self._runnable.append(tid)
 
-    def _block_and_pick_next_locked(
-        self, sim_thread: _SimThread, reason: str
-    ) -> Optional[_SimThread]:
+    @staticmethod
+    def _block_locked(sim_thread: _SimThread, reason: str) -> str:
         sim_thread.state = _State.BLOCKED
         sim_thread.block_reason = reason
-        return self._pick_next_locked(reason=reason)
+        return reason
 
-    def _handoff_and_wait(
-        self, sim_thread: _SimThread, next_thread: Optional[_SimThread]
-    ) -> None:
-        if next_thread is sim_thread:
-            # The scheduler picked the calling thread again (it was the only
-            # runnable one); keep running without parking on the event.
-            if self._abort:
-                raise _SimulationAbort()
-            return
-        if next_thread is not None:
-            next_thread.go.set()
-        if self._abort:
-            # Never park once the run is unwinding: a thread re-entering a
-            # primitive during exception cleanup (e.g. a condition waiter
-            # re-acquiring the monitor lock) has already consumed its
-            # one-shot wake-all token, so parking here would wedge it until
-            # the external run timeout.  Any abort set after this check is
-            # caught below — its wake-all sets the event this thread is
-            # about to wait on.
-            raise _SimulationAbort()
-        sim_thread.go.wait()
+    def _resumed(self) -> None:
+        """Back from a decision request: unwind if the run was aborted."""
         if self._abort:
             raise _SimulationAbort()
 
-    def _on_exit(self, sim_thread: _SimThread) -> None:
-        next_thread = None
-        with self._lock:
-            sim_thread.state = _State.FINISHED
-            if self._current == sim_thread.tid:
-                self._current = None
-            if self._abort:
-                if all(t.state is _State.FINISHED for t in self._threads.values()):
-                    self._done.set()
-                return
-            next_thread = self._pick_next_locked(reason="exit")
-            if next_thread is None and all(
-                t.state is _State.FINISHED for t in self._threads.values()
-            ):
-                self._done.set()
-        if next_thread is not None:
-            next_thread.go.set()
-        elif self._abort:
-            # A deadlock or limit was detected while picking the next thread.
-            with self._lock:
-                if all(t.state is _State.FINISHED for t in self._threads.values()):
-                    self._done.set()
+    def _yield_locked(self, sim_thread: _SimThread) -> str:
+        self._check_doomed_locked(sim_thread)
+        self._runnable.append(sim_thread.tid)
+        sim_thread.state = _State.RUNNABLE
+        return "yield"
 
     def yield_control(self) -> None:
-        """Voluntarily hand control to another runnable thread (if any)."""
+        """Voluntarily hand control to another runnable thread (if any);
+        for adapter-hosted threads (coroutines await :meth:`yield_async`)."""
+        sim_thread = self._blocking_caller("yield")
+        with self._lock:
+            reason = self._yield_locked(sim_thread)
+        self._adapter.decide(sim_thread, reason)
+        self._resumed()
+
+    async def yield_async(self) -> None:
+        """:meth:`yield_control` for coroutine-hosted threads."""
         sim_thread = self.current_thread()
         with self._lock:
-            self._check_doomed_locked(sim_thread)
-            self._runnable.append(sim_thread.tid)
-            sim_thread.state = _State.RUNNABLE
-            next_thread = self._pick_next_locked(reason="yield")
-        self._handoff_and_wait(sim_thread, next_thread)
+            reason = self._yield_locked(sim_thread)
+        await _decide(reason)
+        self._resumed()
 
     # ------------------------------------------------------------------
     # Lock operations (called by SimLock)
     # ------------------------------------------------------------------
 
-    def lock_acquire(self, lock: SimLock) -> None:
-        sim_thread = self.current_thread()
-        with self._lock:
-            self._check_doomed_locked(sim_thread)
-            if lock.owner is None:
-                lock.owner = sim_thread.tid
-                self.metrics.lock_acquisitions += 1
-                return
-            if lock.owner == sim_thread.tid:
-                raise SimulationError(
-                    f"thread {sim_thread.name} attempted to re-acquire a lock it already holds"
-                )
-            lock.queue.append(sim_thread.tid)
-            self.metrics.lock_contentions += 1
-            wait_reason = (
-                f"waiting for lock {lock.label}" if lock.label else "waiting for lock"
+    def _acquire_locked(self, sim_thread: _SimThread, lock: SimLock) -> Optional[str]:
+        """Take *lock* if it is free (None); otherwise queue the thread on
+        it and return the block reason of the decision it needs."""
+        self._check_doomed_locked(sim_thread)
+        if lock.owner is None:
+            lock.owner = sim_thread.tid
+            self.metrics.lock_acquisitions += 1
+            return None
+        if lock.owner == sim_thread.tid:
+            raise SimulationError(
+                f"thread {sim_thread.name} attempted to re-acquire a lock it already holds"
             )
-            next_thread = self._block_and_pick_next_locked(sim_thread, wait_reason)
-        self._handoff_and_wait(sim_thread, next_thread)
+        lock.queue.append(sim_thread.tid)
+        self.metrics.lock_contentions += 1
+        return self._block_locked(
+            sim_thread, f"waiting for lock {lock.label}" if lock.label else "waiting for lock"
+        )
+
+    def _acquired(self, sim_thread: _SimThread, lock: SimLock) -> None:
+        self._resumed()
         with self._lock:
             if lock.owner != sim_thread.tid:
                 raise SimulationError(
                     "internal error: thread resumed from lock wait without ownership"
                 )
             self.metrics.lock_acquisitions += 1
+
+    def lock_acquire(self, lock: SimLock) -> None:
+        sim_thread = self._blocking_caller("acquire")
+        with self._lock:
+            reason = self._acquire_locked(sim_thread, lock)
+        if reason is not None:
+            self._adapter.decide(sim_thread, reason)
+            self._acquired(sim_thread, lock)
+
+    def lock_acquire_async(self, lock: SimLock):
+        """Awaitable :meth:`lock_acquire`: already complete when the lock
+        was free (no coroutine to step), a decision request otherwise."""
+        sim_thread = self.current_thread()
+        with self._lock:
+            reason = self._acquire_locked(sim_thread, lock)
+        if reason is None:
+            return COMPLETED
+        return self._contended_acquire(sim_thread, lock, reason)
+
+    async def _contended_acquire(
+        self, sim_thread: _SimThread, lock: SimLock, reason: str
+    ) -> None:
+        await _decide(reason)
+        self._acquired(sim_thread, lock)
 
     def lock_release(self, lock: SimLock) -> None:
         sim_thread = self.current_thread()
@@ -1074,29 +1254,29 @@ class SimulationBackend(Backend):
     # Condition operations (called by SimCondition)
     # ------------------------------------------------------------------
 
-    def condition_wait(
-        self, condition: SimCondition, timeout: Optional[float] = None
-    ) -> bool:
-        sim_thread = self.current_thread()
-        with self._lock:
-            self._check_doomed_locked(sim_thread)
-            if condition.lock.owner != sim_thread.tid:
-                raise SimulationError(
-                    f"thread {sim_thread.name} called wait() without holding the monitor lock"
-                )
-            condition.waiters.append(sim_thread.tid)
-            self.metrics.condition_waits += 1
-            if timeout is not None:
-                # Deadlines are measured in scheduling steps (see now());
-                # expiry happens at the next scheduling decision at or past
-                # the deadline, or immediately when nothing else can run.
-                self._timed_waits[sim_thread.tid] = (condition, self._steps + timeout)
-            self._release_lock_locked(condition.lock)
-            label = condition.label if condition.label is not None else f"{id(condition):#x}"
-            next_thread = self._block_and_pick_next_locked(
-                sim_thread, f"waiting on condition {label}"
+    def _wait_locked(
+        self, sim_thread: _SimThread, condition: SimCondition, timeout: Optional[float]
+    ) -> str:
+        """Park the thread on *condition*, releasing its lock; returns the
+        block reason of the decision it needs."""
+        self._check_doomed_locked(sim_thread)
+        if condition.lock.owner != sim_thread.tid:
+            raise SimulationError(
+                f"thread {sim_thread.name} called wait() without holding the monitor lock"
             )
-        self._handoff_and_wait(sim_thread, next_thread)
+        condition.waiters.append(sim_thread.tid)
+        self.metrics.condition_waits += 1
+        if timeout is not None:
+            # Deadlines are measured in scheduling steps (see now());
+            # expiry happens at the next scheduling decision at or past
+            # the deadline, or immediately when nothing else can run.
+            self._timed_waits[sim_thread.tid] = (condition, self._steps + timeout)
+        self._release_lock_locked(condition.lock)
+        label = condition.label if condition.label is not None else f"{id(condition):#x}"
+        return self._block_locked(sim_thread, f"waiting on condition {label}")
+
+    def _woken(self, sim_thread: _SimThread, condition: SimCondition) -> bool:
+        self._resumed()
         with self._lock:
             timed_out = sim_thread.timed_out
             sim_thread.timed_out = False
@@ -1105,6 +1285,24 @@ class SimulationBackend(Backend):
                     "internal error: thread resumed from condition wait without the lock"
                 )
         return not timed_out
+
+    def condition_wait(
+        self, condition: SimCondition, timeout: Optional[float] = None
+    ) -> bool:
+        sim_thread = self._blocking_caller("wait")
+        with self._lock:
+            reason = self._wait_locked(sim_thread, condition, timeout)
+        self._adapter.decide(sim_thread, reason)
+        return self._woken(sim_thread, condition)
+
+    async def condition_wait_async(
+        self, condition: SimCondition, timeout: Optional[float] = None
+    ) -> bool:
+        sim_thread = self.current_thread()
+        with self._lock:
+            reason = self._wait_locked(sim_thread, condition, timeout)
+        await _decide(reason)
+        return self._woken(sim_thread, condition)
 
     def condition_notify(
         self, condition: SimCondition, wake_all: bool, count: int = 1
@@ -1119,10 +1317,10 @@ class SimulationBackend(Backend):
         sim_thread = self.current_thread()
         with self._lock:
             if self._abort:
-                # Threads unwinding an aborted run race each other through
-                # the monitor's exit relay; counting or delivering their
-                # notifications would make the run's counters depend on
-                # which carrier the OS scheduled first.
+                # Threads unwinding an aborted run pass through the
+                # monitor's exit relay; their notifications are neither
+                # counted nor delivered, so an aborted run's counters stop
+                # at the decision that aborted it.
                 raise _SimulationAbort()
             self._check_doomed_locked(sim_thread)
             if condition.lock.owner != sim_thread.tid:

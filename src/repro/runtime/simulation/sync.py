@@ -1,7 +1,11 @@
 """Lock and condition-variable objects for the simulation backend.
 
 These are thin data holders; all queueing and scheduling logic lives in the
-kernel so that every state change happens under the kernel's own lock.
+kernel so that every state change happens under the kernel's own lock.  The
+blocking operations come in two forms: the plain ``acquire``/``wait`` for
+adapter-hosted simulated threads, and the awaitable ``acquire_async``/
+``wait_async`` for coroutine-hosted ones (see
+:mod:`repro.runtime.simulation.kernel`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ class SimLock(LockAPI):
     def acquire(self) -> None:
         self._kernel.lock_acquire(self)
 
+    def acquire_async(self):
+        """Awaitable :meth:`acquire` for coroutine-hosted threads."""
+        return self._kernel.lock_acquire_async(self)
+
     def release(self) -> None:
         self._kernel.lock_release(self)
 
@@ -58,6 +66,10 @@ class SimCondition(ConditionAPI):
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._kernel.condition_wait(self, timeout=timeout)
+
+    def wait_async(self, timeout: Optional[float] = None):
+        """Awaitable :meth:`wait` for coroutine-hosted threads."""
+        return self._kernel.condition_wait_async(self, timeout)
 
     def notify(self) -> None:
         self._kernel.condition_notify(self, wake_all=False)

@@ -294,8 +294,7 @@ class ScenarioProblem(Problem):
         for role in spec.roles:
             count = counts[role.name]
             iterations = op_budgets[role.name]
-            methods = [getattr(monitor, action) for action in role.actions]
-            operations += count * iterations * len(methods)
+            operations += count * iterations * len(role.actions)
             for index in range(count):
                 local_env = dict(env)
                 local_env["i"] = index
@@ -312,7 +311,9 @@ class ScenarioProblem(Problem):
                             f"({expr!r}): {error}"
                         ) from None
                     local_env[local_name] = role_locals[local_name]
-                targets.append(self._make_body(methods, iterations, role_locals))
+                targets.append(
+                    self._make_body(monitor, role.actions, iterations, role_locals)
+                )
                 names.append(f"{role.name}-{index}")
 
         post_checks = tuple(
@@ -337,12 +338,17 @@ class ScenarioProblem(Problem):
 
     @staticmethod
     def _make_body(
-        methods: List[Callable], iterations: int, role_locals: Dict[str, object]
+        monitor: AutoSynchMonitor,
+        actions: Tuple[str, ...],
+        iterations: int,
+        role_locals: Dict[str, object],
     ) -> Callable[[], None]:
+        # Calls go through getattr(monitor, action) so the coroutine twin
+        # generator (repro.preprocessor.twins) sees the monitor calls.
         def body() -> None:
             for _ in range(iterations):
-                for method in methods:
-                    method(**role_locals)
+                for action in actions:
+                    getattr(monitor, action)(**role_locals)
 
         return body
 

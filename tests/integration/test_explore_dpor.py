@@ -568,6 +568,28 @@ class TestConfigurationFields:
         assert first != second
 
 
+    def test_wait_timeout_stays_out_of_an_explicit_monitors_fields(self):
+        """A task's wait_timeout is written only where the slot exists: an
+        explicit monitor keeps exactly its own fields, and the reduced
+        search over it is unchanged."""
+        seen = []
+
+        def instrument(backend, spec):
+            seen.append(sorted(vars(spec.monitor)))
+
+        timed = ExploreTask(
+            "bounded_buffer", "explicit", threads=2, total_ops=4, wait_timeout=50
+        )
+        plain = ExploreTask("bounded_buffer", "explicit", threads=2, total_ops=4)
+        run_prefix(timed, (), instrument=instrument)
+        run_prefix(plain, (), instrument=instrument)
+        assert seen[0] == seen[1]
+        assert not [name for name in seen[0] if name.startswith("_")]
+        report = explore_dpor(timed)
+        assert report.complete and report.ok
+        assert (report.schedules_visited, report.stats["merged_configs"]) == (16, 14)
+
+
 class TestUnmergedDecisions:
     def test_starvation_oracle_before_the_probe_branches_unreduced(self):
         """When an oracle fires at a decision, the probe never sees that
