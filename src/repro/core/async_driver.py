@@ -34,8 +34,6 @@ from typing import Optional
 
 from repro.core.errors import MonitorUsageError
 from repro.core.monitor import _raw_setattr
-from repro.predicates.evaluator import evaluate
-from repro.runtime.api import COMPLETED
 
 __all__ = [
     "enter_async",
@@ -55,27 +53,14 @@ def _require_async_backend(monitor, primitive: object, operation: str) -> None:
         )
 
 
-def enter_async(monitor, method_name: str = "coroutine-entry"):
+async def enter_async(monitor, method_name: str = "coroutine-entry") -> None:
     """The awaitable twin of ``MonitorBase._enter``: acquire the monitor
     mutex with ``await`` and take ownership for the current task; leave
-    with the synchronous ``monitor._leave`` (which never blocks).  Already
-    complete when the mutex was free."""
+    with the synchronous ``monitor._leave`` (which never blocks)."""
     mutex = monitor._mutex
     _require_async_backend(monitor, mutex, "acquire_async")
     monitor.stats.entries += 1
-    acquire = mutex.acquire_async()
-    if acquire is COMPLETED:
-        _entered(monitor, method_name)
-        return COMPLETED
-    return _enter_contended(monitor, method_name, acquire)
-
-
-async def _enter_contended(monitor, method_name: str, acquire) -> None:
-    await acquire
-    _entered(monitor, method_name)
-
-
-def _entered(monitor, method_name: str) -> None:
+    await mutex.acquire_async()
     _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
     monitor._trace("enter", detail=method_name)
 
@@ -112,31 +97,26 @@ async def _park(monitor, condition, remaining: Optional[float]) -> bool:
         _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
 
 
-def wait_until_async(
+async def wait_until_async(
     monitor, predicate: str, timeout: Optional[float] = None, **local_values: object
-):
+) -> None:
     """``monitor.wait_until(...)`` for a coroutine holding the monitor.
 
     Must be called inside :func:`monitor_entry` (the monitor lock held by
     the current task).  Semantics — globalization, relay-before-wait,
     spurious wakeups, ``WaitTimeout`` in the backend's time units — are the
     signalling policy's own ``wait_steps`` generator, so they are identical
-    to the blocking path by construction.  Already complete when the
-    predicate holds at once.
+    to the blocking path by construction.
     """
     monitor._require_monitor_held("wait_until")
     compiled = monitor._compiled(predicate, local_values)
     if monitor._predicate_holds(compiled, local_values):
-        return COMPLETED
+        return
     if timeout is None:
         timeout = monitor._wait_timeout
-    return _wait(
-        monitor, monitor.signalling_policy.wait_steps(compiled, local_values, timeout=timeout)
+    steps = monitor.signalling_policy.wait_steps(
+        compiled, local_values, timeout=timeout
     )
-
-
-async def _wait(monitor, steps) -> None:
-    """Drive a policy's ``wait_steps`` generator, awaiting each park."""
     try:
         try:
             condition, remaining = next(steps)
@@ -196,8 +176,8 @@ async def run_action(monitor, action: str, **local_values: object) -> None:
         )
     await enter_async(monitor, action)
     try:
-        for name, expr in runtime.binds:
-            local_values[name] = evaluate(expr, monitor, local_values)
+        for name, bind in runtime.binds:
+            local_values[name] = bind(monitor, local_values)
         for assignment in runtime.pre:
             assignment.apply(monitor, local_values)
         if runtime.guard is not None:

@@ -14,30 +14,49 @@ operation that may block.
   wait_on_async(self, c)``, a call of another entry method (or of a helper
   method that blocks) awaits that method's twin, and the body runs between
   :func:`~repro.core.async_driver.enter_async` and ``monitor._leave`` —
-  exactly the sequence ``MonitorBase._run_entry`` performs.  A scenario-compiled monitor's twin
-  of an action is :func:`~repro.core.async_driver.run_action`.
+  exactly the sequence ``MonitorBase._run_entry`` performs.  A
+  scenario-compiled monitor's twin of an action is
+  :func:`~repro.core.async_driver.run_action`.
 * **Thread-body twins** (:func:`coroutine_twin`) — in a workload's thread
   body, ``monitor.entry(...)`` and ``getattr(monitor, name)(...)`` on a
   monitor the body can see (a closure variable or global) await the
   monitor's twin of that entry, and the blocking primitives of a kernel
   lock, condition or backend it can see await their ``*_async`` forms.
 
+A coroutine-hosted thread cannot block synchronously, so a twin is made
+only when every call it keeps synchronous is known not to block: a safe
+builtin (``len``, ``range``, a builtin exception, ...), a method of a plain
+data object (a list, dict, set, deque, ``random.Random``, ...), a
+non-blocking method of a kernel primitive or of the monitor framework
+(``release``, ``notify``, ``signal``, ...), or a method of the monitor's
+own class that is itself checked the same way.  A call on a local variable,
+on an attribute or subscript of anything but ``self``, of a user function,
+or of a monitor method that is neither twinned nor checked, and a ``with``
+block (a lock's ``__enter__`` blocks) make the function untwinnable; so do
+no source, a generator, zero-argument ``super()`` and a blocking call in a
+nested scope.  A monitor's ``self.<field>.<method>()`` calls are checked
+per instance: the field must hold a plain data object when the twin is
+made.  Code reached implicitly — a property, an operator's dunder method,
+a key function handed to ``sorted`` — is not followed.  The caller runs an
+untwinnable function through the thread adapter, as before.
+
 A twin shares the original's globals, defaults and closure cells, so it
 reads and writes exactly the variables the original does, and its line
-numbers are the original's.  Whatever cannot be twinned — no source, a
-generator, zero-argument ``super()``, a blocking call on a receiver the
-generator cannot see or inside a nested function, a ``with`` block, a
-monitor class with an untwinnable entry method — yields None, and the
-caller runs the original through the thread adapter instead.
+numbers are the original's.  The analyses are cached per code object and
+weakly per class, so a replaced class (a re-registered scenario) can still
+be collected.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import inspect
-import operator
+import random
 import types
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+import weakref
+from collections import deque
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence
 
 from repro.core.async_driver import (
     enter_async,
@@ -45,15 +64,11 @@ from repro.core.async_driver import (
     wait_on_async,
     wait_until_async,
 )
-from repro.core.errors import MonitorUsageError
 from repro.core.monitor import MonitorBase
 from repro.runtime.simulation import SimulationBackend
 from repro.runtime.simulation.sync import SimCondition, SimLock
 
-__all__ = ["coroutine_twin", "monitor_twins", "call_twin"]
-
-#: Monitor class -> its twin table (None: the class cannot be twinned).
-_TABLES: Dict[type, Optional[Dict[str, Callable]]] = {}
+__all__ = ["coroutine_twin", "coroutine_twins", "monitor_twins"]
 
 #: Kernel objects a thread body may block on directly: type -> blocking
 #: method -> the awaitable method a twin calls instead.
@@ -63,40 +78,64 @@ _PRIMITIVES = {
     SimulationBackend: {"yield_control": "yield_async"},
 }
 
-#: Method names that block.  A twin that would still call one of them
-#: synchronously (on a receiver it cannot see), or that uses a ``with``
-#: block (a lock's ``__enter__`` blocks), is not generated.
-_BLOCKING_NAMES = frozenset({"acquire", "wait", "wait_until", "wait_on", "yield_control"})
+#: Methods of those kernel objects that never block.
+_PRIMITIVE_SAFE = {
+    SimLock: frozenset({"release"}),
+    SimCondition: frozenset({"notify", "notify_n", "notify_all"}),
+    SimulationBackend: frozenset({"current_id", "current_name", "now"}),
+}
+
+#: Monitor-framework methods an entry may call synchronously.
+_FRAMEWORK_SAFE = frozenset({"new_condition", "signal", "signal_all"})
+
+#: Builtins a twin may call synchronously.
+_SAFE_BUILTINS = frozenset(
+    id(getattr(builtins, name))
+    for name in (
+        "abs all any bool bytes chr dict divmod enumerate float format frozenset "
+        "getattr hasattr hash int isinstance issubclass len list max min ord "
+        "print range repr reversed round set sorted str sum tuple zip"
+    ).split()
+)
+
+#: Types whose methods a twin may call synchronously (exact types only).
+_DATA_TYPES = frozenset(
+    {list, dict, set, frozenset, tuple, str, bytes, int, float, bool, deque, random.Random}
+)
+
+# How a body sees the value behind a name (see coroutine_twin).
+_DATA = "data"
+_CALLABLE = "callable"
 
 _WAIT_UNTIL = "__twin_wait_until__"
 _WAIT_ON = "__twin_wait_on__"
-_CALL = "__twin_call__"
 _ENTER = "__twin_enter__"
+_DISPATCH = "__twin_dispatch__"
+#: Free variable holding the twin table of the method's own class.
+_SELF_TABLE = "__twin_self__"
+#: Free variable holding receiver name -> twin table in a body twin.
+_TABLES = "__twin_tables__"
 
 
 class _Untwinnable(Exception):
     """The function (or class) has no coroutine twin."""
 
 
-def call_twin(monitor: MonitorBase, name: str, *args: object, **kwargs: object):
-    """The coroutine of *monitor*'s twin of entry method *name*."""
-    table = _TABLES.get(type(monitor)) or monitor_twins(type(monitor))
-    twin = table.get(name) if table is not None else None
+async def _dispatch(table, monitor, name, /, *args, **kwargs):
+    """``getattr(monitor, name)(...)`` in a twin: the entry's twin, or the
+    method itself for a name the monitor's class checked not to block."""
+    twin = table.get(name)
     if twin is None:
-        raise MonitorUsageError(
-            f"{type(monitor).__name__}.{name} has no coroutine twin"
-        )
-    return twin(monitor, *args, **kwargs)
+        return getattr(monitor, name)(*args, **kwargs)
+    return await twin(monitor, *args, **kwargs)
 
 
 _HELPERS = {
     _WAIT_UNTIL: wait_until_async,
     _WAIT_ON: wait_on_async,
-    _CALL: call_twin,
     _ENTER: enter_async,
+    _DISPATCH: _dispatch,
 }
-#: The helpers' cells, in ``_HELPERS`` order: a twin's closure picks from
-#: the original's cells followed by these.
 _HELPER_CELLS = tuple(types.CellType(value) for value in _HELPERS.values())
 
 
@@ -132,18 +171,74 @@ def _function_def(fn: types.FunctionType) -> ast.FunctionDef:
     return node
 
 
+def _bound_names(node: ast.FunctionDef) -> FrozenSet[str]:
+    """Every name bound anywhere in *node* (parameters, assignments, loop
+    and comprehension targets, nested scopes, ``global``/``nonlocal``):
+    names whose value the twin generator cannot know."""
+    names = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name) and not isinstance(inner.ctx, ast.Load):
+            names.add(inner.id)
+        elif isinstance(inner, ast.arg):
+            names.add(inner.arg)
+        elif isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(inner.name)
+        elif isinstance(inner, (ast.Global, ast.Nonlocal)):
+            names.update(inner.names)
+        elif isinstance(inner, ast.ExceptHandler) and inner.name:
+            names.add(inner.name)
+        elif isinstance(inner, ast.alias):
+            names.add((inner.asname or inner.name).split(".")[0])
+        elif isinstance(inner, (ast.MatchAs, ast.MatchStar)) and inner.name:
+            names.add(inner.name)
+        elif isinstance(inner, ast.MatchMapping) and inner.rest:
+            names.add(inner.rest)
+    return frozenset(names)
+
+
+def _is_getattr_call(func: ast.expr) -> bool:
+    return (
+        isinstance(func, ast.Call)
+        and isinstance(func.func, ast.Name)
+        and func.func.id == "getattr"
+        and len(func.args) == 2
+        and not func.keywords
+        and isinstance(func.args[0], ast.Name)
+    )
+
+
+def _value_shape(value: object) -> Optional[object]:
+    """How a twin may use *value*, when it is not a monitor: a kernel
+    primitive (its type), a plain data object, a safe callable, or None."""
+    kind = type(value)
+    if kind in _PRIMITIVES:
+        return kind
+    if kind in _DATA_TYPES:
+        return _DATA
+    if id(value) in _SAFE_BUILTINS or (
+        isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == "builtins"
+    ):
+        return _CALLABLE
+    return None
+
+
 class _Awaiter(ast.NodeTransformer):
-    """Replaces each blocking call *rewrite* recognises with its awaited
-    twin call, and refuses blocking calls a coroutine cannot await."""
+    """Replaces each call *rewrite* marks as blocking with its awaited twin
+    call.  *rewrite* returns None for a call that may stay synchronous and
+    raises :class:`_Untwinnable` for one that may block unseen."""
 
     def __init__(self, rewrite: Callable[[ast.Call], Optional[ast.expr]]) -> None:
         self._rewrite = rewrite
+        self.awaits = 0
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
         self.generic_visit(node)
         replacement = self._rewrite(node)
         if replacement is None:
             return node
+        self.awaits += 1
         return ast.copy_location(ast.Await(value=replacement), node)
 
     def _nested_scope(self, node: ast.AST) -> ast.AST:
@@ -157,29 +252,46 @@ class _Awaiter(ast.NodeTransformer):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _nested_scope
     visit_ClassDef = visit_GeneratorExp = _nested_scope
 
+    def _refuse(self, node: ast.AST) -> ast.AST:
+        raise _Untwinnable(f"{type(node).__name__} statement (line {node.lineno})")
 
-def _twin_call(helper: str, receiver: ast.expr, call: ast.Call, name=None) -> ast.Call:
-    args = [receiver] if name is None else [receiver, name]
-    return ast.Call(
-        func=ast.Name(id=helper, ctx=ast.Load()),
-        args=args + call.args,
-        keywords=call.keywords,
-    )
+    # A lock's __enter__ blocks; an await in the source is not ours to move.
+    visit_With = visit_AsyncWith = visit_Await = _refuse
+
+
+def _subscript(container: ast.expr, key: str) -> ast.Subscript:
+    return ast.Subscript(value=container, slice=ast.Constant(value=key), ctx=ast.Load())
+
+
+def _load(name: str) -> ast.Name:
+    return ast.Name(id=name, ctx=ast.Load())
+
+
+def _call(func: ast.expr, args: list, call: ast.Call) -> ast.Call:
+    return ast.Call(func=func, args=args + call.args, keywords=call.keywords)
+
+
+def _unsafe(call: ast.Call) -> _Untwinnable:
+    return _Untwinnable(f"call that may block unseen (line {call.lineno}): {ast.unparse(call.func)}")
 
 
 def _compile_twin(
     fn: types.FunctionType,
     rewrite: Callable[[ast.Call], Optional[ast.expr]],
-    entry: Optional[str] = None,
-) -> types.CodeType:
-    """The code object of *fn*'s twin, its free variables being *fn*'s own
-    plus the twin helpers.  With *entry* (a method name), the body runs
-    inside the monitor-entry protocol of ``MonitorBase._run_entry``."""
+    entry: Optional[str],
+    extra: str,
+) -> tuple:
+    """*fn*'s twin as (code, closure indices): its free variables are
+    *fn*'s own, the twin helpers and the *extra* name, in that order.
+    With *entry* (a method name), the body runs inside the monitor-entry
+    protocol of ``MonitorBase._run_entry``."""
     node = _function_def(fn)
-    body = [_Awaiter(rewrite).visit(statement) for statement in node.body]
-    _check_nothing_blocks(body)
+    awaiter = _Awaiter(rewrite)
+    body = [awaiter.visit(statement) for statement in node.body]
     if entry is not None:
         body = _entry_protocol(node, entry, body)
+    elif not awaiter.awaits:
+        raise _Untwinnable(f"{fn.__qualname__} makes no call a twin awaits")
     args = node.args
     for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
         if arg is not None:
@@ -192,21 +304,21 @@ def _compile_twin(
     # Compiled as the inner function of a factory whose parameters are the
     # original's free variables: the twin's references to them become free
     # variables too, which _instantiate binds to the original's cells.
-    params = list(fn.__code__.co_freevars) + list(_HELPERS)
+    params = list(fn.__code__.co_freevars) + list(_HELPERS) + [extra]
     factory = ast.FunctionDef(
         name="__twin_factory__",
         args=ast.arguments(
             posonlyargs=[], args=[ast.arg(arg=name) for name in params],
             vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None, defaults=[],
         ),
-        body=[twin, ast.Return(value=ast.Name(id=node.name, ctx=ast.Load()))],
+        body=[twin, ast.Return(value=_load(node.name))],
         decorator_list=[], returns=None, type_comment=None,
     )
     ast.copy_location(factory, node)
     module = ast.fix_missing_locations(ast.Module(body=[factory], type_ignores=[]))
     code = compile(module, fn.__code__.co_filename, "exec")
-    factory_code = _inner_code(code, "__twin_factory__")
-    return _inner_code(factory_code, node.name)
+    code = _inner_code(_inner_code(code, "__twin_factory__"), node.name)
+    return code, tuple(params.index(name) for name in code.co_freevars)
 
 
 _ENTRY_TEMPLATE = """
@@ -241,26 +353,6 @@ def _entry_protocol(node: ast.FunctionDef, name: str, body: list) -> list:
     return template
 
 
-def _check_nothing_blocks(body: list) -> None:
-    """Refuse a twin that would still block synchronously."""
-    awaited = set()
-    for statement in body:
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Await):
-                awaited.add(id(node.value))
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                raise _Untwinnable(f"with block (line {node.lineno})")
-            elif (
-                isinstance(node, ast.Call)
-                and id(node) not in awaited
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _BLOCKING_NAMES
-            ):
-                raise _Untwinnable(
-                    f"{node.func.attr}() on an unknown receiver (line {node.lineno})"
-                )
-
-
 def _inner_code(code: types.CodeType, name: str) -> types.CodeType:
     for const in code.co_consts:
         if isinstance(const, types.CodeType) and const.co_name == name:
@@ -268,26 +360,14 @@ def _inner_code(code: types.CodeType, name: str) -> types.CodeType:
     raise _Untwinnable(f"compiled twin has no function {name!r}")  # pragma: no cover
 
 
-def _recipe(code: types.CodeType, fn: types.FunctionType) -> tuple:
-    """*code* and a function picking its closure, one cell per free
-    variable, from *fn*'s cells followed by the helpers' cells."""
-    names = list(fn.__code__.co_freevars) + list(_HELPERS)
-    indices = [names.index(name) for name in code.co_freevars]
-    if not indices:
-        return code, lambda cells: None
-    if len(indices) == 1:
-        index = indices[0]
-        return code, lambda cells: (cells[index],)
-    return code, operator.itemgetter(*indices)
-
-
-def _instantiate(twin: tuple, fn: types.FunctionType) -> types.FunctionType:
+def _instantiate(twin: tuple, fn: types.FunctionType, extra: object) -> types.FunctionType:
     """A coroutine function running the twin code over *fn*'s globals,
-    defaults and cells."""
-    code, pick = twin
+    defaults and cells, with *extra* bound to the twin's extra name."""
+    code, indices = twin
+    cells = (fn.__closure__ or ()) + _HELPER_CELLS + (types.CellType(extra),)
     function = types.FunctionType(
         code, fn.__globals__, fn.__name__, fn.__defaults__,
-        pick((fn.__closure__ or ()) + _HELPER_CELLS),
+        tuple([cells[index] for index in indices]),
     )
     if fn.__kwdefaults__:
         function.__kwdefaults__ = fn.__kwdefaults__
@@ -300,16 +380,68 @@ def _instantiate(twin: tuple, fn: types.FunctionType) -> types.FunctionType:
 # ----------------------------------------------------------------------
 
 
+class _MonitorShape(NamedTuple):
+    """What a body twin's code depends on in a monitor class."""
+
+    #: Methods with a twin (entries and helpers that block).
+    twinned: FrozenSet[str]
+    #: Methods checked to run synchronously without blocking (the
+    #: framework's safe methods included).
+    safe: FrozenSet[str]
+    #: Every callable attribute of the user's classes is one of the above,
+    #: so ``getattr(monitor, name)(...)`` may be dispatched.
+    closed: bool
+
+
+class _MonitorTwins:
+    """A monitor class's twins and what their use requires."""
+
+    __slots__ = ("table", "shape", "fields")
+
+    def __init__(self, table: Dict[str, Callable], shape: _MonitorShape,
+                 fields: FrozenSet[str]) -> None:
+        self.table = table
+        self.shape = shape
+        #: Instance fields the methods call methods of (``self.items.append``).
+        self.fields = fields
+
+    def admits(self, monitor: MonitorBase, dispatched: bool) -> bool:
+        """Whether *monitor*'s fields keep the checked methods from
+        blocking: each called field holds a plain data object and, for a
+        monitor a body calls through ``getattr`` (*dispatched*), no field
+        holds a callable the name could reach."""
+        state = vars(monitor)
+        for name in self.fields:
+            if type(state.get(name)) not in _DATA_TYPES:
+                return False
+        return not (dispatched and any(map(callable, state.values())))
+
+
+#: Monitor class -> its twins (None: the class cannot be twinned).
+_MONITORS: "weakref.WeakKeyDictionary[type, Optional[_MonitorTwins]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def monitor_twins(cls: type) -> Optional[Dict[str, Callable]]:
     """Name -> coroutine twin for every entry method of monitor class *cls*
     (and every helper method that blocks), or None when any of them cannot
     be twinned.  Built once per class."""
-    if cls not in _TABLES:
-        try:
-            _TABLES[cls] = _build_monitor_twins(cls)
-        except _Untwinnable:
-            _TABLES[cls] = None
-    return _TABLES[cls]
+    twins = _monitor_analysis(cls)
+    return twins.table if twins is not None else None
+
+
+def _monitor_analysis(cls: type) -> Optional[_MonitorTwins]:
+    try:
+        return _MONITORS[cls]
+    except KeyError:
+        pass
+    try:
+        twins = _build_monitor_twins(cls)
+    except _Untwinnable:
+        twins = None
+    _MONITORS[cls] = twins
+    return twins
 
 
 def _action_twin(action: str) -> Callable:
@@ -320,17 +452,6 @@ def _action_twin(action: str) -> Callable:
     return twin
 
 
-def _calls_on(tree: ast.AST, receiver: str, names: FrozenSet[str]) -> bool:
-    return any(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == receiver
-        and node.func.attr in names
-        for node in ast.walk(tree)
-    )
-
-
 def _self_name(node: ast.FunctionDef) -> str:
     positional = node.args.posonlyargs + node.args.args
     if not positional:
@@ -338,108 +459,235 @@ def _self_name(node: ast.FunctionDef) -> str:
     return positional[0].arg
 
 
-def _build_monitor_twins(cls: type) -> Dict[str, Callable]:
+def _user_classes(cls: type) -> list:
+    """*cls*'s MRO without the monitor framework's classes and ``object``,
+    most-derived last."""
+    return [
+        klass for klass in reversed(cls.__mro__)
+        if klass.__module__ != MonitorBase.__module__ and klass is not object
+    ]
+
+
+def _closed(cls: type, covered: set) -> bool:
+    for klass in _user_classes(cls):
+        for name, attribute in vars(klass).items():
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in covered and (
+                callable(attribute) or isinstance(attribute, (staticmethod, classmethod))
+            ):
+                return False
+    return True
+
+
+class _Method:
+    """One method of a monitor class, parsed: its ``def``, ``self`` name and
+    where its other names live."""
+
+    __slots__ = ("fn", "node", "self_name", "bound")
+
+    def __init__(self, fn: types.FunctionType) -> None:
+        self.fn = fn
+        self.node = _function_def(fn)
+        self.self_name = _self_name(self.node)
+        self.bound = _bound_names(self.node)
+        stores = (
+            inner for inner in ast.walk(self.node)
+            if isinstance(inner, ast.Name) and not isinstance(inner.ctx, ast.Load)
+        )
+        if any(name.id == self.self_name for name in stores):
+            raise _Untwinnable(f"{fn.__qualname__} rebinds {self.self_name}")
+
+    def shape(self, name: str) -> Optional[object]:
+        """The shape of the value *name* refers to in the method (None for
+        a local or an unknown name)."""
+        if name in self.bound:
+            return None
+        code = self.fn.__code__
+        if name in code.co_freevars:
+            try:
+                return _value_shape(self.fn.__closure__[code.co_freevars.index(name)].cell_contents)
+            except ValueError:  # an empty cell
+                return None
+        if name in self.fn.__globals__:
+            return _value_shape(self.fn.__globals__[name])
+        return _value_shape(getattr(builtins, name, None))
+
+    def calls_on_self(self, names: FrozenSet[str]) -> bool:
+        return any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == self.self_name
+            and node.func.attr in names
+            for node in ast.walk(self.node)
+        )
+
+    def rewriter(self, blocking: set, safe: set, fields: set):
+        """The call rewrite of this method's twin: ``self.wait_until`` /
+        ``self.wait_on`` and calls of *blocking* methods are awaited; calls
+        of *safe* methods (framework ones included), of data methods (their
+        fields noted in *fields*) and of safe builtins stay; anything else
+        refuses."""
+        self_name = self.self_name
+
+        def rewrite(call: ast.Call) -> Optional[ast.expr]:
+            func = call.func
+            if isinstance(func, ast.Name):
+                if self.shape(func.id) == _CALLABLE:
+                    return None
+                raise _unsafe(call)
+            if not isinstance(func, ast.Attribute):
+                raise _unsafe(call)
+            receiver, method = func.value, func.attr
+            if isinstance(receiver, ast.Name) and receiver.id == self_name:
+                if method == "wait_until":
+                    return _call(_load(_WAIT_UNTIL), [_load(self_name)], call)
+                if method == "wait_on":
+                    return _call(_load(_WAIT_ON), [_load(self_name)], call)
+                if method in blocking:
+                    return _call(_subscript(_load(_SELF_TABLE), method), [_load(self_name)], call)
+                if method in safe:
+                    return None
+                raise _unsafe(call)
+            if isinstance(receiver, ast.Name) and self.shape(receiver.id) == _DATA:
+                return None
+            if (
+                isinstance(receiver, ast.Attribute)
+                and isinstance(receiver.value, ast.Name)
+                and receiver.value.id == self_name
+            ):
+                fields.add(receiver.attr)  # checked per instance: MonitorTwins.admits
+                return None
+            raise _unsafe(call)
+
+        return rewrite
+
+
+def _build_monitor_twins(cls: type) -> _MonitorTwins:
     if not (isinstance(cls, type) and issubclass(cls, MonitorBase)):
         raise _Untwinnable(f"{cls!r} is not a monitor class")
     runtimes = getattr(cls, "_action_runtimes", None)
     if runtimes:
-        return {action: _action_twin(action) for action in runtimes}
+        table = {action: _action_twin(action) for action in runtimes}
+        shape = _MonitorShape(frozenset(table), frozenset(), _closed(cls, set(table)))
+        return _MonitorTwins(table, shape, frozenset())
     # The user's methods, most-derived last; the framework's own classes
     # (wait_until, wait_on, ...) are what the twins await, not twins.
-    methods: Dict[str, types.FunctionType] = {}
+    functions: Dict[str, types.FunctionType] = {}
     entries = set()
-    for klass in reversed(cls.__mro__):
-        if klass.__module__ == MonitorBase.__module__ or klass is object:
-            continue
+    for klass in _user_classes(cls):
         for name, attribute in vars(klass).items():
             if getattr(attribute, "_monitor_entry_wrapped", False):
-                methods[name] = attribute.__wrapped__
+                functions[name] = attribute.__wrapped__
                 entries.add(name)
             elif isinstance(attribute, types.FunctionType):
-                methods[name] = attribute
+                functions[name] = attribute
                 entries.discard(name)
+    methods: Dict[str, _Method] = {}
+    for name, fn in functions.items():
+        try:
+            methods[name] = _Method(fn)
+        except _Untwinnable:
+            if name in entries:
+                raise
     # A helper method blocks when it waits or calls something that blocks.
-    trees: Dict[str, Optional[Tuple[ast.FunctionDef, str]]] = {}
     blocking = set(entries)
     pending = True
     while pending:
         pending = False
         names = frozenset(blocking | {"wait_until", "wait_on"})
-        for name, fn in methods.items():
-            if name in blocking:
-                continue
-            if name not in trees:
-                try:
-                    node = _function_def(fn)
-                    trees[name] = (node, _self_name(node))
-                except _Untwinnable:
-                    trees[name] = None  # cannot tell: stays synchronous
-            parsed = trees[name]
-            if parsed is not None and _calls_on(parsed[0], parsed[1], names):
+        for name, method in methods.items():
+            if name not in blocking and method.calls_on_self(names):
                 blocking.add(name)
                 pending = True
+    # The others may run synchronously if they call nothing that may block:
+    # drop the unchecked ones until the rest check against each other.  The
+    # framework's safe methods count unless the user's classes override them.
+    safe = (set(methods) - blocking) | (_FRAMEWORK_SAFE - set(functions))
+    pending = True
+    while pending:
+        pending = False
+        for name in sorted(safe.intersection(methods)):
+            try:
+                _check_calls(methods[name], blocking, safe, set())
+            except _Untwinnable:
+                safe.discard(name)
+                pending = True
+    fields: set = set()
+    for name in safe.intersection(methods):
+        _check_calls(methods[name], blocking, safe, fields)
     table: Dict[str, Callable] = {}
     for name in sorted(blocking):
-        fn = methods[name]
-        entry = fn.__name__ if name in entries else None
-        code = _compile_twin(fn, _method_rewriter(fn, blocking), entry)
-        table[name] = _instantiate(_recipe(code, fn), fn)
-    return table
+        method = methods[name]
+        entry = method.fn.__name__ if name in entries else None
+        twin = _compile_twin(
+            method.fn, method.rewriter(blocking, safe, fields), entry, _SELF_TABLE
+        )
+        table[name] = _instantiate(twin, method.fn, table)
+    shape = _MonitorShape(frozenset(table), frozenset(safe), _closed(cls, blocking | safe))
+    return _MonitorTwins(table, shape, frozenset(fields))
 
 
-def _method_rewriter(fn: types.FunctionType, blocking: set):
-    self_name = _self_name(_function_def(fn))
-
-    def rewrite(call: ast.Call) -> Optional[ast.expr]:
-        func = call.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == self_name
-        ):
-            return None
-        receiver = ast.Name(id=self_name, ctx=ast.Load())
-        if func.attr == "wait_until":
-            return _twin_call(_WAIT_UNTIL, receiver, call)
-        if func.attr == "wait_on":
-            return _twin_call(_WAIT_ON, receiver, call)
-        if func.attr in blocking:
-            return _twin_call(_CALL, receiver, call, ast.Constant(value=func.attr))
-        return None
-
-    return rewrite
+def _check_calls(method: _Method, blocking: set, safe: set, fields: set) -> None:
+    """Raise :class:`_Untwinnable` unless every call in *method* may run
+    synchronously."""
+    rewrite = method.rewriter(blocking, safe, fields)
+    for node in ast.walk(method.node):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            raise _Untwinnable(f"with block (line {node.lineno})")
+        if isinstance(node, ast.Call) and rewrite(node) is not None:
+            raise _Untwinnable(f"blocking call (line {node.lineno})")
 
 
 # ----------------------------------------------------------------------
 # Thread-body twins
 # ----------------------------------------------------------------------
 
+
 class _Body:
-    """What twinning one thread-body code object needs: where its receiver
-    names live, and its compiled twins keyed by the receivers' types."""
+    """What twinning one thread-body code object needs: the names its calls
+    go through, where they live, and its compiled twins keyed by the shapes
+    of those names' values."""
 
-    __slots__ = ("names", "cells", "globals", "twins")
+    __slots__ = ("names", "cells", "globals", "dispatched", "twins")
 
-    def __init__(self, fn: types.FunctionType, names: FrozenSet[str]) -> None:
+    def __init__(self, fn: types.FunctionType) -> None:
+        node = _function_def(fn)
+        bound = _bound_names(node)
+        names = set()
+        #: Names called through ``getattr(name, ...)(...)``.
+        self.dispatched = set()
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = func.value.id
+            elif _is_getattr_call(func):
+                name = func.args[0].id
+                self.dispatched.add(name)
+            else:
+                raise _unsafe(call)
+            if name in bound:
+                raise _Untwinnable(f"call through local {name!r} (line {call.lineno})")
+            names.add(name)
         code = fn.__code__
-        #: Closure indices of the receivers that are closure variables.
+        #: Closure indices of the names that are closure variables.
         self.cells = tuple(
             index for index, name in enumerate(code.co_freevars) if name in names
         )
-        #: Receivers that are globals.
-        self.globals = tuple(
-            sorted(
-                name for name in names
-                if name not in code.co_freevars and name not in code.co_varnames
-            )
-        )
+        #: Names that are globals (or builtins).
+        self.globals = tuple(sorted(names - set(code.co_freevars)))
         self.names = tuple(code.co_freevars[index] for index in self.cells) + self.globals
-        #: receiver types -> (twin code, closure picker), or None.
+        #: shapes of the names' values -> (twin code, closure indices), or None.
         self.twins: Dict[tuple, Optional[tuple]] = {}
 
     def values(self, fn: types.FunctionType) -> list:
-        """The receivers' current values, in :attr:`names` order (None for
-        an empty cell or a missing global)."""
+        """The names' current values, in :attr:`names` order (None for an
+        empty cell or a missing name)."""
         closure = fn.__closure__
         values = []
         for index in self.cells:
@@ -448,37 +696,16 @@ class _Body:
             except ValueError:  # an empty cell
                 values.append(None)
         namespace = fn.__globals__
-        values.extend(namespace.get(name) for name in self.globals)
+        for name in self.globals:
+            values.append(
+                namespace[name] if name in namespace else getattr(builtins, name, None)
+            )
         return values
 
 
 #: code object -> its :class:`_Body` (None: the body cannot be twinned).
+#: Nothing in a _Body refers to a monitor class.
 _BODIES: Dict[types.CodeType, Optional[_Body]] = {}
-
-
-def _receivers(node: ast.FunctionDef) -> FrozenSet[str]:
-    """Names used as ``name.method(...)`` or ``getattr(name, ...)(...)``."""
-    names = set()
-    for call in ast.walk(node):
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            names.add(func.value.id)
-        elif _is_getattr_call(func):
-            names.add(func.args[0].id)
-    return frozenset(names)
-
-
-def _is_getattr_call(func: ast.expr) -> bool:
-    return (
-        isinstance(func, ast.Call)
-        and isinstance(func.func, ast.Name)
-        and func.func.id == "getattr"
-        and len(func.args) == 2
-        and not func.keywords
-        and isinstance(func.args[0], ast.Name)
-    )
 
 
 def coroutine_twin(fn: Callable) -> Optional[Callable]:
@@ -487,10 +714,22 @@ def coroutine_twin(fn: Callable) -> Optional[Callable]:
     Calls of monitor entry methods on monitors *fn* can see, and of the
     blocking kernel primitives it can see (a lock's ``acquire``, a
     condition's ``wait``, the backend's ``yield_control``), are awaited;
-    everything else is unchanged.  The twin is rebuilt over *fn*'s own cells
-    on every call (cheap: the compiled code is cached per code object and
-    receiver types), so each workload build gets a twin of its own body.
+    every other call must be known not to block (see the module notes),
+    judged on the values *fn* sees now.  The twin is rebuilt over *fn*'s own
+    cells on every call (cheap: the compiled code is cached per code object
+    and value shapes), so each workload build gets a twin of its own body.
     """
+    return coroutine_twins([fn])[0]
+
+
+def coroutine_twins(fns: Sequence[Callable]) -> List[Optional[Callable]]:
+    """:func:`coroutine_twin` of each of *fns*, judging each monitor they
+    share once (a workload's bodies share one)."""
+    judged: Dict[tuple, Optional[tuple]] = {}
+    return [_body_twin(fn, judged) for fn in fns]
+
+
+def _body_twin(fn: Callable, judged: Dict[tuple, Optional[tuple]]) -> Optional[Callable]:
     if type(fn) is not types.FunctionType:
         return None
     code = fn.__code__
@@ -498,59 +737,74 @@ def coroutine_twin(fn: Callable) -> Optional[Callable]:
         body = _BODIES[code]
     except KeyError:
         try:
-            body = _Body(fn, _receivers(_function_def(fn)))
+            body = _Body(fn)
         except _Untwinnable:
             body = None
         _BODIES[code] = body
     if body is None:
         return None
-    values = body.values(fn)
-    key = tuple(map(type, values))
+    shapes = []
+    tables = {}
+    for name, value in zip(body.names, body.values(fn)):
+        if isinstance(value, MonitorBase):
+            # Keyed by identity: *fns* keep every monitor they see alive.
+            key = (id(value), name in body.dispatched)
+            try:
+                verdict = judged[key]
+            except KeyError:
+                twins = _monitor_analysis(type(value))
+                verdict = judged[key] = (
+                    (twins.shape, twins.table)
+                    if twins is not None and twins.admits(value, key[1])
+                    else None
+                )
+            if verdict is None:
+                return None
+            shapes.append(verdict[0])
+            tables[name] = verdict[1]
+        else:
+            shapes.append(_value_shape(value))
+    key = tuple(shapes)
     try:
         twin = body.twins[key]
     except KeyError:
-        twin = body.twins[key] = _compile_body_twin(fn, dict(zip(body.names, values)))
-    return _instantiate(twin, fn) if twin is not None else None
+        twin = body.twins[key] = _compile_body_twin(fn, dict(zip(body.names, shapes)))
+    return _instantiate(twin, fn, tables) if twin is not None else None
 
 
-def _compile_body_twin(
-    fn: types.FunctionType, receivers: Dict[str, object]
-) -> Optional[tuple]:
-    tables = {}
-    for name, value in receivers.items():
-        table = _PRIMITIVES.get(type(value))
-        if table is None:
-            if not isinstance(value, MonitorBase):
-                continue
-            table = monitor_twins(type(value))
-            if table is None:
-                return None
-        tables[name] = table
-
+def _compile_body_twin(fn: types.FunctionType, shapes: Dict[str, object]) -> Optional[tuple]:
     def rewrite(call: ast.Call) -> Optional[ast.expr]:
         func = call.func
-        if _is_getattr_call(func) and func.args[0].id in tables:
-            if type(receivers[func.args[0].id]) in _PRIMITIVES:
+        if isinstance(func, ast.Name):
+            if shapes[func.id] == _CALLABLE:
                 return None
-            return _twin_call(_CALL, func.args[0], call, func.args[1])
-        if not (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.attr in tables.get(func.value.id, ())
-        ):
+            raise _unsafe(call)
+        if _is_getattr_call(func):
+            receiver = func.args[0]
+            shape = shapes[receiver.id]
+            if isinstance(shape, _MonitorShape) and shape.closed:
+                table = _subscript(_load(_TABLES), receiver.id)
+                return _call(_load(_DISPATCH), [table, receiver, func.args[1]], call)
+            raise _unsafe(call)
+        receiver, method = func.value, func.attr
+        shape = shapes[receiver.id]
+        if shape == _DATA:
             return None
-        name = func.value.id
-        receiver = ast.Name(id=name, ctx=ast.Load())
-        awaitable = _PRIMITIVES.get(type(receivers[name]), {}).get(func.attr)
-        if awaitable is not None:
-            return ast.Call(
-                func=ast.Attribute(value=receiver, attr=awaitable, ctx=ast.Load()),
-                args=call.args,
-                keywords=call.keywords,
-            )
-        return _twin_call(_CALL, receiver, call, ast.Constant(value=func.attr))
+        if isinstance(shape, _MonitorShape):
+            if method in shape.twinned:
+                table = _subscript(_load(_TABLES), receiver.id)
+                return _call(_subscript(table, method), [receiver], call)
+            if method in shape.safe:
+                return None
+        elif shape in _PRIMITIVES:
+            awaitable = _PRIMITIVES[shape].get(method)
+            if awaitable is not None:
+                return _call(ast.Attribute(value=receiver, attr=awaitable, ctx=ast.Load()), [], call)
+            if method in _PRIMITIVE_SAFE[shape]:
+                return None
+        raise _unsafe(call)
 
     try:
-        return _recipe(_compile_twin(fn, rewrite), fn)
+        return _compile_twin(fn, rewrite, None, _TABLES)
     except _Untwinnable:
         return None

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import AUTOMATIC_MODES, MonitorBase
 from repro.core.signalling import available_policies
-from repro.preprocessor.twins import coroutine_twin
+from repro.preprocessor.twins import coroutine_twins
 from repro.runtime.api import Backend
 from repro.runtime.simulation import SimulationBackend
 
@@ -113,7 +113,8 @@ class WorkloadSpec:
         """
         if not isinstance(backend, SimulationBackend):
             return self.targets
-        return [coroutine_twin(target) or target for target in self.targets]
+        twins = coroutine_twins(self.targets)
+        return [twin or target for twin, target in zip(twins, self.targets)]
 
 
 class Problem(abc.ABC):

@@ -13,29 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-__all__ = [
-    "COMPLETED",
-    "LockAPI",
-    "ConditionAPI",
-    "ThreadHandle",
-    "BackendMetrics",
-    "Backend",
-]
-
-
-class _Completed:
-    """An awaitable that is already complete (``await`` returns None)."""
-
-    __slots__ = ()
-
-    def __await__(self):
-        return iter(())
-
-
-#: What an awaitable primitive returns when it finished without suspending
-#: (a free lock taken, a predicate that already held): awaiting it costs no
-#: coroutine, and callers may test for it to skip follow-up awaits.
-COMPLETED = _Completed()
+__all__ = ["LockAPI", "ConditionAPI", "ThreadHandle", "BackendMetrics", "Backend"]
 
 
 class LockAPI(abc.ABC):

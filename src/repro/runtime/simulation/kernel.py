@@ -38,7 +38,7 @@ import types
 from time import monotonic
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runtime.api import COMPLETED, Backend, BackendMetrics, ThreadHandle
+from repro.runtime.api import Backend, BackendMetrics, ThreadHandle
 from repro.runtime.simulation.schedulers import (
     SchedulePoint,
     Scheduler,
@@ -1216,21 +1216,14 @@ class SimulationBackend(Backend):
             self._adapter.decide(sim_thread, reason)
             self._acquired(sim_thread, lock)
 
-    def lock_acquire_async(self, lock: SimLock):
-        """Awaitable :meth:`lock_acquire`: already complete when the lock
-        was free (no coroutine to step), a decision request otherwise."""
+    async def lock_acquire_async(self, lock: SimLock) -> None:
+        """:meth:`lock_acquire` for coroutine-hosted threads."""
         sim_thread = self.current_thread()
         with self._lock:
             reason = self._acquire_locked(sim_thread, lock)
-        if reason is None:
-            return COMPLETED
-        return self._contended_acquire(sim_thread, lock, reason)
-
-    async def _contended_acquire(
-        self, sim_thread: _SimThread, lock: SimLock, reason: str
-    ) -> None:
-        await _decide(reason)
-        self._acquired(sim_thread, lock)
+        if reason is not None:
+            await _decide(reason)
+            self._acquired(sim_thread, lock)
 
     def lock_release(self, lock: SimLock) -> None:
         sim_thread = self.current_thread()

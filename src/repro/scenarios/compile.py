@@ -6,8 +6,8 @@ guard goes through ``wait_until`` — i.e. the full predicate parser →
 globalization → codegen pipeline, with predicate-table sharing, tagging and
 relay signalling exactly as for hand-written monitors — and the effects
 apply once the guard holds.  Effects and binds are compiled once per spec
-through the same predicate front end and evaluated by the predicate
-evaluator, so the whole scenario runs without a single line of
+through the same predicate front end and codegen (the interpreter where
+codegen declines), so the whole scenario runs without a single line of
 scenario-specific Python.
 
 ``ScenarioProblem`` adapts the compiled monitor to the harness's
@@ -26,7 +26,8 @@ from repro.core.monitor import AutoSynchMonitor
 from repro.predicates.ast_nodes import Expr, Subscript
 from repro.predicates.classify import classify, free_names
 from repro.predicates.errors import PredicateError
-from repro.predicates.evaluator import evaluate, evaluate_bool
+from repro.predicates.codegen import compile_expr
+from repro.predicates.evaluator import evaluate, evaluate_bool, read_shared
 from repro.predicates.parser import parse_predicate
 from repro.predicates.predicate import compile_predicate
 from repro.problems.base import AUTOMATIC_MECHANISMS, Oracle, Problem, WorkloadSpec
@@ -54,6 +55,15 @@ def _classify_expr(source: str, state_names: frozenset, what: str) -> Expr:
         raise ScenarioError(f"{what}: {error}") from None
 
 
+def _evaluator(expr: Expr) -> Callable[[object, Mapping[str, object]], object]:
+    """*expr* as ``fn(monitor, local_values) -> value``: its codegen
+    closure, or the interpreter where codegen declines (same semantics)."""
+    compiled = compile_expr(expr)
+    if compiled is None:
+        return lambda monitor, local_values: evaluate(expr, monitor, local_values)
+    return lambda monitor, local_values: compiled(monitor, read_shared, local_values)
+
+
 class _CompiledAssignment:
     """One precompiled state update ``target = expression``."""
 
@@ -63,23 +73,25 @@ class _CompiledAssignment:
         node = parse_predicate(target)
         if isinstance(node, Subscript):
             self.target = node.value.ident
-            self.index: Optional[Expr] = classify(
-                node.index,
-                state_names,
-                frozenset(free_names(node.index)) - state_names,
+            self.index: Optional[Callable] = _evaluator(
+                classify(
+                    node.index,
+                    state_names,
+                    frozenset(free_names(node.index)) - state_names,
+                )
             )
         else:
             self.target = node.ident
             self.index = None
-        self.value = _classify_expr(expr, state_names, what)
+        self.value = _evaluator(_classify_expr(expr, state_names, what))
 
     def apply(self, monitor: AutoSynchMonitor, local_values: Mapping[str, object]) -> None:
-        value = evaluate(self.value, monitor, local_values)
+        value = self.value(monitor, local_values)
         if self.index is None:
             setattr(monitor, self.target, value)
         else:
             container = getattr(monitor, self.target)
-            container[evaluate(self.index, monitor, local_values)] = value
+            container[self.index(monitor, local_values)] = value
             # A subscript store mutates the container in place, bypassing the
             # monitor's __setattr__ write tracking; report it explicitly so
             # the incremental relay path stays sound for container fields.
@@ -94,8 +106,13 @@ class _ActionRuntime:
     def __init__(self, action: ActionSpec, state_names: frozenset) -> None:
         self.name = action.name
         self.guard = action.guard
-        self.binds: Tuple[Tuple[str, Expr], ...] = tuple(
-            (name, _classify_expr(expr, state_names, f"action {action.name!r} bind {name!r}"))
+        self.binds: Tuple[Tuple[str, Callable], ...] = tuple(
+            (
+                name,
+                _evaluator(
+                    _classify_expr(expr, state_names, f"action {action.name!r} bind {name!r}")
+                ),
+            )
             for name, expr in action.binds
         )
         self.pre = tuple(
@@ -114,8 +131,8 @@ class _ActionRuntime:
 
 def _make_action_method(runtime: _ActionRuntime) -> Callable:
     def action_method(self, **local_values):
-        for name, expr in runtime.binds:
-            local_values[name] = evaluate(expr, self, local_values)
+        for name, bind in runtime.binds:
+            local_values[name] = bind(self, local_values)
         for assignment in runtime.pre:
             assignment.apply(self, local_values)
         if runtime.guard is not None:

@@ -345,11 +345,54 @@ class TestTwinGenerator:
             locks[0].acquire()
             locks[0].release()
 
+        def dynamic_primitive():
+            getattr(lock, "acquire")()
+            lock.release()
+
+        def awaits_nothing():
+            return len(locks)
+
         assert coroutine_twin(with_block) is None
         assert coroutine_twin(unknown_receiver) is None
+        assert coroutine_twin(dynamic_primitive) is None
+        assert coroutine_twin(awaits_nothing) is None
         assert coroutine_twin(lambda: None) is None
         # The adapter still runs them.
-        backend.run([with_block, unknown_receiver])
+        backend.run([with_block, unknown_receiver, dynamic_primitive, awaits_nothing])
+
+    def test_fields_and_helpers_are_checked_before_they_run_synchronously(self):
+        class Tally(AutoSynchMonitor):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.items = []
+                self.sink = []
+
+            def add(self, item):
+                self._record(item)
+
+            def flush(self):
+                self.sink.append(len(self.items))
+
+            def _record(self, item):
+                self.items.append(item)
+
+        # The entries; _record blocks on nothing, so it runs synchronously.
+        assert set(monitor_twins(Tally)) == {"add", "flush"}
+        backend = SimulationBackend(seed=0)
+        tally = Tally(backend=backend)
+
+        def body():
+            tally.add(1)
+            getattr(tally, "_record")(2)
+            getattr(tally, "flush")()
+
+        twin = coroutine_twin(body)
+        assert twin is not None
+        backend.run([twin])
+        assert tally.items == [1, 2] and tally.sink == [2]
+        # A field holding a monitor could block: no twin for that instance.
+        tally.sink = Tally(backend=backend)
+        assert coroutine_twin(body) is None
 
     def test_entry_calling_an_entry_and_a_blocking_helper(self):
         class Counter(AutoSynchMonitor):
