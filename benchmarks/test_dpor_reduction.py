@@ -38,9 +38,9 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_dpor_reduction.js
 REQUIRED_RATIO = 5.0
 
 THREADS = 2
-#: 8 ops -> 4 items -> uniform per-thread quotas, so the producer/consumer
-#: symmetry classes apply (an odd item count would split quotas unevenly
-#: and disable symmetry — see BoundedBufferProblem.symmetry_classes).
+#: 8 ops -> 4 items -> uniform per-thread quotas, so each role is one
+#: symmetry class (with two threads, an odd item count gives each its own
+#: quota and leaves no class — see BoundedBufferProblem.symmetry_classes).
 TOTAL_OPS = 8
 CAPACITY = 1
 

@@ -106,51 +106,91 @@ def _gained_lock(tid: int, before: tuple, after: tuple) -> bool:
     return False
 
 
-def _signatures(config: tuple) -> Dict[int, tuple]:
-    """Each thread's signature in *config*: what it looks like without its id.
+def _class_index(sym_classes: Tuple[Tuple[int, ...], ...]) -> Dict[int, int]:
+    """Each class member's class, by index into *sym_classes*."""
+    return {tid: index for index, cls in enumerate(sym_classes) for tid in cls}
 
-    A signature is the thread's state, block reason and fingerprint plus
-    every place its id occurs in the queues: the locks it owns and its
-    position in each lock and condition queue.  Renaming threads carries
-    signatures along unchanged.  A lock has one owner and a queue position
-    one thread, so two threads with equal signatures occur in no queue and
-    own no lock: swapping them fixes the configuration.
+
+#: How signatures order thread states.  Any order gives a canonical key.
+#: The default continuation runs the lowest runnable id first, so within a
+#: class the lower ids tend to be further along; putting finished and
+#: running threads first lets most classes already sort in id order, and
+#: their key needs no renaming.
+_STATE_RANK = {"finished": 0, "running": 1, "blocked": 2, "runnable": 3, "created": 4}
+
+
+def _signatures(config: tuple, class_of: Dict[int, int]) -> Dict[int, tuple]:
+    """Each class member's signature in *config*: what it looks like
+    without its id.  Threads outside every class need none.
+
+    A signature is the thread's state (led by its :data:`_STATE_RANK`),
+    block reason and fingerprint plus every place its id occurs in the
+    queues: the locks it owns and its position in each lock and condition
+    queue.  Renaming threads carries signatures along unchanged.  A lock
+    has one owner and a queue position one thread, so two threads with
+    equal signatures occur in no queue and own no lock: swapping them
+    fixes the configuration.
     """
     _vars_proj, threads, locks, conds = config
-    places: Dict[int, list] = defaultdict(list)
+    places: Dict[int, list] = {}
     for i, owner, queue in locks:
-        if owner is not None:
-            places[owner].append((0, i, -1))
+        if owner in class_of:
+            places.setdefault(owner, []).append((0, i, -1))
         for position, tid in enumerate(queue):
-            places[tid].append((0, i, position))
+            if tid in class_of:
+                places.setdefault(tid, []).append((0, i, position))
     for i, queue in conds:
         for position, tid in enumerate(queue):
-            places[tid].append((1, i, position))
-    return {
-        # (reason is not None, reason or "") orders a None reason totally.
-        tid: (state, reason is not None, reason or "", fp, tuple(places.get(tid, ())))
-        for tid, state, reason, fp in threads
-    }
+            if tid in class_of:
+                places.setdefault(tid, []).append((1, i, position))
+    rank = _STATE_RANK.get
+    signature = {}
+    for tid, state, reason, fp in threads:
+        if tid in class_of:
+            at = places.get(tid)
+            # (reason is not None, reason or "") orders a None reason totally.
+            signature[tid] = (
+                rank(state, 5), state, reason is not None, reason or "", fp,
+                tuple(at) if at else (),
+            )
+    return signature
 
 
-def _canonicalize(config: tuple, sym_classes: Tuple[Tuple[int, ...], ...]) -> tuple:
-    """The canonical renaming of *config* under the symmetry.
+def _canonicalize(
+    config: tuple,
+    sym_classes: Tuple[Tuple[int, ...], ...],
+    signature: Dict[int, tuple],
+) -> tuple:
+    """The canonical renaming of *config* under the symmetry, given its
+    members' *signature* (:func:`_signatures`).
 
-    Within each class the threads, sorted on their signatures, take the
-    class's ids in increasing order.  A renamed configuration sorts the
-    same signatures the same way, so every configuration of one orbit gets
-    one key, and configurations of different orbits differ in it.  Ties
-    need no search: tied threads are interchangeable (see
-    :func:`_signatures`), so every order among them gives the same key.
-    A class member without a thread yet sorts first, with an empty
-    signature.
+    Within each class (its ids in increasing order) the threads, sorted on
+    their signatures, take the class's ids in increasing order.  A renamed
+    configuration sorts the same signatures the same way, so every
+    configuration of one orbit gets one key, and configurations of
+    different orbits differ in it.  Ties need no search: tied threads are
+    interchangeable, so every order among them gives the same key.  A class
+    member without a thread yet sorts first, with an empty signature.
+
+    When every class already sorts in id order the renaming is the
+    identity, and the key is *config* itself: ``sync_state`` lists threads
+    by id, so renaming would rebuild an equal tuple.
     """
-    vars_proj, threads, locks, conds = config
-    signature = _signatures(config)
+    get = signature.get
     rename: Dict[int, int] = {}
     for cls in sym_classes:
-        ranked = sorted(cls, key=lambda tid: signature.get(tid, ()))
-        rename.update(zip(ranked, sorted(cls)))
+        previous = get(cls[0], ())
+        for tid in cls[1:]:
+            current = get(tid, ())
+            if current < previous:
+                break
+            previous = current
+        else:
+            continue
+        rename.update(zip(sorted(cls, key=lambda tid: get(tid, ())), cls))
+    if not rename:
+        return config
+    vars_proj, threads, locks, conds = config
     r = rename.get
     return (
         vars_proj,
@@ -169,10 +209,12 @@ class _ConfigProbe:
     ``((monitor field names, their projected values), per-thread
     (tid, state, block_reason, fingerprint), locks, conds)``, then its
     canonical key; without symmetry classes the configuration is its own
-    key and ``keys`` is ``configs``.
-    ``configs[d]`` and ``keys[d]`` describe decision ``d``; both are None
-    below ``start``, where a shared-prefix re-execution replays decisions
-    the parent run already merged on.  Fingerprint counting then resumes
+    key and ``keys`` is ``configs``.  With them, ``signatures[d]`` holds the
+    class members' signatures that keyed decision ``d``, which the
+    automorphism filter reuses.
+    ``configs[d]``, ``keys[d]`` and ``signatures[d]`` describe decision
+    ``d``; all are None below ``start``, where a shared-prefix
+    re-execution replays decisions the parent run already merged on.  Fingerprint counting then resumes
     from the parent's *fingerprints* at the divergence point.
 
     With ``stop_from`` set, the first decision at or past it (and within
@@ -208,11 +250,14 @@ class _ConfigProbe:
         fingerprints: Optional[Dict[int, int]] = None,
         stop_from: Optional[int] = None,
         max_depth: Optional[int] = None,
+        class_of: Optional[Dict[int, int]] = None,
     ) -> None:
         self._backend = backend
         self._values = vars(monitor)
         self._project = project
         self._sym = sym
+        #: Each member's class; the reduction builds it once for all runs.
+        self._class_of = _class_index(sym) if class_of is None else class_of
         self._seen = seen
         self._start = start
         self._stop_from = stop_from
@@ -230,6 +275,7 @@ class _ConfigProbe:
         self._previous: Optional[tuple] = None
         self.configs: List[Optional[tuple]] = [None] * start
         self.keys: List[Optional[tuple]] = [None] * start if sym else self.configs
+        self.signatures: List[Optional[Dict[int, tuple]]] = [None] * start
 
     def observe(self, point) -> None:
         d = point.step
@@ -281,7 +327,9 @@ class _ConfigProbe:
         )
         self.configs.append(config)
         if self._sym:
-            key = _canonicalize(config, self._sym)
+            signature = _signatures(config, self._class_of)
+            self.signatures.append(signature)
+            key = _canonicalize(config, self._sym, signature)
             self.keys.append(key)
         else:
             key = config
@@ -294,9 +342,9 @@ class _ConfigProbe:
 
 
 def _automorphic_reps(
-    config: tuple,
     alternatives: Sequence[int],
-    sym_classes: Tuple[Tuple[int, ...], ...],
+    class_of: Dict[int, int],
+    signature: Dict[int, tuple],
 ) -> List[int]:
     """One representative per automorphism orbit of *alternatives*.
 
@@ -304,13 +352,9 @@ def _automorphic_reps(
     same-class alternative ``u`` fixes the configuration: scheduling ``t``
     then reaches a state that is the symmetric image of scheduling ``u``.
     That swap fixes it exactly when ``t`` and ``u`` have equal signatures
-    (:func:`_signatures`).  Without symmetry classes every alternative is
-    its own orbit.
+    (*signature*, the configuration's :func:`_signatures`).  An alternative
+    outside every class is its own orbit.
     """
-    if not sym_classes:
-        return list(alternatives)
-    signature = _signatures(config)
-    class_of = {tid: index for index, cls in enumerate(sym_classes) for tid in cls}
     orbits = set()
     keep: List[int] = []
     for t in alternatives:
@@ -342,9 +386,10 @@ class _Reduction:
         self._task = task
         self._max_depth = max_depth
         self._sym = tuple(
-            tuple(cls)
+            tuple(sorted(cls))
             for cls in problem.symmetry_classes(task.threads, task.total_ops, **params)
         )
+        self._class_of = _class_index(self._sym)
         self._project = problem.state_projection(task.threads, task.total_ops, **params)
         # A starvation watcher counts decisions along the path, so two runs
         # reaching one configuration can still get different verdicts: with
@@ -378,6 +423,7 @@ class _Reduction:
                 fingerprints=inherited,
                 stop_from=len(prefix) if self._stop_runs else None,
                 max_depth=self._max_depth,
+                class_of=self._class_of,
             )
             return self._probe
 
@@ -405,12 +451,16 @@ class _Reduction:
             stats["merged_configs"] += 1
             return []
         self._seen.add(key)
-        config = probe.configs[depth]
         runnable = sorted(point.runnable)
+        if len(runnable) < 2:
+            return []
         #: This configuration's per-thread fingerprints — what a child
         #: diverging here resumes its own counting from.
-        fps_here = {t: fp for t, _s, _br, fp in config[1]}
-        reps = _automorphic_reps(config, runnable, self._sym)
+        fps_here = {t: fp for t, _s, _br, fp in probe.configs[depth][1]}
+        reps = (
+            _automorphic_reps(runnable, self._class_of, probe.signatures[depth])
+            if self._sym else runnable
+        )
         children = []
         for index, t in enumerate(runnable):
             if t == point.chosen:

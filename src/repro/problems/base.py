@@ -178,15 +178,16 @@ class Problem(abc.ABC):
     ) -> Tuple[Tuple[int, ...], ...]:
         """Groups of interchangeable worker threads, by kernel thread id.
 
-        Two threads are interchangeable when they run the *same program with
-        the same operation quota*, so renaming one to the other maps every
-        schedule to an equivalent schedule.  The DPOR explorer
+        A class holds threads that run the *same program with the same
+        quota*, so renaming one to another maps every schedule to an
+        equivalent schedule.  Threads of one role whose quotas differ (an
+        uneven :meth:`_split_ops`) belong to different classes, or to none;
+        a class needs two members.  The DPOR explorer
         (:mod:`repro.explore.dpor`) uses these classes to canonicalise
         configurations and to skip alternatives that are automorphic images
         of ones already branched.  The default — no classes — disables
         symmetry reduction and is always sound; problems whose
-        :meth:`build` spawns uniform worker groups should override this
-        (and must return () when quotas are split unevenly).
+        :meth:`build` spawns groups of equal workers should override this.
         """
         return ()
 

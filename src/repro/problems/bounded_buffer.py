@@ -12,7 +12,7 @@ value: the number of producers, which equals the number of consumers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
 from repro.problems.base import Oracle, Problem, WorkloadSpec
@@ -140,13 +140,25 @@ class BoundedBufferProblem(Problem):
         # build() spawns producers as tids 0..threads-1 and consumers as
         # threads..2*threads-1.  Producers differ only in the item *values*
         # they put (base offsets), which the state projection below erases,
-        # so within each group threads are interchangeable — but only while
-        # _split_ops hands every member the same quota; with an uneven split
-        # renaming changes the remaining work, so declare no symmetry then.
+        # so two threads of one role are interchangeable when _split_ops
+        # hands them the same quota.  An uneven split (3x9: quotas 2, 1, 1)
+        # still leaves the equal-quota members of each role as a class.
+        _items_total, quotas = self._quotas(threads, total_ops)
+        classes = []
+        for first in (0, threads):
+            by_quota: Dict[int, List[int]] = {}
+            for index, quota in enumerate(quotas):
+                by_quota.setdefault(quota, []).append(first + index)
+            classes.extend(tuple(tids) for tids in by_quota.values() if len(tids) > 1)
+        return tuple(classes)
+
+    def _quotas(self, threads: int, total_ops: int) -> Tuple[int, List[int]]:
+        """The items produced (and consumed) in all, and each producer's
+        (and each consumer's) share of them.  ``total_ops`` counts puts +
+        takes; items produced must equal items consumed so the workload
+        terminates."""
         items_total = max(threads, total_ops // 2)
-        if items_total % threads != 0:
-            return ()
-        return (tuple(range(threads)), tuple(range(threads, 2 * threads)))
+        return items_total, self._split_ops(items_total, threads)
 
     def state_projection(self, threads: int, total_ops: int, **params: object):
         # The buffer's control flow (both the waituntil predicates and the
@@ -185,11 +197,7 @@ class BoundedBufferProblem(Problem):
                 capacity, **self.monitor_kwargs(mechanism, backend, validate)
             )
 
-        # ``total_ops`` counts puts + takes; items produced must equal items
-        # consumed so the workload terminates.
-        items_total = max(threads, total_ops // 2)
-        producer_quota = self._split_ops(items_total, threads)
-        consumer_quota = self._split_ops(items_total, threads)
+        items_total, quotas = self._quotas(threads, total_ops)
 
         def make_producer(quota: int, base: int):
             def producer() -> None:
@@ -208,10 +216,10 @@ class BoundedBufferProblem(Problem):
         taken: List[object] = []
         targets = []
         names = []
-        for index, quota in enumerate(producer_quota):
+        for index, quota in enumerate(quotas):
             targets.append(make_producer(quota, index * items_total))
             names.append(f"producer-{index}")
-        for index, quota in enumerate(consumer_quota):
+        for index, quota in enumerate(quotas):
             targets.append(make_consumer(quota, taken))
             names.append(f"consumer-{index}")
 

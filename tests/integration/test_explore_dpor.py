@@ -11,6 +11,9 @@ trace step count from decision depth (with branching at exactly
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 
 from repro.core import AutoSynchMonitor
@@ -30,6 +33,7 @@ from repro.explore.__main__ import main as explore_main
 from repro.explore.dpor import DPOR_MODE, _ConfigProbe
 from repro.explore.engine import ScheduleOutcome, StopRun, run_prefix
 from repro.problems.base import all_mechanisms
+from repro.problems.bounded_buffer import BoundedBufferProblem
 from repro.runtime import SimulationBackend
 from repro.runtime.simulation.schedulers import SchedulePoint, ScheduleTrace
 
@@ -311,9 +315,9 @@ class TestStoppedRuns:
         task = ExploreTask("bounded_buffer", "autosynch", threads=3, total_ops=9)
         report, outcomes = _explore_collecting(task)
         assert report.complete and report.ok
-        assert report.schedules_visited == 4400
-        assert report.stats["merged_configs"] == 4376
-        assert sum(map(_stopped, outcomes)) == 4376
+        assert report.schedules_visited == 1275
+        assert report.stats["merged_configs"] == 1260
+        assert sum(map(_stopped, outcomes)) == 1260
 
     def test_stopped_run_is_ok_and_ends_at_the_merged_decision(self):
         task = ExploreTask(mechanism="autosynch", **BUFFER_2X2)
@@ -423,19 +427,34 @@ class TestPinnedScheduleCounts:
 
 
 #: DPOR results for bounded_buffer/autosynch at 3 producers and 3 consumers
-#: with an even quota, the sizes at which the problem declares its two
-#: symmetry classes: ops -> (schedules, merged configurations, symmetry
-#: skips).  They pin the canonical key and the automorphism filter, which
-#: the 2x4 table above never exercises with more than two threads a class.
+#: with an even quota, where each role is one symmetry class: ops ->
+#: (schedules, merged configurations, symmetry skips).  They pin the
+#: canonical key and the automorphism filter, which the 2x4 table above
+#: never exercises with more than two threads a class.
 PINNED_SYMMETRIC = {6: (97, 94, 22), 12: (574, 562, 55)}
+
+
+#: The same at an uneven split, the benchmark's 3x9: each role's quotas
+#: are 2, 1, 1, so only the two equal-quota producers and the two
+#: equal-quota consumers form classes.  ops -> (classes, schedules, merged
+#: configurations, symmetry skips).
+PINNED_PARTIAL = {9: (((1, 2), (4, 5)), 1275, 1260, 90)}
 
 
 class TestPinnedSymmetricCounts:
     @pytest.mark.parametrize("ops", sorted(PINNED_SYMMETRIC))
     def test_exact_counts(self, ops):
         schedules, merged, skips = PINNED_SYMMETRIC[ops]
+        self._check(ops, ((0, 1, 2), (3, 4, 5)), schedules, merged, skips)
+
+    @pytest.mark.parametrize("ops", sorted(PINNED_PARTIAL))
+    def test_exact_counts_on_an_uneven_split(self, ops):
+        self._check(ops, *PINNED_PARTIAL[ops])
+
+    @staticmethod
+    def _check(ops, classes, schedules, merged, skips):
         task = ExploreTask("bounded_buffer", "autosynch", threads=3, total_ops=ops)
-        assert task.resolve_problem().symmetry_classes(3, ops) == ((0, 1, 2), (3, 4, 5))
+        assert task.resolve_problem().symmetry_classes(3, ops) == classes
         report = explore_dpor(task)
         assert report.complete and report.ok
         assert report.schedules_visited == schedules
@@ -502,6 +521,105 @@ class TestPinnedDfsScheduleCounts:
         assert report.schedules_visited == schedules
         assert report.depth_capped == depth_capped
         assert report.failure_kinds() == failure_kinds
+
+
+#: A kernel condition's label (``cond-N``) numbers conditions in creation
+#: order, which differs between runs that create them in another order.
+_CONDITION_LABEL = re.compile(r"cond-\d+")
+
+
+def _pre_choice_state(config, classes):
+    """An orbit-canonical form of a DPOR configuration, computed without
+    the explorer's key: the least ``repr`` over every per-class renaming.
+    The chosen thread reads as ``runnable`` (the state before the choice),
+    condition labels are erased and condition queues form a sorted
+    multiset, since labels follow condition creation order."""
+    vars_proj, threads, locks, conds = config
+    threads = tuple(
+        (t, "runnable" if s == "running" else s,
+         br and _CONDITION_LABEL.sub("cond", br), fp)
+        for t, s, br, fp in threads
+    )
+
+    def renamed(mapping):
+        r = lambda tid: mapping.get(tid, tid)  # noqa: E731
+        return repr((
+            vars_proj,
+            tuple(sorted((r(t), s, br, fp) for t, s, br, fp in threads)),
+            tuple((i, r(o), tuple(map(r, q))) for i, o, q in locks),
+            tuple(sorted(tuple(map(r, q)) for _i, q in conds)),
+        ))
+
+    return min(
+        renamed({old: new for cls, perm in zip(classes, combo)
+                 for old, new in zip(cls, perm)})
+        for combo in itertools.product(*map(itertools.permutations, classes))
+    )
+
+
+def _explore_states(monkeypatch, task, symmetric, **kwargs):
+    """DPOR on *task*, with or without the problem's symmetry classes, and
+    every configuration its probe built (merged ones included)."""
+    configs = set()
+    observe = _ConfigProbe.observe
+
+    def recording(probe, point):
+        built = len(probe.configs)
+        try:
+            observe(probe, point)
+        finally:
+            if len(probe.configs) > built:
+                configs.add(probe.configs[-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ConfigProbe, "observe", recording)
+        if not symmetric:
+            patch.setattr(
+                BoundedBufferProblem, "symmetry_classes", lambda self, *a, **k: ()
+            )
+        report = explore_dpor(task, **kwargs)
+    assert report.complete
+    return report, configs
+
+
+class TestPartialSymmetry:
+    """On an uneven split only the equal-quota threads of a role form a
+    class.  Folding them must lose no state: DPOR with and without the
+    classes reaches the same canonical pre-choice states."""
+
+    def test_same_states_with_and_without_symmetry(self, monkeypatch):
+        task = ExploreTask(
+            "bounded_buffer", "autosynch", threads=3, total_ops=8,
+            problem_params={"capacity": 1},
+        )
+        # The renamings that truly map the workload onto itself: threads
+        # 1, 2 (and 4, 5) run one program with one quota, 0 and 3 another.
+        classes = ((1, 2), (4, 5))
+        assert task.resolve_problem().symmetry_classes(3, 8) == classes
+        folded, folded_configs = _explore_states(monkeypatch, task, True)
+        plain, plain_configs = _explore_states(monkeypatch, task, False)
+        assert (folded.schedules_visited, plain.schedules_visited) == (1505, 5285)
+        assert folded.stats["symmetry_skips"] == 112
+        states = {_pre_choice_state(c, classes) for c in folded_configs}
+        assert states == {_pre_choice_state(c, classes) for c in plain_configs}
+        assert len(states) == 2382
+        assert folded.ok and plain.ok
+
+    def test_baseline_failure_kinds_under_a_depth_bound(self, monkeypatch):
+        """The broadcast baseline livelocks under the default continuation
+        past the bound (a lower step limit keeps each such run short);
+        both searches must report the same kinds."""
+        task = ExploreTask(
+            "bounded_buffer", "baseline", threads=3, total_ops=8,
+            problem_params={"capacity": 1}, max_steps=1000,
+        )
+        folded, _ = _explore_states(monkeypatch, task, True, max_depth=4)
+        plain, _ = _explore_states(monkeypatch, task, False, max_depth=4)
+        assert folded.stats["symmetry_skips"] > 0
+        assert folded.schedules_visited < plain.schedules_visited
+        assert set(folded.failure_kinds()) == set(plain.failure_kinds()) == {
+            "step_limit"
+        }
 
 
 class TestFingerprint:

@@ -15,7 +15,12 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.explore.dpor import _automorphic_reps, _canonicalize
+from repro.explore.dpor import (
+    _automorphic_reps,
+    _canonicalize,
+    _class_index,
+    _signatures,
+)
 
 STATES = ("runnable", "running", "blocked", "finished")
 REASONS = (None, "waiting for lock", "waiting on condition")
@@ -77,6 +82,11 @@ def _least_renaming(config, classes):
     return min((_rename(config, m) for m in _renamings(classes)), key=repr)
 
 
+def _key(config, classes):
+    """The explorer's canonical key, signatures computed as the probe does."""
+    return _canonicalize(config, classes, _signatures(config, _class_index(classes)))
+
+
 def _draw_renaming(draw, classes):
     return {
         old: new
@@ -90,7 +100,7 @@ def _draw_renaming(draw, classes):
 def test_key_is_invariant_under_renaming(data):
     classes, config = data.draw(symmetric_configs())
     renamed = _rename(config, _draw_renaming(data.draw, classes))
-    assert _canonicalize(renamed, classes) == _canonicalize(config, classes)
+    assert _key(renamed, classes) == _key(config, classes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,7 +126,7 @@ def test_keys_agree_exactly_when_least_renamings_agree(data, change):
     elif change == "vars":
         vars_proj = (("count", 2),)
     second = (vars_proj, threads, locks, conds)
-    same_key = _canonicalize(first, classes) == _canonicalize(second, classes)
+    same_key = _key(first, classes) == _key(second, classes)
     same_orbit = _least_renaming(first, classes) == _least_renaming(second, classes)
     assert same_key == same_orbit
 
@@ -136,4 +146,6 @@ def test_automorphic_reps_match_pairwise_swaps(drawn):
             for u in expected
         ):
             expected.append(t)
-    assert _automorphic_reps(config, alternatives, classes) == expected
+    class_of = _class_index(classes)
+    signature = _signatures(config, class_of)
+    assert _automorphic_reps(alternatives, class_of, signature) == expected

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import pytest
 
 from repro.predicates import (
@@ -145,3 +148,47 @@ class TestEvaluationErrors:
     def test_missing_method(self):
         with pytest.raises(EvaluationError):
             ev("self.no_such_method()", Monitor())
+
+
+class Snapshot(Mapping):
+    """A read-only mapping state that is not a ``dict``."""
+
+    def __init__(self, **values):
+        self._values = values
+
+    def __getitem__(self, name):
+        return self._values[name]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+class TestMappingStates:
+    """Shared names are looked up as keys in any Mapping state and as
+    attributes otherwise."""
+
+    def test_every_kind_of_mapping_is_read_by_key(self):
+        class Counts(dict):
+            pass
+
+        for state in ({"count": 3}, Counts(count=3), Snapshot(count=3),
+                      MappingProxyType({"count": 3})):
+            assert ev("count", state, shared={"count"}) == 3
+
+    def test_a_class_registered_after_its_first_read(self):
+        class Late:
+            count = "attribute"
+
+            def __contains__(self, name):
+                return name == "count"
+
+            def __getitem__(self, name):
+                return "key"
+
+        state = Late()
+        assert ev("count", state, shared={"count"}) == "attribute"
+        Mapping.register(Late)
+        assert ev("count", state, shared={"count"}) == "key"

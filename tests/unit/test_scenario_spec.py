@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.harness.saturation import run_workload
@@ -147,6 +150,29 @@ class TestCompiledMonitor:
         assert monitor.slot == 0 and monitor.got_total == 1
         # Entry methods count as monitor entries in the stats.
         assert monitor.stats.entries == 2
+
+    def test_dropped_class_is_collected_after_a_simulated_run(self):
+        """Nothing process-wide keeps a compiled class alive: a fuzz
+        campaign compiles one per generated scenario."""
+        monitor_cls = compile_scenario_monitor(gate_spec())
+        backend = SimulationBackend(seed=0)
+        monitor = monitor_cls({"slot": 0, "put_total": 0, "got_total": 0}, backend=backend)
+
+        def putter():
+            for _ in range(3):
+                monitor.put()
+
+        def getter():
+            for _ in range(3):
+                monitor.get()
+
+        backend.run([putter, getter])
+        assert monitor.got_total == 3
+        assert monitor.stats.predicate_evaluations > 0
+        dropped = weakref.ref(monitor_cls)
+        del monitor_cls, monitor, backend, putter, getter
+        gc.collect()
+        assert dropped() is None
 
     def test_initial_values_are_copied_per_instance(self):
         spec = gate_spec(shared={"slot": 0, "put_total": 0, "got_total": 0, "log": []})
