@@ -87,16 +87,6 @@ class monitor_entry:
         return False
 
 
-async def _park(monitor, condition, remaining: Optional[float]) -> bool:
-    """Await one park request: the coroutine twin of ``_block_on``."""
-    _require_async_backend(monitor, condition, "wait_async")
-    _raw_setattr(monitor, "_owner_id", None)
-    try:
-        return await condition.wait_async(remaining)
-    finally:
-        _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
-
-
 async def wait_until_async(
     monitor, predicate: str, timeout: Optional[float] = None, **local_values: object
 ) -> None:
@@ -107,6 +97,12 @@ async def wait_until_async(
     spurious wakeups, ``WaitTimeout`` in the backend's time units — are the
     signalling policy's own ``wait_steps`` generator, so they are identical
     to the blocking path by construction.
+
+    Each park request is awaited inline — the coroutine twin of
+    ``_block_on``: drop ownership, await ``condition.wait_async``, take
+    ownership back — rather than through a helper coroutine, so a parked
+    waiter keeps one coroutine frame fewer alive (on the asyncio backend
+    and for the simulation kernel's coroutine-hosted threads alike).
     """
     monitor._require_monitor_held("wait_until")
     compiled = monitor._compiled(predicate, local_values)
@@ -123,7 +119,12 @@ async def wait_until_async(
         except StopIteration:
             return
         while True:
-            notified = await _park(monitor, condition, remaining)
+            _require_async_backend(monitor, condition, "wait_async")
+            _raw_setattr(monitor, "_owner_id", None)
+            try:
+                notified = await condition.wait_async(remaining)
+            finally:
+                _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
             try:
                 condition, remaining = steps.send(notified)
             except StopIteration:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.errors import MonitorUsageError
 from repro.core.heaps import LOWER_BOUND_OPS, ThresholdHeap, UPPER_BOUND_OPS
@@ -59,7 +59,7 @@ __all__ = ["PredicateEntry", "ConditionManager"]
 DEFAULT_INACTIVE_CAPACITY = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class PredicateEntry:
     """One row of the predicate table."""
 
@@ -116,7 +116,12 @@ class _ExpressionIndex:
 
     expr_key: str
     shared_expr: Expr
-    equivalence: Dict[object, List[PredicateEntry]] = field(default_factory=dict)
+    #: Entries by equivalence key: the entry itself while it is alone under
+    #: its key (the common case, one ticket per waiter), a list once a
+    #: second one joins.
+    equivalence: Dict[object, Union[PredicateEntry, List[PredicateEntry]]] = (
+        field(default_factory=dict)
+    )
     lower_heap: ThresholdHeap = field(default_factory=lambda: ThresholdHeap("min"))
     upper_heap: ThresholdHeap = field(default_factory=lambda: ThresholdHeap("max"))
 
@@ -285,7 +290,13 @@ class ConditionManager:
                 self._stats.tag_insertions += 1
                 if tag.kind is TagKind.EQUIVALENCE:
                     index = self._index_for(tag.expr_key, tag.shared_expr)
-                    index.equivalence.setdefault(tag.key, []).append(entry)
+                    bucket = index.equivalence.get(tag.key)
+                    if bucket is None:
+                        index.equivalence[tag.key] = entry
+                    elif type(bucket) is list:
+                        bucket.append(entry)
+                    else:
+                        index.equivalence[tag.key] = [bucket, entry]
                 elif tag.kind is TagKind.THRESHOLD:
                     index = self._index_for(tag.expr_key, tag.shared_expr)
                     if tag.op in LOWER_BOUND_OPS:
@@ -307,11 +318,13 @@ class ConditionManager:
                     index = self._indices.get(tag.expr_key)
                     if index is not None:
                         bucket = index.equivalence.get(tag.key)
-                        if bucket is not None:
+                        if bucket is entry:
+                            del index.equivalence[tag.key]
+                        elif type(bucket) is list:
                             if entry in bucket:
                                 bucket.remove(entry)
-                            if not bucket:
-                                del index.equivalence[tag.key]
+                            if len(bucket) == 1:
+                                index.equivalence[tag.key] = bucket[0]
                         self._drop_index_if_empty(index)
                 elif tag.kind is TagKind.THRESHOLD:
                     index = self._indices.get(tag.expr_key)
@@ -601,11 +614,14 @@ class ConditionManager:
 
     def _equivalence_bucket(
         self, index: _ExpressionIndex, value: object
-    ) -> Optional[List[PredicateEntry]]:
+    ) -> Optional[Sequence[PredicateEntry]]:
         try:
-            return index.equivalence.get(value)
+            bucket = index.equivalence.get(value)
         except TypeError:  # unhashable shared-expression value
             return None
+        if bucket is None or type(bucket) is list:
+            return bucket
+        return (bucket,)
 
     def _search_heap(
         self, heap: ThresholdHeap, value: object, limit: int, ctx: EvalContext

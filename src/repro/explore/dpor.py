@@ -200,6 +200,30 @@ def _canonicalize(
     )
 
 
+class _Key:
+    """A configuration key hashed once.
+
+    A tuple does not cache its hash, and a decision's key is looked up in
+    the seen set by the probe and again, then added, by the reduction: a
+    3x9 key costs about 0.46 µs to hash each time.  Equality is the key's
+    own.
+    """
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not _Key:
+            return NotImplemented
+        return self._hash == other._hash and self.key == other.key
+
+
 class _ConfigProbe:
     """``run_schedule`` instrument: each decision's configuration, online.
 
@@ -208,8 +232,8 @@ class _ConfigProbe:
     oracles checked that state — builds the abstract configuration
     ``((monitor field names, their projected values), per-thread
     (tid, state, block_reason, fingerprint), locks, conds)``, then its
-    canonical key; without symmetry classes the configuration is its own
-    key and ``keys`` is ``configs``.  With them, ``signatures[d]`` holds the
+    canonical key, wrapped in a :class:`_Key`; without symmetry classes
+    the configuration is its own key.  With them, ``signatures[d]`` holds the
     class members' signatures that keyed decision ``d``, which the
     automorphism filter reuses.
     ``configs[d]``, ``keys[d]`` and ``signatures[d]`` describe decision
@@ -274,7 +298,7 @@ class _ConfigProbe:
         #: across its slice compares against.
         self._previous: Optional[tuple] = None
         self.configs: List[Optional[tuple]] = [None] * start
-        self.keys: List[Optional[tuple]] = [None] * start if sym else self.configs
+        self.keys: List[Optional[_Key]] = [None] * start
         self.signatures: List[Optional[Dict[int, tuple]]] = [None] * start
 
     def observe(self, point) -> None:
@@ -329,10 +353,10 @@ class _ConfigProbe:
         if self._sym:
             signature = _signatures(config, self._class_of)
             self.signatures.append(signature)
-            key = _canonicalize(config, self._sym, signature)
-            self.keys.append(key)
+            key = _Key(_canonicalize(config, self._sym, signature))
         else:
-            key = config
+            key = _Key(config)
+        self.keys.append(key)
         if (
             self._stop_from is not None
             and d >= self._stop_from

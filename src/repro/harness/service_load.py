@@ -18,8 +18,10 @@ Two entry points:
   guard per waiter) with an admission window of ``window`` slots, drives a
   signaller coroutine that releases a slot per completed admission
   (optionally paced at ``target_rate`` releases/second), and reports
-  sustained ops/s plus p50/p99 wakeup latency.  Conservation invariants
-  (slots out == slots back) are asserted before the result is returned.
+  sustained ops/s plus p50/p99 wakeup latency and the cyclic-GC
+  collections per generation during the run (two ``gc.get_stats()`` calls,
+  no callbacks).  Conservation invariants (slots out == slots back) are
+  asserted before the result is returned.
 * :func:`measure_relay_modes` — the manager-level companion.  Parks the
   same waiter count behind ``waiters // SHARD`` distinct predicates on a
   bare :class:`~repro.core.condition_manager.ConditionManager` and times
@@ -39,11 +41,12 @@ counts — including the 1-CPU CI fallback — stay comparable.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.condition_manager import ConditionManager
 from repro.core.instrumentation import MonitorStats
@@ -106,6 +109,10 @@ class ServiceLoadResult:
     latency_samples: int
     #: Relevant monitor counters (signals sent, wakeups, evaluations, ...).
     stats: Dict[str, float] = field(default_factory=dict)
+    #: Cyclic-GC collections per generation (0, 1, 2) during the run: the
+    #: count that parked-waiter footprint moves, since every full
+    #: collection walks every parked waiter.
+    gc_collections: Tuple[int, ...] = ()
 
     def as_record(self) -> Dict[str, object]:
         """The result as a JSON-ready dictionary."""
@@ -127,6 +134,7 @@ class ServiceLoadResult:
             )
         }
         record["stats"] = dict(self.stats)
+        record["gc_collections"] = list(self.gc_collections)
         return record
 
 
@@ -236,9 +244,11 @@ def run_service_load(
     targets.append(signaller_task)
     names = [f"waiter-{index}" for index in range(waiters)] + ["signaller"]
 
+    gc_before = gc.get_stats()
     started = time.monotonic()
     backend.run(targets, names)
     duration = time.monotonic() - started
+    gc_after = gc.get_stats()
 
     expected = adapter["final_state"](window, waiters)
     for field_name, value in expected.items():
@@ -280,6 +290,10 @@ def run_service_load(
                 "template_globalizations",
             )
         },
+        gc_collections=tuple(
+            after["collections"] - before["collections"]
+            for before, after in zip(gc_before, gc_after)
+        ),
     )
 
 

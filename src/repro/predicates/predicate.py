@@ -9,9 +9,10 @@ globalization step depends on the calling thread's local values.
 Globalization itself is also done once per site.  The first call for a
 given site and exact local-value types builds a
 :class:`GlobalizationTemplate` by running the pipeline over placeholders;
-every later call binds its values into that template (DNF atoms, tag keys,
-the canonical string and the compiled closure) without re-running
-substitution, folding, DNF conversion, tagging or unparsing.  A site whose
+every later call binds its values into that template (tag keys, the
+canonical string and the compiled closure; the DNF atoms only when first
+read) without re-running substitution, folding, DNF conversion, tagging or
+unparsing.  A site whose
 globalized structure could depend on the values keeps using the pipeline.
 
 Both predicate objects additionally carry a lazily-built **compiled
@@ -63,7 +64,10 @@ __all__ = [
 _UNCOMPILED = object()
 
 
-@dataclass(frozen=True)
+#: Writes the slots of an otherwise immutable :class:`GlobalizedPredicate`.
+_set_slot = object.__setattr__
+
+
 class GlobalizedPredicate:
     """A fully shared predicate, ready for the condition manager.
 
@@ -71,35 +75,86 @@ class GlobalizedPredicate:
     ``waituntil`` calls whose predicates are identical after globalization
     (the paper's *syntax equivalence*) produce the same canonical string and
     therefore share a predicate-table entry and condition variable.
+
+    Immutable; equality and hashing cover ``source``, ``expr``, ``dnf``,
+    ``tags`` and ``canonical``.  A form bound by a
+    :class:`GlobalizationTemplate` builds its ``dnf`` and ``expr`` only when
+    first read: the relay path reads just the tags, the canonical form, the
+    bound closure and the cached read set, so a parked waiter's predicate
+    keeps no expression tree alive unless something asks for it.
     """
 
-    source: str
-    expr: Expr
-    dnf: DNFPredicate
-    tags: Tuple[Tag, ...]
-    canonical: str
-    #: Per-instance cache of the lowered closure (:data:`_UNCOMPILED` until
-    #: first use; None when codegen declined and the interpreter is used).
-    _compiled_fn: object = field(
-        default=_UNCOMPILED, init=False, repr=False, compare=False
+    __slots__ = (
+        "source",
+        "expr",
+        "dnf",
+        "tags",
+        "canonical",
+        # The template and values a lazy form builds its DNF from.
+        "_template",
+        "_values",
+        # Cache of the lowered closure (_UNCOMPILED until first use; None
+        # when codegen declined and the interpreter is used).
+        "_compiled_fn",
+        # Caches of read_set() and uses_queries().
+        "_read_set",
+        "_uses_queries",
+        # Set by quarantine() when the compiled closure misbehaved; a
+        # quarantined predicate evaluates through the interpreter forever.
+        "_quarantined",
+        # True when a GlobalizationTemplate bound this form.
+        "from_template",
     )
-    #: Per-instance cache of :meth:`read_set`.
-    _read_set: object = field(
-        default=_UNCOMPILED, init=False, repr=False, compare=False
-    )
-    #: Per-instance cache of :meth:`uses_queries`.
-    _uses_queries: object = field(
-        default=_UNCOMPILED, init=False, repr=False, compare=False
-    )
-    #: Set by :meth:`quarantine` when the compiled closure misbehaved; a
-    #: quarantined predicate evaluates through the interpreter forever.
-    _quarantined: bool = field(
-        default=False, init=False, repr=False, compare=False
-    )
-    #: True when a :class:`GlobalizationTemplate` bound this form.
-    from_template: bool = field(
-        default=False, init=False, repr=False, compare=False
-    )
+
+    def __init__(
+        self,
+        source: str,
+        expr: Optional[Expr],
+        dnf: Optional[DNFPredicate],
+        tags: Tuple[Tag, ...],
+        canonical: str,
+    ) -> None:
+        _set_slot(self, "source", source)
+        if dnf is not None:
+            _set_slot(self, "dnf", dnf)
+            _set_slot(self, "expr", expr)
+        _set_slot(self, "tags", tags)
+        _set_slot(self, "canonical", canonical)
+        _set_slot(self, "_compiled_fn", _UNCOMPILED)
+        _set_slot(self, "_read_set", _UNCOMPILED)
+        _set_slot(self, "_uses_queries", _UNCOMPILED)
+        _set_slot(self, "_quarantined", False)
+        _set_slot(self, "from_template", False)
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for an unset slot: a template-bound form's dnf and
+        # expr, built here on first use.
+        if name != "dnf" and name != "expr":
+            raise AttributeError(name)
+        dnf = self._template.bind_dnf(self._values)
+        _set_slot(self, "dnf", dnf)
+        _set_slot(self, "expr", dnf.to_expr())
+        return getattr(self, name)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GlobalizedPredicate is immutable (setting {name!r})")
+
+    def _key(self) -> tuple:
+        return (self.source, self.expr, self.dnf, self.tags, self.canonical)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"GlobalizedPredicate(source={self.source!r}, expr={self.expr!r}, "
+            f"dnf={self.dnf!r}, tags={self.tags!r}, canonical={self.canonical!r})"
+        )
 
     def compiled_fn(self) -> Optional[Callable]:
         """The predicate lowered to a native closure, or None (cached)."""
@@ -108,7 +163,7 @@ class GlobalizedPredicate:
         fn = self._compiled_fn
         if fn is _UNCOMPILED:
             fn = compile_expr(self.expr)
-            object.__setattr__(self, "_compiled_fn", fn)
+            _set_slot(self, "_compiled_fn", fn)
         return fn
 
     def quarantine(self) -> None:
@@ -121,7 +176,7 @@ class GlobalizedPredicate:
         by construction.  Irreversible by design — a closure that
         misbehaved once cannot be trusted again.
         """
-        object.__setattr__(self, "_quarantined", True)
+        _set_slot(self, "_quarantined", True)
 
     @property
     def quarantined(self) -> bool:
@@ -138,7 +193,7 @@ class GlobalizedPredicate:
         names = self._read_set
         if names is _UNCOMPILED:
             names = frozenset(shared_names_used(self.expr))
-            object.__setattr__(self, "_read_set", names)
+            _set_slot(self, "_read_set", names)
         return names
 
     def uses_queries(self) -> bool:
@@ -150,7 +205,7 @@ class GlobalizedPredicate:
         flag = self._uses_queries
         if flag is _UNCOMPILED:
             flag = uses_monitor_queries(self.expr)
-            object.__setattr__(self, "_uses_queries", flag)
+            _set_slot(self, "_uses_queries", flag)
         return flag
 
     def holds(self, state: object) -> bool:
@@ -303,8 +358,8 @@ class CompiledPredicate:
             form = GlobalizedPredicate(
                 source=self.source, expr=expr, dnf=dnf, tags=tags, canonical=canonical
             )
-            object.__setattr__(form, "_read_set", read_set)
-            object.__setattr__(form, "_uses_queries", uses_q)
+            _set_slot(form, "_read_set", read_set)
+            _set_slot(form, "_uses_queries", uses_q)
             return form
         return self._pipeline(local_values)
 
@@ -383,9 +438,10 @@ class GlobalizationTemplate:
     Built once per site and exact local-value types by running the pipeline
     over :class:`~repro.predicates.globalization.Placeholder` constants.
     :meth:`bind` then produces a :class:`GlobalizedPredicate` equal to the
-    pipeline's for the same values: the DNF atoms are rebuilt with the
-    values, tag keys computed from them, the canonical string joined around
-    their ``repr`` and the closure instantiated from the shape's factory.
+    pipeline's for the same values: tag keys computed from them, the
+    canonical string joined around their ``repr``, the closure instantiated
+    from the shape's factory, and the DNF atoms rebuilt with the values
+    (:meth:`bind_dnf`) when the form's ``dnf`` or ``expr`` is first read.
 
     Construction raises :class:`~repro.predicates.globalization.TemplateMiss`
     when the structure could depend on the values: a constant fold over a
@@ -428,9 +484,9 @@ class GlobalizationTemplate:
         self._uses_queries = uses_monitor_queries(final)
         self.verified: Optional[bool] = None
 
-    def bind(self, source: str, values: Sequence[object]) -> GlobalizedPredicate:
-        """The globalized predicate for local *values* (placeholder order)."""
-        dnf = DNFPredicate(
+    def bind_dnf(self, values: Sequence[object]) -> DNFPredicate:
+        """The DNF of the globalized predicate for local *values*."""
+        return DNFPredicate(
             tuple(
                 [
                     conjunction if binder is None else Conjunction(binder(values))
@@ -438,10 +494,17 @@ class GlobalizationTemplate:
                 ]
             )
         )
+
+    def bind(self, source: str, values: Tuple[object, ...]) -> GlobalizedPredicate:
+        """The globalized predicate for local *values* (placeholder order).
+
+        The form's ``dnf`` and ``expr`` are left to :meth:`bind_dnf` on
+        first read; everything the relay path needs is bound here.
+        """
         form = GlobalizedPredicate(
             source=source,
-            expr=dnf.to_expr(),
-            dnf=dnf,
+            expr=None,
+            dnf=None,
             tags=tuple(
                 [tag if type(tag) is Tag else tag.bind(values) for tag in self._tags]
             ),
@@ -459,12 +522,14 @@ class GlobalizationTemplate:
             ]
         )
         factory = self._factory
-        object.__setattr__(
+        _set_slot(form, "_template", self)
+        _set_slot(form, "_values", values)
+        _set_slot(
             form, "_compiled_fn", factory(*params) if factory is not None else None
         )
-        object.__setattr__(form, "_read_set", self._read_set)
-        object.__setattr__(form, "_uses_queries", self._uses_queries)
-        object.__setattr__(form, "from_template", True)
+        _set_slot(form, "_read_set", self._read_set)
+        _set_slot(form, "_uses_queries", self._uses_queries)
+        _set_slot(form, "from_template", True)
         return form
 
 

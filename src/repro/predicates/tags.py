@@ -51,7 +51,7 @@ class TagKind(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag:
     """A predicate tag ``(M, expr, key, op)``.
 

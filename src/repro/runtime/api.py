@@ -38,6 +38,10 @@ class LockAPI(abc.ABC):
 class ConditionAPI(abc.ABC):
     """A condition variable tied to a :class:`LockAPI`."""
 
+    # Lets a backend whose conditions are numerous (one per parked
+    # predicate) give them slots instead of an instance dict.
+    __slots__ = ()
+
     @abc.abstractmethod
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Atomically release the lock and block until notified, then

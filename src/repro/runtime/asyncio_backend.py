@@ -4,8 +4,11 @@
 machinery's sublinear pass cost can never be demonstrated at service scale.
 This backend hosts 10^5-10^6 waiters by making every waiter an ``asyncio``
 task: locks and condition variables keep their state under a cheap
-``threading.Lock`` and park waiters as a FIFO of per-waiter futures, so a
-``notify_n(k)`` is one pass popping k futures and one batch of resolutions.
+``threading.Lock`` and park waiters as a FIFO of bare per-waiter futures, so
+a ``notify_n(k)`` is one pass popping k futures and one batch of
+resolutions.  A parked waiter is kept small on purpose: at 10^5 waiters
+every object it holds is one more the cyclic garbage collector walks on
+each full collection.
 
 The backend is a hybrid, because monitor code is synchronous:
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import threading
 from collections import deque
 from typing import Callable, Deque, Optional, Sequence
@@ -36,20 +40,11 @@ from repro.runtime.api import Backend, ConditionAPI, LockAPI, ThreadHandle
 __all__ = ["AsyncioBackend"]
 
 
-class _Waiter:
-    """One parked waiter: a future plus the loop that must resolve it.
-
-    ``loop`` is None for bridged-thread waiters (``concurrent.futures.
-    Future``, resolvable from any thread) and the owning event loop for
-    coroutine waiters (``asyncio.Future``, resolved via
-    ``call_soon_threadsafe`` when woken from another thread).
-    """
-
-    __slots__ = ("future", "loop")
-
-    def __init__(self, future, loop) -> None:
-        self.future = future
-        self.loop = loop
+#: A parked waiter is its bare future: a ``concurrent.futures.Future`` for a
+#: bridged thread (resolvable from any thread), or an ``asyncio.Future`` for
+#: a coroutine (resolved through ``future.get_loop().call_soon_threadsafe``
+#: when woken from another thread).
+_ThreadFuture = concurrent.futures.Future
 
 
 def _set_result_safe(future) -> None:
@@ -73,7 +68,7 @@ class _AsyncioLock(LockAPI):
         self.label = label
         self._state = threading.Lock()
         self._locked = False
-        self._queue: Deque[_Waiter] = deque()
+        self._queue: Deque = deque()
 
     def acquire(self) -> None:
         backend = self._backend
@@ -88,10 +83,10 @@ class _AsyncioLock(LockAPI):
                     "the event-loop thread; coroutine waiters must go through "
                     "the coroutine driver (acquire_async)"
                 )
-            waiter = _Waiter(concurrent.futures.Future(), None)
+            waiter = _ThreadFuture()
             self._queue.append(waiter)
             backend._record("lock_contentions")
-        waiter.future.result()
+        waiter.result()
         backend._record("lock_acquisitions")
         backend._record("context_switches")
 
@@ -102,11 +97,10 @@ class _AsyncioLock(LockAPI):
                 self._locked = True
                 backend._record("lock_acquisitions")
                 return
-            loop = asyncio.get_running_loop()
-            waiter = _Waiter(loop.create_future(), loop)
+            waiter = asyncio.get_running_loop().create_future()
             self._queue.append(waiter)
             backend._record("lock_contentions")
-        await waiter.future
+        await waiter
         backend._record("lock_acquisitions")
         backend._record("context_switches")
 
@@ -131,6 +125,8 @@ class _AsyncioLock(LockAPI):
 class _AsyncioCondition(ConditionAPI):
     """Condition variable over a FIFO deque of per-waiter futures."""
 
+    __slots__ = ("_backend", "_lock", "label", "_state", "_waiters")
+
     def __init__(
         self,
         backend: "AsyncioBackend",
@@ -144,9 +140,9 @@ class _AsyncioCondition(ConditionAPI):
         # releasing the monitor lock, so a notify between release and park
         # can never be missed.
         self._state = lock._state
-        self._waiters: Deque[_Waiter] = deque()
+        self._waiters: Deque = deque()
 
-    def _discard(self, waiter: _Waiter) -> bool:
+    def _discard(self, waiter) -> bool:
         """Remove *waiter* after a timeout; False means a concurrent notify
         already popped it (the notification wins, the wait counts as
         notified)."""
@@ -165,13 +161,13 @@ class _AsyncioCondition(ConditionAPI):
                 "must go through the coroutine driver (wait_async)"
             )
         backend._record("condition_waits")
-        waiter = _Waiter(concurrent.futures.Future(), None)
+        waiter = _ThreadFuture()
         with self._state:
             self._waiters.append(waiter)
         self._lock.release()
         notified = True
         try:
-            waiter.future.result(timeout)
+            waiter.result(timeout)
         except concurrent.futures.TimeoutError:
             notified = not self._discard(waiter)
         backend._record("context_switches")
@@ -181,17 +177,16 @@ class _AsyncioCondition(ConditionAPI):
     async def wait_async(self, timeout: Optional[float] = None) -> bool:
         backend = self._backend
         backend._record("condition_waits")
-        loop = asyncio.get_running_loop()
-        waiter = _Waiter(loop.create_future(), loop)
+        waiter = asyncio.get_running_loop().create_future()
         with self._state:
             self._waiters.append(waiter)
         self._lock.release()
         notified = True
         try:
             if timeout is None:
-                await waiter.future
+                await waiter
             else:
-                await asyncio.wait_for(waiter.future, timeout)
+                await asyncio.wait_for(waiter, timeout)
         except asyncio.TimeoutError:
             notified = not self._discard(waiter)
         backend._record("context_switches")
@@ -269,8 +264,10 @@ class _AsyncioTaskHandle(ThreadHandle):
         self._name = name
 
     def join(self, timeout: Optional[float] = None) -> None:
-        # run() awaits every task before returning; by the time user code
-        # can call join the task has finished.
+        """Return at once: ``run`` waits for every coroutine task before it
+        returns, the targets it was given and any task spawned while it
+        ran, so by the time code outside the loop can join, the task has
+        finished."""
         del timeout
 
     @property
@@ -295,6 +292,14 @@ class AsyncioBackend(Backend):
         self._failures: list[BaseException] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread_id: Optional[int] = None
+        #: Coroutine tasks started and not yet finished (loop thread only).
+        #: The set is also the strong reference the loop does not keep.
+        self._live_tasks: set = set()
+        #: Resolved when the last task leaves ``_live_tasks``.
+        self._all_done: Optional[asyncio.Future] = None
+        #: ``_task_done`` bound once, and the one context it runs in.
+        self._on_task_done: Optional[Callable] = None
+        self._done_context: Optional[contextvars.Context] = None
 
     # -- internals ---------------------------------------------------------
 
@@ -308,21 +313,22 @@ class AsyncioBackend(Backend):
             and self._loop_thread_id == threading.get_ident()
         )
 
-    def _resolve(self, waiter: _Waiter) -> None:
-        if waiter.loop is None or self._on_loop_thread():
-            _set_result_safe(waiter.future)
+    def _resolve(self, waiter) -> None:
+        if type(waiter) is _ThreadFuture or self._on_loop_thread():
+            _set_result_safe(waiter)
         else:
-            waiter.loop.call_soon_threadsafe(_set_result_safe, waiter.future)
+            waiter.get_loop().call_soon_threadsafe(_set_result_safe, waiter)
 
-    def _resolve_batch(self, waiters: Sequence[_Waiter]) -> None:
+    def _resolve_batch(self, waiters: Sequence) -> None:
         """Resolve a bulk wakeup: loop-local futures in one pass, foreign-
         loop futures through a single scheduled callback per loop."""
         foreign: dict = {}
+        on_loop = self._on_loop_thread()
         for waiter in waiters:
-            if waiter.loop is None or self._on_loop_thread():
-                _set_result_safe(waiter.future)
+            if on_loop or type(waiter) is _ThreadFuture:
+                _set_result_safe(waiter)
             else:
-                foreign.setdefault(waiter.loop, []).append(waiter.future)
+                foreign.setdefault(waiter.get_loop(), []).append(waiter)
         for loop, futures in foreign.items():
             loop.call_soon_threadsafe(
                 lambda batch=futures: [_set_result_safe(f) for f in batch]
@@ -353,9 +359,7 @@ class AsyncioBackend(Backend):
                     "coroutine targets can only be spawned from inside "
                     "AsyncioBackend.run's event loop"
                 )
-            self._record("threads_spawned")
-            task = self._loop.create_task(self._run_task(target), name=name)
-            return _AsyncioTaskHandle(task, name or "task")
+            return _AsyncioTaskHandle(self._start_task(target, name), name or "task")
 
         def runner() -> None:
             try:
@@ -369,12 +373,30 @@ class AsyncioBackend(Backend):
         thread.start()
         return _AsyncioThreadHandle(thread)
 
-    async def _run_task(self, target) -> None:
-        try:
-            await target()
-        except BaseException as exc:
+    def _start_task(self, target, name: Optional[str]) -> "asyncio.Task":
+        self._record("threads_spawned")
+        task = self._loop.create_task(target(), name=name)
+        self._live_tasks.add(task)
+        # One callback object and one context for every task of the run:
+        # a fresh bound method or copied Context would be one more object
+        # per parked waiter.
+        task.add_done_callback(self._on_task_done, context=self._done_context)
+        return task
+
+    def _task_done(self, task: "asyncio.Task") -> None:
+        """Record *task*'s failure, if any; the last task resolves
+        ``_all_done``."""
+        if task.cancelled():
+            failure: Optional[BaseException] = asyncio.CancelledError()
+        else:
+            failure = task.exception()
+        if failure is not None:
             with self._metrics_lock:
-                self._failures.append(exc)
+                self._failures.append(failure)
+        live = self._live_tasks
+        live.discard(task)
+        if not live and not self._all_done.done():
+            self._all_done.set_result(None)
 
     def current_id(self) -> object:
         if self._on_loop_thread():
@@ -390,7 +412,8 @@ class AsyncioBackend(Backend):
     ) -> None:
         """Run all *targets* concurrently and wait for every one.
 
-        Coroutine functions become tasks on a fresh event loop; plain
+        Coroutine functions become tasks on a fresh event loop, and ``run``
+        also waits for every coroutine task they spawn while it runs; plain
         callables run on bridged threads alongside it.  With no coroutine
         target at all there is no loop: the run degenerates to plain
         threads over the same future-FIFO primitives, which is how the
@@ -414,28 +437,44 @@ class AsyncioBackend(Backend):
         targets: Sequence[Callable[[], None]],
         names: Optional[Sequence[str]],
     ) -> None:
+        """Start every target and wait until all have finished.
+
+        Coroutine tasks are counted rather than gathered: each task's one
+        done-callback (:meth:`_task_done`, bound once and run in one shared
+        context) records its failure and drops it from ``_live_tasks``, and
+        the last one resolves ``_all_done``.  ``asyncio.gather`` would add
+        a second callback and a copied ``Context`` per task, and a wrapper
+        coroutine around each target would add one more frame to every
+        parked waiter.  Because ``spawn`` adds the tasks it starts mid-run
+        to the set, those are waited for too instead of being cancelled at
+        loop exit.  A failing task is recorded and the others run on, so
+        the wait ends only when every task has.
+        """
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._loop_thread_id = threading.get_ident()
-        tasks = []
+        self._live_tasks = set()
+        self._all_done = loop.create_future()
+        self._on_task_done = self._task_done
+        self._done_context = contextvars.copy_context()
         handles = []
         try:
             for index, target in enumerate(targets):
                 name = names[index] if names else f"worker-{index}"
                 if asyncio.iscoroutinefunction(target):
-                    self._record("threads_spawned")
-                    tasks.append(loop.create_task(self._run_task(target), name=name))
+                    self._start_task(target, name)
                 else:
                     handles.append(self.spawn(target, name=name))
-            if tasks:
-                # _run_task never raises (failures are collected), so gather
-                # waits for every task even when some fail.
-                await asyncio.gather(*tasks)
+            if self._live_tasks:
+                await self._all_done
             if handles:
                 await asyncio.to_thread(self._join_handles, handles)
         finally:
             self._loop = None
             self._loop_thread_id = None
+            self._all_done = None
+            self._on_task_done = None
+            self._done_context = None
 
     @staticmethod
     def _join_handles(handles: Sequence[ThreadHandle]) -> None:

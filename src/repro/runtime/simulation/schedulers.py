@@ -31,8 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Type, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.plugin_registry import PluginRegistry
 
@@ -64,8 +63,7 @@ class ScheduleDivergenceError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class SchedulePoint:
+class SchedulePoint(NamedTuple):
     """One scheduling decision.
 
     ``runnable`` is the *sorted* tuple of runnable thread ids at the decision
@@ -73,6 +71,10 @@ class SchedulePoint:
     the thread id that was dispatched, and ``reason`` records why control was
     up for grabs ("start", "yield", "exit", or the blocking thread's block
     reason such as ``"waiting for lock"``).
+
+    A named tuple rather than a frozen dataclass: the kernel builds one per
+    decision while a trace or observer is attached, and a tuple is built in
+    well under half the time.
     """
 
     step: int

@@ -11,6 +11,7 @@ loop-thread blocking guard, and timeouts inside coroutines.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
@@ -100,6 +101,40 @@ class TestBackendBasics:
         backend = AsyncioBackend()
         with pytest.raises(TypeError):
             backend.create_condition(threading.Lock())
+
+    def test_run_waits_for_tasks_spawned_mid_run(self):
+        """A coroutine thread spawned by a running target is waited for,
+        not cancelled when the loop exits."""
+        backend = AsyncioBackend()
+        finished = []
+        handles = []
+
+        async def child():
+            await asyncio.sleep(0.05)
+            finished.append("child")
+
+        async def parent():
+            handles.append(backend.spawn(child, name="child"))
+            finished.append("parent")
+
+        backend.run([parent])
+        assert finished == ["parent", "child"]
+        handles[0].join()
+        assert not handles[0].alive
+        assert backend.metrics.threads_spawned == 2
+
+    def test_failure_of_a_task_spawned_mid_run_propagates(self):
+        backend = AsyncioBackend()
+
+        async def child():
+            await asyncio.sleep(0.02)
+            raise RuntimeError("child failed")
+
+        async def parent():
+            backend.spawn(child)
+
+        with pytest.raises(RuntimeError, match="child failed"):
+            backend.run([parent])
 
 
 class TestCoroutineMonitorDriver:
