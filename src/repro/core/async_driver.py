@@ -21,8 +21,8 @@ Because the wait loop itself lives in ``wait_steps`` — shared verbatim with
 the blocking ``on_wait`` driver — relay ordering, spurious-wakeup handling,
 timeout deadlines and validate-mode checks cannot diverge between sync and
 coroutine waiters.  Requires a backend whose primitives expose
-``acquire_async`` / ``wait_async`` (the asyncio backend, and the simulation
-kernel for coroutine-hosted threads); anything else fails fast with
+``acquire_async`` / ``wait_async`` (the asyncio backend and the simulation
+kernel); anything else fails fast with
 :class:`~repro.core.errors.MonitorUsageError`.  The coroutine twins the
 simulation kernel steps (:mod:`repro.preprocessor.twins`) are built on
 these drivers.
@@ -102,7 +102,7 @@ async def wait_until_async(
     ``_block_on``: drop ownership, await ``condition.wait_async``, take
     ownership back — rather than through a helper coroutine, so a parked
     waiter keeps one coroutine frame fewer alive (on the asyncio backend
-    and for the simulation kernel's coroutine-hosted threads alike).
+    and for the simulation kernel's simulated threads alike).
     """
     monitor._require_monitor_held("wait_until")
     compiled = monitor._compiled(predicate, local_values)

@@ -28,7 +28,6 @@ random swarm exploration are thin loops over this primitive; both report an
 from __future__ import annotations
 
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -47,7 +46,6 @@ from repro.runtime.simulation import (
     ScheduleTrace,
     Scheduler,
     SimulationBackend,
-    SimulationError,
     SimulationHangError,
     SimulationLimitError,
 )
@@ -166,8 +164,9 @@ class ExploreTask:
     #: Install the monitor's self-healing deadlock-recovery hook
     #: (:meth:`AutoSynchMonitor.try_self_heal`) on the kernel.
     self_heal: bool = False
-    #: Wall-clock safety net per run, in seconds (None: the kernel default).
-    #: When it fires, the run is classified ``hang`` with a full autopsy.
+    #: Wall-clock safety net per run, in seconds (None: the kernel default),
+    #: checked at every scheduling decision.  When a run keeps deciding past
+    #: it, the run is classified ``hang`` with a full autopsy.
     run_timeout: Optional[float] = None
     #: Default ``wait_until`` timeout in scheduling steps (None: waits are
     #: unbounded); an expiry classifies the run as ``timeout``.
@@ -446,18 +445,12 @@ class TaskRuntime:
 
         Recycling resets the backend to fresh-construction state (see
         :meth:`SimulationBackend.recycle`), so traces and digests compare
-        bit-for-bit with an uncached run's.  A backend tainted by a hung
-        run refuses to recycle and is silently replaced.
+        bit-for-bit with an uncached run's.
         """
         backend, self._backend = self._backend, None
         if backend is not None:
-            try:
-                backend.recycle(seed=seed, policy=scheduler)
-                return backend
-            except SimulationError:
-                # Tainted by a hung run: retire what's retirable and fall
-                # through to a fresh build.
-                backend.shutdown()
+            backend.recycle(seed=seed, policy=scheduler)
+            return backend
         kwargs = {}
         if self.task.run_timeout is not None:
             kwargs["run_timeout"] = self.task.run_timeout
@@ -474,16 +467,9 @@ class TaskRuntime:
         self._backend = backend
 
     def close(self) -> None:
-        """Shut the parked backend down.
-
-        Built-in workloads run as coroutines and leave nothing to release;
-        a task whose bodies ran in the kernel's thread adapter leaves pooled
-        carrier threads, which would otherwise linger for the kernel's idle
-        timeout.
-        """
-        backend, self._backend = self._backend, None
-        if backend is not None:
-            backend.shutdown()
+        """Drop the parked backend.  A simulation backend holds no OS
+        resources, so closing only lets it be collected."""
+        self._backend = None
 
 
 #: Process-wide TaskRuntime cache, keyed by the task's serialized form with
@@ -512,36 +498,17 @@ def task_runtime(task: ExploreTask) -> TaskRuntime:
     runtime = _RUNTIME_CACHE.get(key)
     current = task.resolve_problem()
     if runtime is None or runtime.problem is not current:
-        if runtime is not None:
-            runtime.close()  # stale scenario: retire its carriers now
         runtime = TaskRuntime(task, problem=current)
         _RUNTIME_CACHE[key] = runtime
         while len(_RUNTIME_CACHE) > _RUNTIME_CACHE_LIMIT:
-            _RUNTIME_CACHE.popitem(last=False)[1].close()
+            _RUNTIME_CACHE.popitem(last=False)
     _RUNTIME_CACHE.move_to_end(key)
     return runtime
 
 
 def clear_runtime_cache() -> None:
-    """Drop every cached :class:`TaskRuntime` (benchmarking/test hook),
-    closing each."""
-    while _RUNTIME_CACHE:
-        _RUNTIME_CACHE.popitem()[1].close()
-
-
-def _forget_runtimes_after_fork() -> None:
-    """Empty the runtime cache in a forked child.
-
-    A cached backend's thread adapter may pool carrier threads that exist
-    only in the parent; a child dispatching to them would wait forever.  The
-    entries are dropped, not closed: retiring a carrier signals a thread the
-    child does not have.
-    """
+    """Drop every cached :class:`TaskRuntime` (benchmarking/test hook)."""
     _RUNTIME_CACHE.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_runtimes_after_fork)
 
 
 def starvation_budget(task: ExploreTask, problem: object) -> Optional[int]:
@@ -646,7 +613,7 @@ def run_schedule(
     t_built = perf_counter()
     status, kind, message = "ok", "ok", ""
     try:
-        backend.run(spec.targets_for(backend), spec.names)
+        backend.run(spec.targets, spec.names)
         spec.verify()
     except StopRun as exc:
         message = str(exc)

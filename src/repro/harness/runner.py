@@ -90,9 +90,9 @@ class RunConfig:
     #: keeps the config hashable.
     scenario_json: Optional[str] = None
     #: Wall-clock safety net per run cell, in seconds (simulation backend
-    #: only; ``None`` keeps the kernel's default).  A cell that exceeds it
-    #: fails with a hang verdict and a parked-thread autopsy instead of
-    #: wedging the whole sweep.
+    #: only; ``None`` keeps the kernel's default).  A cell whose simulation
+    #: keeps deciding past it (a livelock) fails with a hang verdict and a
+    #: parked-thread autopsy instead of wedging the whole sweep.
     run_timeout: Optional[float] = None
     #: Per-cell re-attempts after a failure (0 = fail fast).  Retries run
     #: with exponential backoff, inside the worker for parallel executors.

@@ -72,7 +72,7 @@ def run_workload(
     )
     backend.reset_metrics()
     started = time.perf_counter()
-    backend.run(spec.targets_for(backend), spec.names)
+    backend.run(spec.targets, spec.names)
     wall_time = time.perf_counter() - started
     if verify:
         spec.verify()

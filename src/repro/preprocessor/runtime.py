@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
+import linecache
 import sys
 import textwrap
 from typing import Callable, Dict, Optional, Type, Union, overload
@@ -25,6 +27,10 @@ from repro.preprocessor.transformer import (
 )
 
 __all__ = ["autosynch", "waituntil"]
+
+#: Numbers the pseudo-filenames of transformed classes, so each keeps its own
+#: source in :mod:`linecache`.
+_TRANSFORMED = itertools.count()
 
 
 def waituntil(condition: object) -> None:
@@ -68,7 +74,13 @@ def _transform_class(cls: type, options: Dict[str, object]) -> type:
         namespace.update(vars(module))
     namespace[MONITOR_BASE_NAME] = AutoSynchMonitor
 
-    code = compile(transformed, filename=f"<autosynch {cls.__qualname__}>", mode="exec")
+    filename = f"<autosynch {cls.__qualname__} #{next(_TRANSFORMED)}>"
+    # Registered like a file, so inspect.getsource finds the rewritten
+    # methods (the simulation kernel generates their coroutine twins).
+    linecache.cache[filename] = (
+        len(transformed), None, transformed.splitlines(keepends=True), filename
+    )
+    code = compile(transformed, filename=filename, mode="exec")
     exec(code, namespace)
     new_class = namespace[cls.__name__]
     if not isinstance(new_class, type):  # pragma: no cover - defensive

@@ -1,12 +1,13 @@
 """Coroutine twins: ``async def`` copies of synchronous monitor code.
 
-The simulation kernel steps coroutine-hosted simulated threads on one OS
-thread (:mod:`repro.runtime.simulation.kernel`); a plain callable needs the
-kernel's thread adapter, which pays an OS context switch per hand-off.  This
-module lets the built-in workloads run as coroutines without a second,
-hand-written copy of any of them: it generates a *twin* from the existing
-synchronous source with the preprocessor's AST machinery, awaiting every
-operation that may block.
+The simulation kernel steps every simulated thread as a coroutine on one OS
+thread (:mod:`repro.runtime.simulation.kernel`).  This module lets plain
+synchronous thread bodies — the built-in workloads, tests, user code — run
+there without a second, hand-written copy of any of them: it generates a
+*twin* from the existing synchronous source with the preprocessor's AST
+machinery, awaiting every operation that may block.  The kernel asks for the
+twins itself (:func:`coroutine_bodies`) whenever it is handed a plain
+function.
 
 * **Monitor twins** (:func:`monitor_twins`) — for each entry method of a
   monitor class, ``self.wait_until(...)`` becomes ``await
@@ -23,7 +24,7 @@ operation that may block.
   monitor's twin of that entry, and the blocking primitives of a kernel
   lock, condition or backend it can see await their ``*_async`` forms.
 
-A coroutine-hosted thread cannot block synchronously, so a twin is made
+A simulated thread cannot block synchronously, so a twin is made
 only when every call it keeps synchronous is known not to block: a safe
 builtin (``len``, ``range``, a builtin exception, ...), a method of a plain
 data object (a list, dict, set, deque, ``random.Random``, ...), a
@@ -37,8 +38,11 @@ no source, a generator, zero-argument ``super()`` and a blocking call in a
 nested scope.  A monitor's ``self.<field>.<method>()`` calls are checked
 per instance: the field must hold a plain data object when the twin is
 made.  Code reached implicitly — a property, an operator's dunder method,
-a key function handed to ``sorted`` — is not followed.  The caller runs an
-untwinnable function through the thread adapter, as before.
+a key function handed to ``sorted`` — is not followed.  A body whose calls
+all stay synchronous is still twinned: it runs as a coroutine that never
+suspends.  The kernel refuses a body without a twin, naming the reason the
+generator gave; such a body can be written as an ``async def`` that awaits
+the primitives itself (:mod:`repro.core.async_driver` for monitor entries).
 
 A twin shares the original's globals, defaults and closure cells, so it
 reads and writes exactly the variables the original does, and its line
@@ -56,7 +60,7 @@ import random
 import types
 import weakref
 from collections import deque
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Union
 
 from repro.core.async_driver import (
     enter_async,
@@ -65,10 +69,10 @@ from repro.core.async_driver import (
     wait_until_async,
 )
 from repro.core.monitor import MonitorBase
-from repro.runtime.simulation import SimulationBackend
+from repro.runtime.simulation import SimulationBackend, SimulationError
 from repro.runtime.simulation.sync import SimCondition, SimLock
 
-__all__ = ["coroutine_twin", "coroutine_twins", "monitor_twins"]
+__all__ = ["coroutine_bodies", "coroutine_twin", "monitor_twins"]
 
 #: Kernel objects a thread body may block on directly: type -> blocking
 #: method -> the awaitable method a twin calls instead.
@@ -81,8 +85,8 @@ _PRIMITIVES = {
 #: Methods of those kernel objects that never block.
 _PRIMITIVE_SAFE = {
     SimLock: frozenset({"release"}),
-    SimCondition: frozenset({"notify", "notify_n", "notify_all"}),
-    SimulationBackend: frozenset({"current_id", "current_name", "now"}),
+    SimCondition: frozenset({"notify", "notify_n", "notify_all", "waiter_count"}),
+    SimulationBackend: frozenset({"current_id", "current_name", "now", "spawn"}),
 }
 
 #: Monitor-framework methods an entry may call synchronously.
@@ -231,14 +235,12 @@ class _Awaiter(ast.NodeTransformer):
 
     def __init__(self, rewrite: Callable[[ast.Call], Optional[ast.expr]]) -> None:
         self._rewrite = rewrite
-        self.awaits = 0
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
         self.generic_visit(node)
         replacement = self._rewrite(node)
         if replacement is None:
             return node
-        self.awaits += 1
         return ast.copy_location(ast.Await(value=replacement), node)
 
     def _nested_scope(self, node: ast.AST) -> ast.AST:
@@ -290,8 +292,6 @@ def _compile_twin(
     body = [awaiter.visit(statement) for statement in node.body]
     if entry is not None:
         body = _entry_protocol(node, entry, body)
-    elif not awaiter.awaits:
-        raise _Untwinnable(f"{fn.__qualname__} makes no call a twin awaits")
     args = node.args
     for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
         if arg is not None:
@@ -405,20 +405,25 @@ class _MonitorTwins:
         #: Instance fields the methods call methods of (``self.items.append``).
         self.fields = fields
 
-    def admits(self, monitor: MonitorBase, dispatched: bool) -> bool:
-        """Whether *monitor*'s fields keep the checked methods from
-        blocking: each called field holds a plain data object and, for a
-        monitor a body calls through ``getattr`` (*dispatched*), no field
-        holds a callable the name could reach."""
+    def refusal(self, monitor: MonitorBase, dispatched: bool) -> Optional[str]:
+        """Why *monitor*'s fields may let the checked methods block, or None
+        when they cannot: each called field holds a plain data object and,
+        for a monitor a body calls through ``getattr`` (*dispatched*), no
+        field holds a callable the name could reach."""
         state = vars(monitor)
-        for name in self.fields:
-            if type(state.get(name)) not in _DATA_TYPES:
-                return False
-        return not (dispatched and any(map(callable, state.values())))
+        for name in sorted(self.fields):
+            kind = type(state.get(name))
+            if kind not in _DATA_TYPES:
+                return f"field {name!r} holds a {kind.__name__}, not a plain data object"
+        if dispatched:
+            for name, value in state.items():
+                if callable(value):
+                    return f"field {name!r} holds a callable a getattr call may reach"
+        return None
 
 
-#: Monitor class -> its twins (None: the class cannot be twinned).
-_MONITORS: "weakref.WeakKeyDictionary[type, Optional[_MonitorTwins]]" = (
+#: Monitor class -> its twins, or why it cannot be twinned.
+_MONITORS: "weakref.WeakKeyDictionary[type, Union[_MonitorTwins, str]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -427,20 +432,23 @@ def monitor_twins(cls: type) -> Optional[Dict[str, Callable]]:
     """Name -> coroutine twin for every entry method of monitor class *cls*
     (and every helper method that blocks), or None when any of them cannot
     be twinned.  Built once per class."""
-    twins = _monitor_analysis(cls)
-    return twins.table if twins is not None else None
-
-
-def _monitor_analysis(cls: type) -> Optional[_MonitorTwins]:
     try:
-        return _MONITORS[cls]
-    except KeyError:
-        pass
-    try:
-        twins = _build_monitor_twins(cls)
+        return _monitor_analysis(cls).table
     except _Untwinnable:
-        twins = None
-    _MONITORS[cls] = twins
+        return None
+
+
+def _monitor_analysis(cls: type) -> _MonitorTwins:
+    try:
+        twins = _MONITORS[cls]
+    except KeyError:
+        try:
+            twins = _build_monitor_twins(cls)
+        except _Untwinnable as error:
+            twins = f"monitor class {cls.__qualname__} has no twins: {error}"
+        _MONITORS[cls] = twins
+    if type(twins) is str:
+        raise _Untwinnable(twins)
     return twins
 
 
@@ -682,8 +690,9 @@ class _Body:
         #: Names that are globals (or builtins).
         self.globals = tuple(sorted(names - set(code.co_freevars)))
         self.names = tuple(code.co_freevars[index] for index in self.cells) + self.globals
-        #: shapes of the names' values -> (twin code, closure indices), or None.
-        self.twins: Dict[tuple, Optional[tuple]] = {}
+        #: shapes of the names' values -> (twin code, closure indices), or
+        #: why the body has no twin for them.
+        self.twins: Dict[tuple, Union[tuple, str]] = {}
 
     def values(self, fn: types.FunctionType) -> list:
         """The names' current values, in :attr:`names` order (None for an
@@ -703,9 +712,9 @@ class _Body:
         return values
 
 
-#: code object -> its :class:`_Body` (None: the body cannot be twinned).
+#: code object -> its :class:`_Body`, or why the body cannot be twinned.
 #: Nothing in a _Body refers to a monitor class.
-_BODIES: Dict[types.CodeType, Optional[_Body]] = {}
+_BODIES: Dict[types.CodeType, Union[_Body, str]] = {}
 
 
 def coroutine_twin(fn: Callable) -> Optional[Callable]:
@@ -719,30 +728,57 @@ def coroutine_twin(fn: Callable) -> Optional[Callable]:
     cells on every call (cheap: the compiled code is cached per code object
     and value shapes), so each workload build gets a twin of its own body.
     """
-    return coroutine_twins([fn])[0]
-
-
-def coroutine_twins(fns: Sequence[Callable]) -> List[Optional[Callable]]:
-    """:func:`coroutine_twin` of each of *fns*, judging each monitor they
-    share once (a workload's bodies share one)."""
-    judged: Dict[tuple, Optional[tuple]] = {}
-    return [_body_twin(fn, judged) for fn in fns]
-
-
-def _body_twin(fn: Callable, judged: Dict[tuple, Optional[tuple]]) -> Optional[Callable]:
-    if type(fn) is not types.FunctionType:
+    try:
+        return _body_twin(fn, {})
+    except _Untwinnable:
         return None
+
+
+def coroutine_bodies(targets: Sequence[Callable], names: Sequence[str]) -> List[Callable]:
+    """*targets* as the coroutine functions the simulation kernel steps: a
+    coroutine function as it is, any other target as its :func:`coroutine_twin`,
+    judging each monitor they share once (a workload's bodies share one).
+
+    Raises :class:`~repro.runtime.simulation.SimulationError` naming the
+    first target (by its thread name in *names*) that has no twin, and why.
+    """
+    judged: Dict[tuple, Union[tuple, str]] = {}
+    bodies = []
+    for target, name in zip(targets, names):
+        code = getattr(target, "__code__", None)
+        if (
+            code.co_flags & inspect.CO_COROUTINE
+            if code is not None
+            else inspect.iscoroutinefunction(target)
+        ):
+            bodies.append(target)
+            continue
+        try:
+            bodies.append(_body_twin(target, judged))
+        except _Untwinnable as reason:
+            raise SimulationError(
+                f"simulated thread {name} has no coroutine twin: {reason}; write "
+                "it as an async def body that awaits the *_async primitives "
+                "(repro.core.async_driver drives monitor entries)"
+            ) from None
+    return bodies
+
+
+def _body_twin(fn: Callable, judged: Dict[tuple, Union[tuple, str]]) -> Callable:
+    """*fn*'s twin; raises :class:`_Untwinnable` when it has none."""
+    if type(fn) is not types.FunctionType:
+        raise _Untwinnable(f"a {type(fn).__name__} is not a plain function")
     code = fn.__code__
     try:
         body = _BODIES[code]
     except KeyError:
         try:
             body = _Body(fn)
-        except _Untwinnable:
-            body = None
+        except _Untwinnable as error:
+            body = str(error)
         _BODIES[code] = body
-    if body is None:
-        return None
+    if type(body) is str:
+        raise _Untwinnable(body)
     shapes = []
     tables = {}
     for name, value in zip(body.names, body.values(fn)):
@@ -752,14 +788,18 @@ def _body_twin(fn: Callable, judged: Dict[tuple, Optional[tuple]]) -> Optional[C
             try:
                 verdict = judged[key]
             except KeyError:
-                twins = _monitor_analysis(type(value))
-                verdict = judged[key] = (
-                    (twins.shape, twins.table)
-                    if twins is not None and twins.admits(value, key[1])
-                    else None
-                )
-            if verdict is None:
-                return None
+                try:
+                    twins = _monitor_analysis(type(value))
+                    refusal = twins.refusal(value, key[1])
+                    verdict = (
+                        (twins.shape, twins.table) if refusal is None
+                        else f"monitor {name!r}: {refusal}"
+                    )
+                except _Untwinnable as error:
+                    verdict = f"monitor {name!r}: {error}"
+                judged[key] = verdict
+            if type(verdict) is str:
+                raise _Untwinnable(verdict)
             shapes.append(verdict[0])
             tables[name] = verdict[1]
         else:
@@ -768,11 +808,17 @@ def _body_twin(fn: Callable, judged: Dict[tuple, Optional[tuple]]) -> Optional[C
     try:
         twin = body.twins[key]
     except KeyError:
-        twin = body.twins[key] = _compile_body_twin(fn, dict(zip(body.names, shapes)))
-    return _instantiate(twin, fn, tables) if twin is not None else None
+        try:
+            twin = _compile_body_twin(fn, dict(zip(body.names, shapes)))
+        except _Untwinnable as error:
+            twin = str(error)
+        body.twins[key] = twin
+    if type(twin) is str:
+        raise _Untwinnable(twin)
+    return _instantiate(twin, fn, tables)
 
 
-def _compile_body_twin(fn: types.FunctionType, shapes: Dict[str, object]) -> Optional[tuple]:
+def _compile_body_twin(fn: types.FunctionType, shapes: Dict[str, object]) -> tuple:
     def rewrite(call: ast.Call) -> Optional[ast.expr]:
         func = call.func
         if isinstance(func, ast.Name):
@@ -804,7 +850,4 @@ def _compile_body_twin(fn: types.FunctionType, shapes: Dict[str, object]) -> Opt
                 return None
         raise _unsafe(call)
 
-    try:
-        return _compile_twin(fn, rewrite, None, _TABLES)
-    except _Untwinnable:
-        return None
+    return _compile_twin(fn, rewrite, None, _TABLES)

@@ -1,9 +1,9 @@
 """Deterministic cooperative simulation backend.
 
-The simulator steps its simulated threads one at a time on the calling OS
-thread — coroutine targets as coroutines, plain callables through a thread
-adapter — and hands control from thread to thread only at synchronization
-points (contended lock acquisition, condition wait, thread exit, explicit
+The simulator steps its simulated threads one at a time, as coroutines, on
+the calling OS thread — ``async def`` targets as they are, plain functions as
+coroutine twins generated from their source — and hands control from thread
+to thread only at synchronization points (contended lock acquisition, condition wait, thread exit, explicit
 yields).  Scheduling decisions are made by a seeded policy, so a whole
 experiment is reproducible bit-for-bit, and the kernel counts every
 hand-off, giving exact context-switch counts that do not depend on the GIL

@@ -7,22 +7,17 @@ at a contended lock acquisition, a condition wait, an explicit yield, or its
 exit — then makes the decision with a seeded scheduling policy and resumes
 the thread it chose.  Runs are therefore fully reproducible.
 
-A simulated thread is hosted one of two ways; both speak the same request
-protocol, so the stepper makes every decision either way:
-
-* **Coroutine-hosted** — a target that is a coroutine function (``async
-  def``) runs as a coroutine on the stepper's own OS thread.  Its blocking
-  primitives (:meth:`SimLock.acquire_async`, :meth:`SimCondition.wait_async`,
-  :meth:`SimulationBackend.yield_async`) ``await`` a decision request, which
-  suspends the coroutine back into the stepper; a switch is a generator
-  ``send``, not an OS context switch.  The built-in workloads reach the
-  kernel this way through coroutine twins generated from their synchronous
-  source (:mod:`repro.preprocessor.twins`).
-* **Adapter-hosted** — any other callable (tests, user code, anything without
-  source) runs in the thread adapter: a pooled carrier OS thread that posts
-  its decision requests to the stepper and parks until the stepper resumes
-  it.  Its primitives are the ordinary blocking ``acquire``/``wait``/
-  :meth:`SimulationBackend.yield_control`.
+Every simulated thread is a coroutine on the stepper's own OS thread.  Its
+blocking primitives (:meth:`SimLock.acquire_async`,
+:meth:`SimCondition.wait_async`, :meth:`SimulationBackend.yield_async`)
+``await`` a decision request, which suspends the coroutine back into the
+stepper; a switch is a generator ``send``, not an OS context switch.  A
+target that is a coroutine function (``async def``) is stepped as it is; a
+plain function is replaced by the coroutine twin generated from its source
+(:mod:`repro.preprocessor.twins`), and a plain callable without a twin is
+refused before the run's first decision.  The blocking ``acquire``/``wait``/
+:meth:`SimulationBackend.yield_control` forms raise :class:`SimulationError`
+when called from a simulated thread.
 
 The kernel also owns the run-wide metrics: every hand-off of control is one
 context switch, every condition wait and notification is counted, which gives
@@ -32,11 +27,10 @@ the exact quantities the paper's evaluation reasons about.
 from __future__ import annotations
 
 import enum
-import inspect
 import threading
 import types
 from time import monotonic
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence
 
 from repro.runtime.api import Backend, BackendMetrics, ThreadHandle
 from repro.runtime.simulation.schedulers import (
@@ -71,10 +65,6 @@ RECOVERY_ATTEMPT_LIMIT = 32
 #: How many trailing schedule decisions a hang autopsy reports.
 HANG_AUTOPSY_DECISIONS = 10
 
-#: Seconds a hung run waits for its adapter-hosted threads to unwind before
-#: the backend gives up on them (and is marked tainted).
-HANG_DRAIN_GRACE = 5.0
-
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation backend."""
@@ -90,12 +80,12 @@ class SimulationLimitError(SimulationError):
 
 
 class SimulationHangError(SimulationError):
-    """Raised when the wall-clock ``run_timeout`` fires: the simulation made
-    no progress, but unlike a detected deadlock the kernel cannot say why
-    (typically an adapter-hosted thread blocked on something outside the
-    kernel's control).  The message carries a full autopsy — parked threads,
-    their block reasons, the hang inspector's predicate report and the last
-    few schedule decisions — instead of a bare "did not finish"."""
+    """Raised when the wall-clock ``run_timeout`` fires: the run kept making
+    decisions without finishing (a livelock, such as threads that yield to
+    each other forever), which unlike a detected deadlock the kernel cannot
+    diagnose on its own.  The message carries a full autopsy — parked
+    threads, their block reasons, the hang inspector's predicate report and
+    the last few schedule decisions — instead of a bare "did not finish"."""
 
 
 class MonitorAbandonedError(SimulationError):
@@ -128,241 +118,33 @@ class _State(enum.Enum):
 
 @types.coroutine
 def _decide(reason: str):
-    """Suspend the calling coroutine-hosted thread into the stepper with a
+    """Suspend the calling simulated thread into the stepper with a
     decision request; returns once the stepper resumes the thread.
 
     *reason* is why control is up for grabs (the thread's block reason, or
-    ``"yield"``); it flows into the recorded decision point.  An adapter-
-    hosted thread posts the same request through :meth:`_ThreadAdapter.
-    decide`.
+    ``"yield"``); it flows into the recorded decision point.
     """
     yield reason
-
-
-#: Returned by :meth:`_ThreadAdapter.wait_report` when the adapter-hosted
-#: thread did not report before the wall-clock deadline.
-_HUNG = object()
 
 
 class _SimThread:
     """Book-keeping for one simulated thread."""
 
-    __slots__ = (
-        "tid",
-        "name",
-        "target",
-        "state",
-        "block_reason",
-        "timed_out",
-        "adapted",
-        "coro",
-        "go",
-    )
+    __slots__ = ("tid", "name", "target", "state", "block_reason", "timed_out", "coro")
 
     def __init__(self, tid: int, name: str, target: Callable[[], object]) -> None:
         self.tid = tid
         self.name = name
+        #: A coroutine function: the body itself or its generated twin.
         self.target = target
         self.state = _State.CREATED
         self.block_reason: Optional[str] = None
         #: Set by the kernel when a timed condition wait expired; consumed
         #: by the wait primitive on resumption.
         self.timed_out = False
-        #: Whether the thread adapter carries this thread (a plain
-        #: callable) rather than the stepper stepping it as a coroutine.
-        code = getattr(target, "__code__", None)
-        self.adapted = not (
-            code.co_flags & inspect.CO_COROUTINE
-            if code is not None
-            else inspect.iscoroutinefunction(target)
-        )
-        #: The coroutine object, created when the stepper first resumes a
-        #: coroutine-hosted thread.
+        #: The coroutine object, created when the stepper first resumes the
+        #: thread.
         self.coro = None
-        #: The adapter's resume gate (adapter-hosted threads only, set when
-        #: a carrier is dispatched).
-        self.go: Optional[_Gate] = None
-
-
-# ----------------------------------------------------------------------
-# The thread adapter: plain callables on pooled carrier OS threads
-# ----------------------------------------------------------------------
-
-
-class _Gate:
-    """One-token handoff gate: a binary semaphore over a raw lock.
-
-    Cheaper than :class:`threading.Event` for the adapter's one-producer,
-    one-consumer control handoffs (an Event pays an internal Condition
-    round-trip per set/wait cycle; a raw lock is a single futex operation).
-    ``set`` deposits a wake token — duplicate sets merge, exactly like
-    ``Event.set`` — and ``wait`` consumes it, so no explicit ``clear`` is
-    needed between handoffs.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._lock.acquire()
-
-    def set(self) -> None:
-        try:
-            self._lock.release()
-        except RuntimeError:
-            pass  # token already deposited; duplicates merge
-
-    def wait(self) -> None:
-        self._lock.acquire()
-
-    def wait_for(self, timeout: float) -> bool:
-        return self._lock.acquire(timeout=timeout)
-
-
-#: How long a parked carrier waits for its next job before retiring its OS
-#: thread.  Only matters for backends that are discarded without
-#: :meth:`SimulationBackend.shutdown`, whose carriers would otherwise sleep
-#: forever.
-CARRIER_IDLE_TIMEOUT = 10.0
-
-#: Poison job: a carrier dispatched this retires instead of carrying.
-_RETIRE = object()
-
-
-class _Carrier:
-    """A pooled OS thread that carries adapter-hosted simulated threads, one
-    at a time.
-
-    A carrier loops forever: wait for a job, carry the simulated thread to
-    completion, park back in the adapter's idle pool.  Carriers are daemons;
-    one that never returns from a stuck run is simply abandoned (and the
-    backend marked tainted) rather than reused.
-    """
-
-    __slots__ = ("_adapter", "_gate", "_job", "thread")
-
-    def __init__(self, adapter: "_ThreadAdapter") -> None:
-        self._adapter = adapter
-        self._gate = _Gate()
-        self._job: object = None
-        self.thread = threading.Thread(target=self._loop, name="sim-carrier", daemon=True)
-        self.thread.start()
-
-    def dispatch(self, sim_thread: _SimThread) -> None:
-        self._job = sim_thread
-        self._gate.set()
-
-    def retire(self) -> None:
-        """Release this carrier's OS thread now instead of after the idle
-        timeout.  Only valid on a carrier already removed from the idle
-        pool (so no dispatch can race the poison job).
-        """
-        self._job = _RETIRE
-        self._gate.set()
-
-    def _loop(self) -> None:
-        adapter = self._adapter
-        while True:
-            if not self._gate.wait_for(CARRIER_IDLE_TIMEOUT):
-                with adapter._lock:
-                    try:
-                        adapter._idle.remove(self)
-                    except ValueError:
-                        # A dispatch (or retire) claimed this carrier
-                        # concurrently with the timeout; its job (and wake
-                        # token) is in flight — loop back and pick it up.
-                        continue
-                return  # retired: idle too long, release the OS thread
-            sim_thread = self._job
-            self._job = None
-            if sim_thread is _RETIRE:
-                return
-            adapter.carry(self, sim_thread)
-
-
-class _ThreadAdapter:
-    """Hosts plain-callable simulated threads for the stepper.
-
-    Each adapter-hosted thread runs on a carrier OS thread from a pool kept
-    across runs.  The protocol mirrors a coroutine's: the carrier runs the
-    thread's code until it needs a decision, posts the request
-    (:meth:`decide`) and parks; the stepper, blocked in :meth:`resume` /
-    :meth:`wait_report`, picks the request up, decides, and later resumes
-    the thread by opening its gate.  Exactly one side runs at any moment.
-    """
-
-    __slots__ = ("_kernel", "_lock", "_idle", "_report", "_posted")
-
-    def __init__(self, kernel: "SimulationBackend") -> None:
-        self._kernel = kernel
-        #: Guards the idle pool against a carrier retiring on its timeout.
-        self._lock = threading.Lock()
-        self._idle: List[_Carrier] = []
-        #: Opened by a carrier when it posted a request (or its exit).
-        self._report = _Gate()
-        self._posted: Optional[str] = None
-
-    def start(self, sim_thread: _SimThread) -> None:
-        """Dispatch a carrier for *sim_thread*; it waits for its first
-        resume before running any of the thread's code."""
-        sim_thread.go = _Gate()
-        # List.pop is atomic under the GIL; only a retiring carrier's
-        # remove() needs the pool lock.
-        try:
-            carrier = self._idle.pop()
-        except IndexError:
-            carrier = _Carrier(self)
-        carrier.dispatch(sim_thread)
-
-    def resume(self, sim_thread: _SimThread, deadline: float) -> object:
-        """Run *sim_thread* until its next request (stepper side)."""
-        sim_thread.go.set()
-        return self.wait_report(deadline)
-
-    def wait_report(self, deadline: float) -> object:
-        """The request the running carrier posted: a decision reason, None
-        for the thread's exit, or :data:`_HUNG` past *deadline*."""
-        if not self._report.wait_for(max(deadline - monotonic(), 0.0)):
-            return _HUNG
-        return self._posted
-
-    def decide(self, sim_thread: _SimThread, reason: str) -> None:
-        """Post a decision request and park until resumed (carrier side)."""
-        self._posted = reason
-        self._report.set()
-        sim_thread.go.wait()
-
-    def carry(self, carrier: _Carrier, sim_thread: _SimThread) -> None:
-        """Carry one simulated thread through one run (on its carrier)."""
-        kernel = self._kernel
-        kernel._tls.sim_thread = sim_thread
-        sim_thread.go.wait()
-        if not kernel._abort:
-            try:
-                sim_thread.target()
-            except (_SimulationAbort, _InjectedDeath):
-                # An aborted run unwinding, or the thread_crash fault: a
-                # silent exit.  Locks it owns stay owned — abandonment
-                # detection (not this handler) reports that.
-                pass
-            except BaseException as exc:
-                kernel._record_failure(exc)
-        kernel._tls.sim_thread = None
-        # Park first, then report the exit: once the stepper has seen every
-        # exit, all carriers are back in the pool and the backend is
-        # quiescent (safe to recycle).
-        with self._lock:
-            self._idle.append(carrier)
-        self._posted = None
-        self._report.set()
-
-    def shutdown(self) -> None:
-        """Retire every parked carrier's OS thread now."""
-        with self._lock:
-            carriers = self._idle
-            self._idle = []
-        for carrier in carriers:
-            carrier.retire()
 
 
 class _SimHandle(ThreadHandle):
@@ -374,7 +156,7 @@ class _SimHandle(ThreadHandle):
     def join(self, timeout: Optional[float] = None) -> None:
         # Joining from inside the simulation would deadlock the scheduler, so
         # joining is only meaningful after run() returned — and by then
-        # every thread has finished (or, after a hang, been given up on).
+        # every thread has finished.
         del timeout
 
     @property
@@ -390,8 +172,8 @@ class SimulationBackend(Backend):
     """Deterministic cooperative backend.
 
     Every run is stepped on the calling OS thread (see the module
-    docstring): coroutine targets are stepped directly, plain callables
-    through the thread adapter.
+    docstring): coroutine targets are stepped directly, plain functions as
+    their generated coroutine twins.
 
     Parameters
     ----------
@@ -408,10 +190,10 @@ class SimulationBackend(Backend):
     max_steps:
         Optional upper bound on the number of scheduling steps per run.
     run_timeout:
-        Wall-clock safety net for :meth:`run`; a run that has not finished by
-        then is aborted with :class:`SimulationHangError`.  It catches an
-        adapter-hosted thread blocked outside the kernel and a run that
-        keeps deciding without end; a coroutine that blocks its OS thread
+        Wall-clock safety net for :meth:`run`, checked at every decision; a
+        run that has not finished by then is aborted with
+        :class:`SimulationHangError`.  It catches only runs that keep
+        deciding without end: a simulated thread that blocks its OS thread
         outside the kernel blocks the stepper with it.
     record_trace:
         Record every scheduling decision as a
@@ -465,15 +247,9 @@ class SimulationBackend(Backend):
         self._conditions: List[SimCondition] = []
 
         self._lock = threading.Lock()
-        #: Serves :meth:`current_thread`: the simulated thread each OS thread
-        #: is acting for — set by the stepper while it steps a coroutine or
-        #: decides for a thread, and by a carrier for the thread it carries.
+        #: Serves :meth:`current_thread`: the simulated thread the stepper
+        #: is acting for, on the OS thread that runs the stepper.
         self._tls = threading.local()
-        self._adapter = _ThreadAdapter(self)
-        #: Set when a run left adapter-hosted threads stuck (wall-clock
-        #: hang); a tainted backend refuses :meth:`recycle` — callers must
-        #: build a fresh one.
-        self._tainted = False
         self._threads: Dict[int, _SimThread] = {}
         self._next_tid = 0
         self._running = False
@@ -640,14 +416,16 @@ class SimulationBackend(Backend):
 
         Before :meth:`run` starts this registers the thread for the next run;
         while a run is in progress (called from a simulated thread) the new
-        thread becomes runnable immediately.  A coroutine function is stepped
-        as a coroutine, any other callable runs in the thread adapter.
+        thread becomes runnable immediately.  A plain function is hosted as
+        its coroutine twin; one without a twin raises
+        :class:`SimulationError` here.
         """
+        from repro.preprocessor.twins import coroutine_bodies  # twins imports this module
+
+        target = coroutine_bodies([target], [name or f"sim-{self._next_tid}"])[0]
         with self._lock:
             sim_thread = self._create_thread_locked(target, name)
             if self._running:
-                if sim_thread.adapted:
-                    self._adapter.start(sim_thread)
                 sim_thread.state = _State.RUNNABLE
                 self._runnable.append(sim_thread.tid)
         return _SimHandle(sim_thread)
@@ -663,30 +441,27 @@ class SimulationBackend(Backend):
     ) -> None:
         """Run all *targets* as simulated threads until every one finishes.
 
-        Coroutine functions are stepped as coroutines on the calling OS
-        thread; other callables run in the thread adapter.  Raises
-        :class:`DeadlockError` if all live threads block,
-        :class:`SimulationLimitError` if ``max_steps`` is exceeded, and
-        re-raises the first exception raised inside a simulated thread.
+        Every target is stepped as a coroutine on the calling OS thread: a
+        coroutine function as it is, a plain function as its generated
+        twin.  Raises :class:`SimulationError` before the first decision if
+        a target has no twin, :class:`DeadlockError` if all live threads
+        block, :class:`SimulationLimitError` if ``max_steps`` is exceeded,
+        and re-raises the first exception raised inside a simulated thread.
         """
+        from repro.preprocessor.twins import coroutine_bodies  # twins imports this module
+
         if self._running:
             raise SimulationError("run() called while a simulation is already in progress")
         self._reset_run_state()
+        names = [names[index] if names else f"sim-{index}" for index in range(len(targets))]
+        bodies = coroutine_bodies(targets, names)
 
         with self._lock:
-            for index, target in enumerate(targets):
-                name = names[index] if names else f"sim-{index}"
-                self._create_thread_locked(target, name)
+            for body, name in zip(bodies, names):
+                self._create_thread_locked(body, name)
             pending = list(self._threads.values())
-
-        if not pending:
-            return
-
-        for sim_thread in pending:
-            if sim_thread.adapted:
-                self._adapter.start(sim_thread)
-
-        with self._lock:
+            if not pending:
+                return
             self._running = True
             for sim_thread in pending:
                 sim_thread.state = _State.RUNNABLE
@@ -747,25 +522,20 @@ class SimulationBackend(Backend):
         self._recovery_attempts = 0
 
     def shutdown(self) -> None:
-        """Retire the thread adapter's parked carrier threads immediately.
+        """Do nothing: a simulation backend holds no OS resources.
 
-        Only adapter-hosted threads use carriers; a backend that only ever
-        stepped coroutines has none.  A discarded backend's carriers
-        otherwise linger for :data:`CARRIER_IDLE_TIMEOUT` before releasing
-        their OS threads — harmless one at a time, but a workload that
-        churns through backends could accumulate idle threads.  Idempotent;
-        safe between runs.  Stuck carriers of a tainted backend are not in
-        the idle pool and stay abandoned.
+        Every simulated thread runs on the OS thread that called
+        :meth:`run`, so there is nothing to release between runs or when
+        the backend is dropped.  Kept for callers that shut a backend down
+        after use.
         """
-        self._adapter.shutdown()
 
     def recycle(
         self,
         seed: Optional[int] = None,
         policy: Optional[SchedulerSpec] = None,
     ) -> None:
-        """Reset this backend to fresh-construction state, keeping the
-        thread adapter's carrier pool.
+        """Reset this backend to fresh-construction state.
 
         After recycling, the backend behaves exactly like a newly
         constructed ``SimulationBackend(seed=..., policy=..., ...)``: thread
@@ -776,16 +546,10 @@ class SimulationBackend(Backend):
         thousands of runs of a task instead of paying construction every
         run.
 
-        Raises :class:`SimulationError` if a run is in progress or a
-        previous run left adapter-hosted threads stuck (wall-clock hang) —
-        callers should fall back to constructing a fresh backend.
+        Raises :class:`SimulationError` if a run is in progress.
         """
         if self._running:
             raise SimulationError("recycle() called while a simulation is in progress")
-        if self._tainted:
-            raise SimulationError(
-                "backend cannot be recycled: a previous run left carrier threads stuck"
-            )
         if seed is not None:
             self._seed = seed
         if policy is not None:
@@ -836,26 +600,22 @@ class SimulationBackend(Backend):
         last = sim_thread
         while sim_thread is not None:
             if monotonic() >= deadline:
-                return self._abort_hung(sim_thread, running=False)
+                return self._abort_hung(sim_thread)
             last = sim_thread
-            reason = self._resume(sim_thread, deadline)
-            if reason is _HUNG:
-                return self._abort_hung(sim_thread, running=True)
+            reason = self._resume(sim_thread)
             with self._lock:
                 if reason is None:
                     sim_thread = self._finish_locked(sim_thread)
                 else:
                     sim_thread = self._pick_next_locked(reason)
         if self._abort:
-            self._unwind(last, deadline)
+            self._unwind(last)
         return None
 
-    def _resume(self, sim_thread: _SimThread, deadline: float) -> object:
-        """Run *sim_thread* until its next request: a decision reason, None
-        once it finished, or :data:`_HUNG` (adapter-hosted threads only)."""
+    def _resume(self, sim_thread: _SimThread) -> Optional[str]:
+        """Run *sim_thread* until its next request: a decision reason, or
+        None once it finished."""
         self._tls.sim_thread = sim_thread
-        if sim_thread.adapted:
-            return self._adapter.resume(sim_thread, deadline)
         try:
             coro = sim_thread.coro
             if coro is None:
@@ -892,53 +652,34 @@ class SimulationBackend(Backend):
             return None
         return self._pick_next_locked(reason="exit")
 
-    def _unwind(
-        self, first: Optional[_SimThread], deadline: float, running: bool = False
-    ) -> None:
+    def _unwind(self, first: Optional[_SimThread]) -> None:
         """Finish every thread of an aborted run, one at a time.
 
         *first* — the thread whose request ended the run — unwinds first,
         then the rest in thread-id order, each resumed until it exits (its
         next primitive raises :class:`_SimulationAbort`; a decision it asks
-        for on the way out is void).  ``running`` says *first* is an
-        adapter-hosted thread still running (a hang), so its report is
-        awaited instead of resuming it.  A thread that does not report by
-        *deadline* is left behind and the backend marked tainted.
+        for on the way out is void).
         """
         order = list(self._threads.values())
         if first is not None:
             order.remove(first)
             order.insert(0, first)
         for sim_thread in order:
-            waiting = running and sim_thread is first
             while sim_thread.state is not _State.FINISHED:
-                if waiting:
-                    waiting = False
-                    reason = self._adapter.wait_report(deadline)
-                else:
-                    reason = self._resume(sim_thread, deadline)
-                if reason is _HUNG:
-                    self._tainted = True
-                    break
-                if reason is None:
+                if self._resume(sim_thread) is None:
                     with self._lock:
                         self._finish_locked(sim_thread)
 
-    def _abort_hung(self, sim_thread: _SimThread, running: bool) -> str:
-        """The wall-clock net fired with *sim_thread* current: diagnose,
-        abort, unwind what can be unwound, and return the autopsy."""
+    def _abort_hung(self, sim_thread: _SimThread) -> str:
+        """The wall-clock net fired with *sim_thread* chosen to run next:
+        diagnose, abort, unwind, and return the autopsy."""
         with self._lock:
             # Autopsy first: the unwinding below dismantles the very
             # bookkeeping (block reasons, waiter queues, predicate entries)
             # the diagnosis needs.
             autopsy = self._hang_autopsy_locked()
             self._abort = True
-        self._unwind(sim_thread, monotonic() + HANG_DRAIN_GRACE, running=running)
-        # Carriers may still be wedged inside the stuck run: never hand them
-        # another job, and give later runs an adapter of their own.
-        self._tainted = True
-        self._adapter.shutdown()
-        self._adapter = _ThreadAdapter(self)
+        self._unwind(sim_thread)
         return autopsy
 
     # ------------------------------------------------------------------
@@ -950,8 +691,8 @@ class SimulationBackend(Backend):
 
         Every simulation primitive (lock, condition, yield) starts here, so
         the lookup is served from a ``threading.local`` — no global lock, no
-        dict lookup.  Any other thread (one this backend is neither stepping
-        nor carrying) gets :class:`SimulationError`.
+        dict lookup.  Any other caller (code outside a simulated thread,
+        another OS thread) gets :class:`SimulationError`.
         """
         sim_thread = getattr(self._tls, "sim_thread", None)
         if sim_thread is None:
@@ -960,17 +701,15 @@ class SimulationBackend(Backend):
             )
         return sim_thread
 
-    def _blocking_caller(self, primitive: str) -> _SimThread:
-        """The calling simulated thread, which must be adapter-hosted: a
-        coroutine-hosted thread cannot park inside a synchronous call."""
+    def _refuse_blocking(self, primitive: str) -> NoReturn:
+        """A blocking primitive was called: a simulated thread is a
+        coroutine and cannot park inside a synchronous call."""
         sim_thread = self.current_thread()
-        if not sim_thread.adapted:
-            raise SimulationError(
-                f"simulated thread {sim_thread.name} runs as a coroutine and must "
-                f"await the {primitive}_async primitive instead of calling the "
-                f"blocking {primitive}()"
-            )
-        return sim_thread
+        raise SimulationError(
+            f"simulated thread {sim_thread.name} runs as a coroutine and must "
+            f"await the {primitive}_async primitive instead of calling the "
+            f"blocking {primitive}()"
+        )
 
     def current_name(self) -> str:
         """Name of the currently running simulated thread."""
@@ -1154,52 +893,49 @@ class SimulationBackend(Backend):
         if self._abort:
             raise _SimulationAbort()
 
-    def _yield_locked(self, sim_thread: _SimThread) -> str:
-        self._check_doomed_locked(sim_thread)
-        self._runnable.append(sim_thread.tid)
-        sim_thread.state = _State.RUNNABLE
-        return "yield"
-
     def yield_control(self) -> None:
-        """Voluntarily hand control to another runnable thread (if any);
-        for adapter-hosted threads (coroutines await :meth:`yield_async`)."""
-        sim_thread = self._blocking_caller("yield")
-        with self._lock:
-            reason = self._yield_locked(sim_thread)
-        self._adapter.decide(sim_thread, reason)
-        self._resumed()
+        """Refused: a simulated thread awaits :meth:`yield_async` instead (a
+        plain body's twin does so in its place)."""
+        self._refuse_blocking("yield")
 
     async def yield_async(self) -> None:
-        """:meth:`yield_control` for coroutine-hosted threads."""
+        """Voluntarily hand control to another runnable thread (if any)."""
         sim_thread = self.current_thread()
         with self._lock:
-            reason = self._yield_locked(sim_thread)
-        await _decide(reason)
+            self._check_doomed_locked(sim_thread)
+            self._runnable.append(sim_thread.tid)
+            sim_thread.state = _State.RUNNABLE
+        await _decide("yield")
         self._resumed()
 
     # ------------------------------------------------------------------
     # Lock operations (called by SimLock)
     # ------------------------------------------------------------------
 
-    def _acquire_locked(self, sim_thread: _SimThread, lock: SimLock) -> Optional[str]:
-        """Take *lock* if it is free (None); otherwise queue the thread on
-        it and return the block reason of the decision it needs."""
-        self._check_doomed_locked(sim_thread)
-        if lock.owner is None:
-            lock.owner = sim_thread.tid
-            self.metrics.lock_acquisitions += 1
-            return None
-        if lock.owner == sim_thread.tid:
-            raise SimulationError(
-                f"thread {sim_thread.name} attempted to re-acquire a lock it already holds"
-            )
-        lock.queue.append(sim_thread.tid)
-        self.metrics.lock_contentions += 1
-        return self._block_locked(
-            sim_thread, f"waiting for lock {lock.label}" if lock.label else "waiting for lock"
-        )
+    def lock_acquire(self, lock: SimLock) -> None:
+        """Refused: a simulated thread awaits :meth:`lock_acquire_async`."""
+        self._refuse_blocking("acquire")
 
-    def _acquired(self, sim_thread: _SimThread, lock: SimLock) -> None:
+    async def lock_acquire_async(self, lock: SimLock) -> None:
+        """Take *lock* if it is free; otherwise queue the thread on it and
+        ask for the decision that eventually hands it over."""
+        sim_thread = self.current_thread()
+        with self._lock:
+            self._check_doomed_locked(sim_thread)
+            if lock.owner is None:
+                lock.owner = sim_thread.tid
+                self.metrics.lock_acquisitions += 1
+                return
+            if lock.owner == sim_thread.tid:
+                raise SimulationError(
+                    f"thread {sim_thread.name} attempted to re-acquire a lock it already holds"
+                )
+            lock.queue.append(sim_thread.tid)
+            self.metrics.lock_contentions += 1
+            reason = self._block_locked(
+                sim_thread, f"waiting for lock {lock.label}" if lock.label else "waiting for lock"
+            )
+        await _decide(reason)
         self._resumed()
         with self._lock:
             if lock.owner != sim_thread.tid:
@@ -1207,23 +943,6 @@ class SimulationBackend(Backend):
                     "internal error: thread resumed from lock wait without ownership"
                 )
             self.metrics.lock_acquisitions += 1
-
-    def lock_acquire(self, lock: SimLock) -> None:
-        sim_thread = self._blocking_caller("acquire")
-        with self._lock:
-            reason = self._acquire_locked(sim_thread, lock)
-        if reason is not None:
-            self._adapter.decide(sim_thread, reason)
-            self._acquired(sim_thread, lock)
-
-    async def lock_acquire_async(self, lock: SimLock) -> None:
-        """:meth:`lock_acquire` for coroutine-hosted threads."""
-        sim_thread = self.current_thread()
-        with self._lock:
-            reason = self._acquire_locked(sim_thread, lock)
-        if reason is not None:
-            await _decide(reason)
-            self._acquired(sim_thread, lock)
 
     def lock_release(self, lock: SimLock) -> None:
         sim_thread = self.current_thread()
@@ -1247,28 +966,35 @@ class SimulationBackend(Backend):
     # Condition operations (called by SimCondition)
     # ------------------------------------------------------------------
 
-    def _wait_locked(
-        self, sim_thread: _SimThread, condition: SimCondition, timeout: Optional[float]
-    ) -> str:
-        """Park the thread on *condition*, releasing its lock; returns the
-        block reason of the decision it needs."""
-        self._check_doomed_locked(sim_thread)
-        if condition.lock.owner != sim_thread.tid:
-            raise SimulationError(
-                f"thread {sim_thread.name} called wait() without holding the monitor lock"
-            )
-        condition.waiters.append(sim_thread.tid)
-        self.metrics.condition_waits += 1
-        if timeout is not None:
-            # Deadlines are measured in scheduling steps (see now());
-            # expiry happens at the next scheduling decision at or past
-            # the deadline, or immediately when nothing else can run.
-            self._timed_waits[sim_thread.tid] = (condition, self._steps + timeout)
-        self._release_lock_locked(condition.lock)
-        label = condition.label if condition.label is not None else f"{id(condition):#x}"
-        return self._block_locked(sim_thread, f"waiting on condition {label}")
+    def condition_wait(
+        self, condition: SimCondition, timeout: Optional[float] = None
+    ) -> bool:
+        """Refused: a simulated thread awaits :meth:`condition_wait_async`."""
+        self._refuse_blocking("wait")
 
-    def _woken(self, sim_thread: _SimThread, condition: SimCondition) -> bool:
+    async def condition_wait_async(
+        self, condition: SimCondition, timeout: Optional[float] = None
+    ) -> bool:
+        """Park the thread on *condition*, releasing its lock, until it is
+        notified and holds the lock again; False when *timeout* expired."""
+        sim_thread = self.current_thread()
+        with self._lock:
+            self._check_doomed_locked(sim_thread)
+            if condition.lock.owner != sim_thread.tid:
+                raise SimulationError(
+                    f"thread {sim_thread.name} called wait() without holding the monitor lock"
+                )
+            condition.waiters.append(sim_thread.tid)
+            self.metrics.condition_waits += 1
+            if timeout is not None:
+                # Deadlines are measured in scheduling steps (see now());
+                # expiry happens at the next scheduling decision at or past
+                # the deadline, or immediately when nothing else can run.
+                self._timed_waits[sim_thread.tid] = (condition, self._steps + timeout)
+            self._release_lock_locked(condition.lock)
+            label = condition.label if condition.label is not None else f"{id(condition):#x}"
+            reason = self._block_locked(sim_thread, f"waiting on condition {label}")
+        await _decide(reason)
         self._resumed()
         with self._lock:
             timed_out = sim_thread.timed_out
@@ -1278,24 +1004,6 @@ class SimulationBackend(Backend):
                     "internal error: thread resumed from condition wait without the lock"
                 )
         return not timed_out
-
-    def condition_wait(
-        self, condition: SimCondition, timeout: Optional[float] = None
-    ) -> bool:
-        sim_thread = self._blocking_caller("wait")
-        with self._lock:
-            reason = self._wait_locked(sim_thread, condition, timeout)
-        self._adapter.decide(sim_thread, reason)
-        return self._woken(sim_thread, condition)
-
-    async def condition_wait_async(
-        self, condition: SimCondition, timeout: Optional[float] = None
-    ) -> bool:
-        sim_thread = self.current_thread()
-        with self._lock:
-            reason = self._wait_locked(sim_thread, condition, timeout)
-        await _decide(reason)
-        return self._woken(sim_thread, condition)
 
     def condition_notify(
         self, condition: SimCondition, wake_all: bool, count: int = 1

@@ -1,11 +1,12 @@
 """Lock and condition-variable objects for the simulation backend.
 
 These are thin data holders; all queueing and scheduling logic lives in the
-kernel so that every state change happens under the kernel's own lock.  The
-blocking operations come in two forms: the plain ``acquire``/``wait`` for
-adapter-hosted simulated threads, and the awaitable ``acquire_async``/
-``wait_async`` for coroutine-hosted ones (see
-:mod:`repro.runtime.simulation.kernel`).
+kernel so that every state change happens under the kernel's own lock.  A
+simulated thread is a coroutine, so it awaits the blocking operations in
+their ``acquire_async``/``wait_async`` forms; the plain ``acquire``/``wait``
+of the lock and condition interfaces raise ``SimulationError`` inside a
+simulation (a plain body's generated twin awaits the async forms in their
+place; see :mod:`repro.runtime.simulation.kernel`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class SimLock(LockAPI):
         self._kernel.lock_acquire(self)
 
     def acquire_async(self):
-        """Awaitable :meth:`acquire` for coroutine-hosted threads."""
+        """Awaitable :meth:`acquire`: the form a simulated thread uses."""
         return self._kernel.lock_acquire_async(self)
 
     def release(self) -> None:
@@ -68,7 +69,7 @@ class SimCondition(ConditionAPI):
         return self._kernel.condition_wait(self, timeout=timeout)
 
     def wait_async(self, timeout: Optional[float] = None):
-        """Awaitable :meth:`wait` for coroutine-hosted threads."""
+        """Awaitable :meth:`wait`: the form a simulated thread uses."""
         return self._kernel.condition_wait_async(self, timeout)
 
     def notify(self) -> None:

@@ -1,29 +1,33 @@
-"""Twin equivalence: a coroutine-hosted run decides and counts exactly like
-an adapter-hosted one.
+"""Twin equivalence: a run of coroutine twins decides and counts exactly
+like the synchronous bodies they were generated from.
 
-The simulation kernel steps each built-in workload through coroutine twins
-generated from its synchronous source (:mod:`repro.preprocessor.twins`);
-tests, user code and anything without source run the synchronous bodies in
-the kernel's thread adapter.  Both hosts must make the same decisions, so
-for every built-in problem, every mechanism and two seeds under the random
-scheduler, the recorded schedule and every monitor and backend counter
-must match.
+The simulation kernel steps every plain thread body as the coroutine twin
+generated from its synchronous source (:mod:`repro.preprocessor.twins`).
+The synchronous bodies themselves once ran on OS threads (the kernel's
+former thread adapter); what they decided and counted there is pinned in
+``tests/data/adapter_reference.json``.  For every built-in problem, every
+mechanism and two seeds under the random scheduler, the recorded schedule
+and every monitor and backend counter must match it.
 """
 
 from __future__ import annotations
 
 import gc
 import inspect
+import json
+import threading
 import types
 import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.core.monitor import AutoSynchMonitor
 from repro.harness.saturation import run_workload
+from repro.preprocessor.twins import coroutine_twin
 from repro.problems.base import Problem, WorkloadSpec
 from repro.problems.registry import available_problems, get_problem
-from repro.runtime.simulation import SimulationBackend
+from repro.runtime.simulation import SimulationBackend, SimulationError
 from repro.scenarios.compile import ScenarioProblem
 from repro.scenarios.generate import generate_scenario
 
@@ -38,41 +42,60 @@ CASES = [
     for mechanism in get_problem(problem).supported_mechanisms()
 ]
 
+REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "data" / "adapter_reference.json").read_text()
+)
 
-def _run(problem_name, mechanism, seed, hosted):
+
+def _pinned(key):
+    """The reference run *key* as (digest, backend metrics, monitor stats)."""
+    digest, metrics, stats = REFERENCE["hosts"][key]
+    return (
+        digest,
+        dict(zip(REFERENCE["metrics_keys"], metrics)),
+        dict(zip(REFERENCE["stats_keys"], stats)),
+    )
+
+
+def _observed(backend, spec):
+    return (
+        backend.schedule_trace.digest(),
+        backend.metrics.snapshot(),
+        spec.monitor.stats.snapshot(),
+    )
+
+
+def _assert_matches(observed, pinned):
+    assert observed[0] == pinned[0], "schedule trace digests differ"
+    assert observed[1] == pinned[1], "backend counters differ"
+    assert observed[2] == pinned[2], "monitor counters differ"
+
+
+def test_reference_covers_every_case():
+    pinned = {key.rsplit("/", 1)[0] for key in REFERENCE["hosts"]}
+    assert pinned == {f"{problem}/{mechanism}" for problem, mechanism in CASES} | {
+        "user_slots/autosynch"
+    }
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("problem_name,mechanism", CASES)
+def test_twins_match_the_adapter_reference(problem_name, mechanism, seed):
     problem = get_problem(problem_name)
     backend = SimulationBackend(seed=seed, policy="random", record_trace=True)
     spec = problem.build(
         mechanism, backend, threads=THREADS, total_ops=TOTAL_OPS, seed=seed
     )
-    targets = spec.targets_for(backend) if hosted == "coroutine" else spec.targets
-    try:
-        backend.run(targets, spec.names)
-        spec.verify()
-    finally:
-        backend.shutdown()
-    return (
-        backend.schedule_trace.digest(),
-        backend.metrics.snapshot(),
-        spec.monitor.stats.snapshot(),
-    ), targets
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("problem_name,mechanism", CASES)
-def test_coroutine_and_adapter_hosts_agree(problem_name, mechanism, seed):
-    coroutine, targets = _run(problem_name, mechanism, seed, "coroutine")
-    adapter, _ = _run(problem_name, mechanism, seed, "adapter")
-    # Every built-in body has a twin: the run started no carrier thread.
-    assert all(inspect.iscoroutinefunction(target) for target in targets)
-    assert coroutine[0] == adapter[0], "schedule trace digests differ"
-    assert coroutine[1] == adapter[1], "backend counters differ"
-    assert coroutine[2] == adapter[2], "monitor counters differ"
+    before = threading.active_count()
+    backend.run(spec.targets, spec.names)
+    assert threading.active_count() == before
+    spec.verify()
+    _assert_matches(_observed(backend, spec), _pinned(f"{problem_name}/{mechanism}/{seed}"))
 
 
 # ----------------------------------------------------------------------
-# User problems: a body the generator cannot see through keeps running,
-# on the thread adapter, exactly as it did before twins existed.
+# User problems: a body the generator cannot see through is refused before
+# the run makes its first decision, with the generator's reason.
 # ----------------------------------------------------------------------
 
 
@@ -194,49 +217,68 @@ class _UserProblem(Problem):
         )
 
 
+def _line(make_producer, text):
+    """The source line number of *text* inside *make_producer*."""
+    lines, first = inspect.getsourcelines(make_producer)
+    return first + next(i for i, line in enumerate(lines) if text in line)
+
+
+UNSEEN = [
+    (
+        _local_receiver,
+        f"call through local 'receiver' (line {_line(_local_receiver, 'receiver.put')})",
+    ),
+    (
+        _helper_function,
+        f"call that may block unseen (line {_line(_helper_function, 'produce(slots')}): produce",
+    ),
+    (
+        _subscript_receiver,
+        f"call that may block unseen (line {_line(_subscript_receiver, 'boxes[0].put')}): "
+        "boxes[0].put",
+    ),
+    (
+        _attribute_receiver,
+        f"call that may block unseen (line {_line(_attribute_receiver, 'holder.slots.put')}): "
+        "holder.slots.put",
+    ),
+    (
+        _entry_calling_another_monitor,
+        "monitor 'forwarder': field 'target' holds a Slots, not a plain data object",
+    ),
+]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "make_producer",
-    [
-        _local_receiver,
-        _helper_function,
-        _subscript_receiver,
-        _attribute_receiver,
-        _entry_calling_another_monitor,
-    ],
+    "make_producer,reason", UNSEEN, ids=[maker.__name__ for maker, _ in UNSEEN]
 )
-def test_bodies_reaching_a_monitor_unseen_run_on_the_adapter(make_producer, seed):
+def test_bodies_reaching_a_monitor_unseen_are_refused(make_producer, reason, seed):
     problem = _UserProblem(make_producer)
     backend = SimulationBackend(seed=seed, policy="random")
-    try:
-        result = run_workload(problem, "autosynch", backend, threads=1, total_ops=4)
-    finally:
-        backend.shutdown()
-    assert result.monitor_stats["entries"] >= 8
-    # The producer has no twin; the consumer, which the generator sees
-    # through, still runs as a coroutine.
+    with pytest.raises(SimulationError) as excinfo:
+        run_workload(problem, "autosynch", backend, threads=1, total_ops=4)
+    message = str(excinfo.value)
+    assert message.startswith(
+        f"simulated thread producer has no coroutine twin: {reason}; "
+    ), message
+    assert "async def" in message and "repro.core.async_driver" in message
+    assert backend.steps == 0
+    # The consumer, which the generator sees through, has a twin.
     spec = problem.build("autosynch", SimulationBackend(seed=seed), threads=1, total_ops=4)
-    producer, consumer = spec.targets_for(SimulationBackend(seed=seed))
-    assert not inspect.iscoroutinefunction(producer)
-    assert inspect.iscoroutinefunction(consumer)
+    producer, consumer = map(coroutine_twin, spec.targets)
+    assert producer is None and inspect.iscoroutinefunction(consumer)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_user_problem_the_generator_sees_through_is_twinned(seed):
     problem = _UserProblem(_visible_receiver)
-    counts = []
-    for hosted in ("coroutine", "adapter"):
-        backend = SimulationBackend(seed=seed, policy="random", record_trace=True)
-        spec = problem.build("autosynch", backend, threads=1, total_ops=4)
-        targets = spec.targets_for(backend) if hosted == "coroutine" else spec.targets
-        assert all(inspect.iscoroutinefunction(t) for t in targets) == (hosted == "coroutine")
-        try:
-            backend.run(targets, spec.names)
-        finally:
-            backend.shutdown()
-        spec.verify()
-        counts.append((backend.schedule_trace.digest(), spec.monitor.stats.snapshot()))
-    assert counts[0] == counts[1]
+    backend = SimulationBackend(seed=seed, policy="random", record_trace=True)
+    spec = problem.build("autosynch", backend, threads=1, total_ops=4)
+    assert all(inspect.iscoroutinefunction(coroutine_twin(t)) for t in spec.targets)
+    backend.run(spec.targets, spec.names)
+    spec.verify()
+    _assert_matches(_observed(backend, spec), _pinned(f"user_slots/autosynch/{seed}"))
 
 
 def test_twin_caches_do_not_keep_monitor_classes_alive():
@@ -246,7 +288,7 @@ def test_twin_caches_do_not_keep_monitor_classes_alive():
     workload = ScenarioProblem(spec).build(
         "autosynch", SimulationBackend(seed=1), threads=2, total_ops=2
     )
-    targets = workload.targets_for(SimulationBackend(seed=1))
+    targets = [coroutine_twin(target) for target in workload.targets]
     assert all(inspect.iscoroutinefunction(target) for target in targets)
     monitor_class = weakref.ref(type(workload.monitor))
     del workload, targets

@@ -164,10 +164,14 @@ class TestTimeUnitContract:
     def test_wait_timeout_deadline_in_steps(self):
         backend = SimulationBackend(seed=0)
         monitor = _NeverReady(backend=backend)
+        timed_out = []
 
         def body():
-            with pytest.raises(WaitTimeout):
+            try:
                 monitor.await_ready(timeout=25)
+            except WaitTimeout:
+                timed_out.append(backend.now())
 
         backend.run([body])
+        assert timed_out and timed_out[0] >= 25
         assert monitor.stats.wait_timeouts == 1

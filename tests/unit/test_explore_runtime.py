@@ -44,25 +44,21 @@ class TestBackendRecycling:
         assert outcome_signature(first) == outcome_signature(recycled)
         assert outcome_signature(first) == outcome_signature(cold)
 
-    def test_recycle_refused_mid_run_and_when_tainted(self):
+    def test_recycle_refused_mid_run(self):
         backend = SimulationBackend(seed=0)
         backend._running = True
-        with pytest.raises(SimulationError):
-            backend.recycle()
-        backend._running = False
-        backend._tainted = True
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="in progress"):
             backend.recycle()
 
-    def test_tainted_backend_is_replaced_not_recycled(self):
+    def test_runtime_recycles_one_backend_until_closed(self):
         runtime = TaskRuntime(TASK)
-        first = run_prefix(TASK, (), runtime=runtime)
-        assert runtime._backend is not None
-        runtime._backend._tainted = True
-        tainted = runtime._backend
-        replaced = run_prefix(TASK, (), runtime=runtime)
-        assert runtime._backend is not tainted
-        assert outcome_signature(first) == outcome_signature(replaced)
+        run_prefix(TASK, (), runtime=runtime)
+        parked = runtime._backend
+        assert parked is not None
+        run_prefix(TASK, (), runtime=runtime)
+        assert runtime._backend is parked
+        runtime.close()
+        assert runtime._backend is None
 
     def test_runtime_cache_normalizes_seed_and_caps_size(self):
         clear_runtime_cache()

@@ -3,8 +3,6 @@ and counters of runs an observer aborts."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.faults import FaultInjector, create_fault
@@ -80,55 +78,46 @@ class TestAbandonmentDetection:
 
 
 class TestHangAutopsy:
-    def _hanging_run(self, run_timeout=0.5):
-        backend = SimulationBackend(seed=0, run_timeout=run_timeout)
+    def _hanging_run(self, run_timeout=0.3):
+        backend = SimulationBackend(seed=0, run_timeout=run_timeout, record_trace=True)
         lock = backend.create_lock()
         condition = backend.create_condition(lock, label="never-signalled")
-        release = threading.Event()
 
         def parked():
             lock.acquire()
             condition.wait()
             lock.release()
 
-        def stuck():
-            # Blocks outside the kernel: the simulation makes no progress
-            # but is not deadlocked, so only the wall-clock net catches it.
-            # The short self-expiry keeps the kernel's post-abort drain
-            # grace from padding the test with its full 5s.
-            release.wait(timeout=run_timeout + 0.3)
+        def spinner():
+            # Yields forever: the run keeps deciding but is not deadlocked,
+            # so only the wall-clock net catches it.
+            while True:
+                backend.yield_control()
 
-        return backend, release, parked, stuck
+        return backend, parked, spinner
 
     def test_wall_clock_hang_raises_with_autopsy(self):
-        backend, release, parked, stuck = self._hanging_run()
-        try:
-            with pytest.raises(SimulationHangError) as excinfo:
-                backend.run([parked, stuck], ["parked-thread", "stuck-thread"])
-        finally:
-            release.set()
+        backend, parked, spinner = self._hanging_run()
+        with pytest.raises(SimulationHangError) as excinfo:
+            backend.run([parked, spinner], ["parked-thread", "spinner"])
         message = str(excinfo.value)
-        assert "parked-thread" in message
-        assert "parked" in message
+        assert "parked: parked-thread — waiting on condition never-signalled" in message
+        assert "1/2 live thread(s) blocked" in message
 
     def test_hang_autopsy_includes_recent_decisions(self):
-        backend, release, parked, stuck = self._hanging_run()
-        try:
-            with pytest.raises(SimulationHangError) as excinfo:
-                backend.run([parked, stuck])
-        finally:
-            release.set()
-        assert "step" in str(excinfo.value)
+        backend, parked, spinner = self._hanging_run()
+        with pytest.raises(SimulationHangError) as excinfo:
+            backend.run([parked, spinner])
+        message = str(excinfo.value)
+        assert "last 10 schedule decision(s):" in message
+        assert "chose 1 of [1] (yield)" in message
 
     def test_hang_inspector_contributes_detail(self):
-        backend, release, parked, stuck = self._hanging_run()
+        backend, parked, spinner = self._hanging_run()
         backend.set_hang_inspector(lambda: "three widgets still pending")
-        try:
-            with pytest.raises(SimulationHangError) as excinfo:
-                backend.run([parked, stuck])
-        finally:
-            release.set()
-        assert "three widgets still pending" in str(excinfo.value)
+        with pytest.raises(SimulationHangError) as excinfo:
+            backend.run([parked, spinner])
+        assert "waiters: three widgets still pending" in str(excinfo.value)
 
     def test_hang_error_is_a_simulation_error(self):
         # Callers that catch SimulationError for "run did not finish" keep

@@ -226,8 +226,10 @@ class TestBlockingBehaviour:
         def producer():
             cell.put("only")
 
-        backend.run([consumer, producer, lambda: cell.put("second")],
-                    ["consumer", "producer", "producer2"])
+        def producer2():
+            cell.put("second")
+
+        backend.run([consumer, producer, producer2], ["consumer", "producer", "producer2"])
         assert winners == ["only"] or winners == ["second"]
 
 
@@ -279,10 +281,14 @@ class TestExplicitMonitor:
         backend = SimulationBackend(seed=3)
         cell = ExplicitCell(backend=backend)
         results = []
-        backend.run(
-            [lambda: results.append(cell.take()), lambda: cell.put(99)],
-            ["consumer", "producer"],
-        )
+
+        def consumer():
+            results.append(cell.take())
+
+        def producer():
+            cell.put(99)
+
+        backend.run([consumer, producer], ["consumer", "producer"])
         assert results == [99]
 
 

@@ -102,7 +102,14 @@ class TestDecoratedClasses:
         # transformation through the options dictionary.
         Local._autosynch_options = {"backend": backend}
         monitor = Local()
-        backend.run([monitor.wait_done, monitor.finish], ["waiter", "finisher"])
+
+        def waiter():
+            monitor.wait_done()
+
+        def finisher():
+            monitor.finish()
+
+        backend.run([waiter, finisher], ["waiter", "finisher"])
         assert monitor.done
 
     def test_stats_are_available(self):

@@ -217,6 +217,9 @@ class TestWaterFactory:
         def hydrogen():
             outcomes.append(factory.hydrogen_ready())
 
-        backend.run([hydrogen, factory.shutdown])
+        def shutdown():
+            factory.shutdown()
+
+        backend.run([hydrogen, shutdown])
         assert outcomes == [False]
         assert factory.hydrogen_waiting == 0

@@ -95,6 +95,10 @@ class TestRegistry:
             create_scheduler("replay")
 
 
+def _idle():
+    pass
+
+
 def _two_yielders(backend):
     """A tiny workload with real scheduling decisions."""
 
@@ -127,10 +131,10 @@ class TestTraceRecording:
 
     def test_trace_resets_between_runs(self):
         backend = SimulationBackend(record_trace=True)
-        backend.run([lambda: None], ["only"])
+        backend.run([_idle], ["only"])
         first = backend.schedule_trace
         assert len(first) == 1
-        backend.run([lambda: None, lambda: None])
+        backend.run([_idle, _idle])
         second = backend.schedule_trace
         assert second is not first
         assert len(second) == 2
@@ -186,7 +190,7 @@ class TestPrefixScheduler:
     def test_out_of_range_prefix_diverges(self):
         backend = SimulationBackend(policy=PrefixScheduler((7,)))
         with pytest.raises(ScheduleDivergenceError):
-            backend.run([lambda: None, lambda: None])
+            backend.run([_idle, _idle])
 
 
 class TestReplayScheduler:
@@ -212,7 +216,7 @@ class TestReplayScheduler:
         replay = SimulationBackend(policy=ReplayScheduler(trace))
         # Three threads instead of two: the runnable sets cannot match.
         with pytest.raises(ScheduleDivergenceError):
-            replay.run([lambda: None, lambda: None, lambda: None])
+            replay.run([_idle, _idle, _idle])
 
     def test_replay_past_end_of_trace_diverges(self):
         trace, _ = self._record(seed=17)

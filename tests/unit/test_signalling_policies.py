@@ -482,10 +482,14 @@ class TestDerivedMechanismSets:
             backend = SimulationBackend(seed=2)
             cell = Cell(backend=backend, signalling="relay_counting_test")
             taken = []
-            backend.run(
-                [lambda: taken.append(cell.take()), lambda: cell.put(5)],
-                ["consumer", "producer"],
-            )
+
+            def consumer():
+                taken.append(cell.take())
+
+            def producer():
+                cell.put(5)
+
+            backend.run([consumer, producer], ["consumer", "producer"])
             assert taken == [5]
             assert calls  # the custom hook actually drove the signalling
             from repro.problems import get_problem

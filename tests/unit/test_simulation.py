@@ -13,7 +13,14 @@ from repro.runtime.simulation import SimulationError, SimulationLimitError
 class TestBasicExecution:
     def test_run_executes_all_targets(self, sim_backend):
         results = []
-        sim_backend.run([lambda: results.append(1), lambda: results.append(2)])
+
+        def first():
+            results.append(1)
+
+        def second():
+            results.append(2)
+
+        sim_backend.run([first, second])
         assert sorted(results) == [1, 2]
 
     def test_run_with_no_targets(self, sim_backend):
@@ -28,27 +35,37 @@ class TestBasicExecution:
 
     def test_backend_is_reusable_across_runs(self, sim_backend):
         counter = []
-        sim_backend.run([lambda: counter.append(1)])
-        sim_backend.run([lambda: counter.append(2)])
+
+        def count():
+            counter.append(len(counter) + 1)
+
+        sim_backend.run([count])
+        sim_backend.run([count])
         assert counter == [1, 2]
 
     def test_run_while_running_is_rejected(self, sim_backend):
-        def nested():
-            sim_backend.run([lambda: None])
+        def idle():
+            pass
 
-        with pytest.raises(SimulationError):
+        async def nested():
+            sim_backend.run([idle])
+
+        with pytest.raises(SimulationError, match="already in progress"):
             sim_backend.run([nested])
 
     def test_current_name_and_id(self, sim_backend):
         seen = []
-        sim_backend.run([lambda: seen.append((sim_backend.current_name(), sim_backend.current_id()))],
-                        ["worker-a"])
+
+        def worker():
+            seen.append((sim_backend.current_name(), sim_backend.current_id()))
+
+        sim_backend.run([worker], ["worker-a"])
         assert seen == [("worker-a", 0)]
 
     def test_primitives_outside_simulation_are_rejected(self, sim_backend):
-        # Only the thread a backend is carrying may use its primitives: the
-        # main thread, a plain OS thread started mid-run and a carrier of
-        # another backend all get the same SimulationError.
+        # Only a simulated thread of a backend may use its primitives: the
+        # main thread, a plain OS thread started mid-run and a simulated
+        # thread of another backend all get the same SimulationError.
         lock = sim_backend.create_lock()
         expected = "simulation primitives may only be used from inside a simulated thread"
         with pytest.raises(SimulationError, match=expected):
@@ -62,7 +79,7 @@ class TestBasicExecution:
             except SimulationError as error:
                 messages.append(str(error))
 
-        def worker():
+        async def worker():
             plain = threading.Thread(target=probe, args=(lock,))
             plain.start()
             plain.join()
@@ -124,13 +141,17 @@ class TestLocks:
             lock.acquire()
             lock.acquire()
 
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="re-acquire a lock it already holds"):
             sim_backend.run([worker])
 
     def test_releasing_unheld_lock_is_an_error(self, sim_backend):
         lock = sim_backend.create_lock()
-        with pytest.raises(SimulationError):
-            sim_backend.run([lock.release])
+
+        def worker():
+            lock.release()
+
+        with pytest.raises(SimulationError, match="released a lock it does not hold"):
+            sim_backend.run([worker])
 
     def test_lock_contention_is_counted(self, sim_backend):
         lock = sim_backend.create_lock()
@@ -149,14 +170,22 @@ class TestConditions:
     def test_wait_requires_the_lock(self, sim_backend):
         lock = sim_backend.create_lock()
         condition = sim_backend.create_condition(lock)
-        with pytest.raises(SimulationError):
-            sim_backend.run([condition.wait])
+
+        def worker():
+            condition.wait()
+
+        with pytest.raises(SimulationError, match="wait\\(\\) without holding the monitor lock"):
+            sim_backend.run([worker])
 
     def test_notify_requires_the_lock(self, sim_backend):
         lock = sim_backend.create_lock()
         condition = sim_backend.create_condition(lock)
-        with pytest.raises(SimulationError):
-            sim_backend.run([condition.notify])
+
+        def worker():
+            condition.notify()
+
+        with pytest.raises(SimulationError, match="notify without holding the monitor lock"):
+            sim_backend.run([worker])
 
     def test_notify_wakes_one_waiter(self, sim_backend):
         lock = sim_backend.create_lock()

@@ -8,15 +8,32 @@ from repro.runtime import SimulationBackend
 from repro.runtime.simulation import SimulationError
 
 
+def idle():
+    pass
+
+
 class TestSpawn:
     def test_spawn_before_run_registers_for_next_run(self):
         backend = SimulationBackend(seed=1)
         log = []
-        handle = backend.spawn(lambda: log.append("spawned"), name="pre-registered")
+
+        def spawned():
+            log.append("spawned")
+
+        def main():
+            log.append("main")
+
+        handle = backend.spawn(spawned, name="pre-registered")
         assert handle.name == "pre-registered"
         assert handle.alive
-        backend.run([lambda: log.append("main")])
+        backend.run([main])
         assert sorted(log) == ["main", "spawned"]
+
+    def test_spawning_a_body_without_a_twin_is_refused(self):
+        backend = SimulationBackend(seed=1)
+        with pytest.raises(SimulationError, match="thread pre-registered has no coroutine twin"):
+            backend.spawn(lambda: None, name="pre-registered")
+        assert backend.metrics.threads_spawned == 0
 
     def test_spawn_during_run_executes_new_thread(self):
         backend = SimulationBackend(seed=1)
@@ -37,8 +54,8 @@ class TestSpawn:
 
     def test_handle_reports_completion(self):
         backend = SimulationBackend(seed=1)
-        handle = backend.spawn(lambda: None, name="worker")
-        backend.run([lambda: None])
+        handle = backend.spawn(idle, name="worker")
+        backend.run([idle])
         handle.join(timeout=1)
         assert not handle.alive
 
@@ -59,26 +76,37 @@ class TestSpawn:
         backend = SimulationBackend(seed=2)
         counter = Counter(backend=backend)
 
+        def bump():
+            counter.bump()
+
         def waiter():
             counter.wait_for(3)
             # Spawn a late worker once the first three bumps have happened.
-            backend.spawn(counter.bump, name="late-bump")
+            backend.spawn(bump, name="late-bump")
             counter.wait_for(4)
 
-        backend.run([waiter] + [counter.bump] * 3, ["waiter", "b0", "b1", "b2"])
+        backend.run([waiter] + [bump] * 3, ["waiter", "b0", "b1", "b2"])
         assert counter.value == 4
 
     def test_default_names_are_generated(self):
         backend = SimulationBackend(seed=0)
         seen = []
-        backend.run([lambda: seen.append(backend.current_name()) for _ in range(2)])
+
+        def record():
+            seen.append(backend.current_name())
+
+        backend.run([record, record])
         assert len(set(seen)) == 2
         assert all(name.startswith("sim-") for name in seen)
 
     def test_names_argument_is_respected(self):
         backend = SimulationBackend(seed=0)
         seen = []
-        backend.run([lambda: seen.append(backend.current_name())], ["special-name"])
+
+        def record():
+            seen.append(backend.current_name())
+
+        backend.run([record], ["special-name"])
         assert seen == ["special-name"]
 
 
@@ -99,29 +127,29 @@ class TestSyncStateOrder:
 
     def test_thread_spawned_before_run(self):
         backend = SimulationBackend(seed=1)
-        backend.run([lambda: None, lambda: None])
-        backend.spawn(lambda: None, name="pre-registered")
+        backend.run([idle, idle])
+        backend.spawn(idle, name="pre-registered")
         snapshots = self._record_tids(backend)
-        backend.run([lambda: None, lambda: None])
+        backend.run([idle, idle])
         assert snapshots and all(tids == [2, 3, 4] for tids in snapshots)
 
     def test_thread_spawned_mid_run(self):
         backend = SimulationBackend(seed=1)
 
         def parent():
-            backend.spawn(lambda: None, name="child")
+            backend.spawn(idle, name="child")
             backend.yield_control()
 
         snapshots = self._record_tids(backend)
-        backend.run([parent, lambda: None], ["parent", "sibling"])
+        backend.run([parent, idle], ["parent", "sibling"])
         assert snapshots[0] == [0, 1]
         assert snapshots[-1] == [0, 1, 2]
         assert all(tids == sorted(tids) for tids in snapshots)
 
     def test_after_recycle(self):
         backend = SimulationBackend(seed=1)
-        backend.run([lambda: None, lambda: None, lambda: None])
+        backend.run([idle, idle, idle])
         backend.recycle()
         snapshots = self._record_tids(backend)
-        backend.run([lambda: None, lambda: None])
+        backend.run([idle, idle])
         assert snapshots and all(tids == [0, 1] for tids in snapshots)

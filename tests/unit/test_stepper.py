@@ -1,14 +1,19 @@
-"""The kernel's stepper: coroutine-hosted simulated threads on one OS thread.
+"""The kernel's stepper: every simulated thread a coroutine on one OS thread.
 
-Built-in workloads run as coroutines stepped on the caller's OS thread, so
-they start no thread at all; the robustness machinery — abort unwinding,
-fault injection, timed waits, verdict messages, the hang net — must work
-for them exactly as for adapter-hosted (plain callable) threads.
+Every run is stepped on the caller's OS thread, so it starts no thread at
+all; the robustness machinery — abort unwinding, fault injection, timed
+waits, verdict messages, the hang net — must work there exactly as it did
+when plain bodies ran on OS threads of their own (the kernel's former thread
+adapter, whose counters and messages ``tests/data/adapter_reference.json``
+pins).
 """
 
 from __future__ import annotations
 
+import inspect
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,10 @@ from repro.runtime.simulation import (
     PrefixScheduler,
     SimulationError,
     SimulationHangError,
+)
+
+REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "data" / "adapter_reference.json").read_text()
 )
 
 
@@ -58,12 +67,45 @@ class TestNoOsThreads:
         assert result.context_switches > 0
         assert counts and set(counts) == {before}
 
+    def test_plain_closures_and_a_mid_run_spawn_start_no_thread(self):
+        before = threading.active_count()
+        counts = []
+        backend = SimulationBackend(
+            seed=1, observer=lambda point: counts.append(threading.active_count())
+        )
+        lock = backend.create_lock()
+        condition = backend.create_condition(lock)
+        log = []
+
+        def child():
+            lock.acquire()
+            log.append("child")
+            condition.notify()
+            lock.release()
+
+        def parent():
+            lock.acquire()
+            backend.spawn(child, name="child")
+            condition.wait()
+            log.append("parent")
+            lock.release()
+
+        def bystander():
+            backend.yield_control()
+            log.append("bystander")
+
+        backend.run([parent, bystander], ["parent", "bystander"])
+        assert sorted(log) == ["bystander", "child", "parent"]
+        assert log.index("child") < log.index("parent")
+        assert backend.metrics.threads_spawned == 3
+        assert counts and set(counts) == {before}
+
 
 class _StopAt(Exception):
     pass
 
 
-def _aborted_bounded_buffer(prefix, hosted):
+def _aborted_bounded_buffer(prefix):
     backend = SimulationBackend(seed=1, policy=PrefixScheduler(prefix))
     spec = get_problem("bounded_buffer").build(
         "autosynch", backend, threads=3, total_ops=9, seed=1
@@ -74,10 +116,8 @@ def _aborted_bounded_buffer(prefix, hosted):
             raise _StopAt()
 
     backend.set_observer(observer)
-    targets = spec.targets_for(backend) if hosted == "coroutine" else spec.targets
     with pytest.raises(_StopAt):
-        backend.run(targets, spec.names)
-    backend.shutdown()
+        backend.run(spec.targets, spec.names)
     return backend, spec
 
 
@@ -86,20 +126,20 @@ class TestAbortUnwinding:
         "prefix", [(3, 4, 2, 3, 2, 0, 1, 1, 0, 0), (3, 4, 1, 2, 2, 1, 0)]
     )
     def test_every_thread_unwinds_with_the_adapters_counters(self, prefix):
-        backend, spec = _aborted_bounded_buffer(prefix, "coroutine")
+        backend, spec = _aborted_bounded_buffer(prefix)
         assert {t.state.value for t in backend._threads.values()} == {"finished"}
         assert backend.blocked_threads() == ()
-        adapter_backend, adapter_spec = _aborted_bounded_buffer(prefix, "adapter")
-        assert backend.metrics.snapshot() == adapter_backend.metrics.snapshot()
-        assert spec.monitor.stats.snapshot() == adapter_spec.monitor.stats.snapshot()
+        metrics, stats = REFERENCE["aborted"][",".join(map(str, prefix))]
+        assert backend.metrics.snapshot() == dict(zip(REFERENCE["metrics_keys"], metrics))
+        assert spec.monitor.stats.snapshot() == dict(zip(REFERENCE["stats_keys"], stats))
 
     def test_an_aborted_backend_runs_again(self):
-        backend, _ = _aborted_bounded_buffer((3, 4, 1, 2, 2, 1, 0), "coroutine")
+        backend, _ = _aborted_bounded_buffer((3, 4, 1, 2, 2, 1, 0))
         backend.recycle(seed=1, policy="fifo")
         spec = get_problem("bounded_buffer").build(
             "autosynch", backend, threads=3, total_ops=9, seed=1
         )
-        backend.run(spec.targets_for(backend), spec.names)
+        backend.run(spec.targets, spec.names)
         spec.verify()
 
 
@@ -195,7 +235,7 @@ class TestTimedWaits:
 
 
 class TestVerdictMessages:
-    def _lock_cycle(self, hosted):
+    def test_deadlock_message_matches_the_adapter(self):
         backend = SimulationBackend(seed=0)
         first = backend.create_lock(label="first")
         second = backend.create_lock(label="second")
@@ -210,72 +250,57 @@ class TestVerdictMessages:
             backend.yield_control()
             first.acquire()
 
-        targets = [forward, backward]
-        if hosted == "coroutine":
-            targets = [coroutine_twin(target) for target in targets]
         with pytest.raises(DeadlockError) as excinfo:
-            backend.run(targets, ["grab-forward", "grab-backward"])
-        return str(excinfo.value)
-
-    def test_deadlock_message_matches_the_adapter(self):
-        message = self._lock_cycle("coroutine")
+            backend.run([forward, backward], ["grab-forward", "grab-backward"])
+        message = str(excinfo.value)
         assert "grab-forward (waiting for lock second)" in message
-        assert message == self._lock_cycle("adapter")
+        assert message == REFERENCE["deadlock_message"]
 
     def test_abandonment_message_matches_the_adapter(self):
-        messages = []
-        for hosted in ("coroutine", "adapter"):
-            backend = SimulationBackend(seed=0)
-            FaultInjector([create_fault("thread_crash", at_step=0)]).attach(backend)
-            lock = backend.create_lock(label="monitor-lock")
+        backend = SimulationBackend(seed=0)
+        FaultInjector([create_fault("thread_crash", at_step=0)]).attach(backend)
+        lock = backend.create_lock(label="monitor-lock")
 
-            def victim():
-                lock.acquire()
-                backend.yield_control()
-                lock.release()
+        def victim():
+            lock.acquire()
+            backend.yield_control()
+            lock.release()
 
-            def waiter():
-                backend.yield_control()
-                lock.acquire()
-                lock.release()
+        def waiter():
+            backend.yield_control()
+            lock.acquire()
+            lock.release()
 
-            targets = [victim, waiter]
-            if hosted == "coroutine":
-                targets = [coroutine_twin(target) for target in targets]
-            with pytest.raises(MonitorAbandonedError) as excinfo:
-                backend.run(targets, ["victim", "waiter"])
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(MonitorAbandonedError) as excinfo:
+            backend.run([victim, waiter], ["victim", "waiter"])
+        assert str(excinfo.value) == REFERENCE["abandonment_message"]
 
 
 class TestHangAutopsy:
-    def test_adapter_body_blocked_outside_the_kernel(self):
-        backend = SimulationBackend(seed=0, run_timeout=0.5)
+    def test_parked_waiter_beside_a_livelock(self):
+        backend = SimulationBackend(seed=0, run_timeout=0.3, record_trace=True)
+        backend.set_hang_inspector(lambda: "inspector report")
         lock = backend.create_lock()
         condition = backend.create_condition(lock, label="never-signalled")
-        release = threading.Event()
 
-        async def parked():
-            await lock.acquire_async()
-            await condition.wait_async()
+        def parked():
+            lock.acquire()
+            condition.wait()
             lock.release()
 
-        def stuck():
-            # An adapter-hosted body blocked outside the kernel; it frees
-            # itself shortly after the net fires so the drain is quick.
-            release.wait(timeout=0.8)
+        def spinner():
+            while True:
+                backend.yield_control()
 
-        try:
-            with pytest.raises(SimulationHangError) as excinfo:
-                backend.run([parked, stuck], ["parked-thread", "stuck-thread"])
-        finally:
-            release.set()
+        with pytest.raises(SimulationHangError) as excinfo:
+            backend.run([parked, spinner], ["parked-thread", "spinner"])
         message = str(excinfo.value)
         assert "parked: parked-thread — waiting on condition never-signalled" in message
         assert "1/2 live thread(s) blocked" in message
-        with pytest.raises(SimulationError, match="cannot be recycled"):
-            backend.recycle()
-        backend.shutdown()
+        assert "waiters: inspector report" in message
+        assert "last 10 schedule decision(s):" in message and "(yield)" in message
+        assert {t.state.value for t in backend._threads.values()} == {"finished"}
+        backend.recycle()
 
 
     def test_coroutines_deciding_forever(self):
@@ -332,7 +357,7 @@ class TestBlockingFromACoroutine:
 
 
 class TestTwinGenerator:
-    def test_bodies_it_cannot_see_through_stay_synchronous(self):
+    def test_bodies_it_cannot_see_through_are_refused(self):
         backend = SimulationBackend(seed=0)
         locks = [backend.create_lock()]
         lock = locks[0]
@@ -349,16 +374,33 @@ class TestTwinGenerator:
             getattr(lock, "acquire")()
             lock.release()
 
-        def awaits_nothing():
-            return len(locks)
-
         assert coroutine_twin(with_block) is None
         assert coroutine_twin(unknown_receiver) is None
         assert coroutine_twin(dynamic_primitive) is None
-        assert coroutine_twin(awaits_nothing) is None
         assert coroutine_twin(lambda: None) is None
-        # The adapter still runs them.
-        backend.run([with_block, unknown_receiver, dynamic_primitive, awaits_nothing])
+        for body, reason in [
+            (with_block, "With statement"),
+            (unknown_receiver, "call that may block unseen"),
+            (dynamic_primitive, "call that may block unseen"),
+            (lambda: None, "is not a def statement"),
+        ]:
+            with pytest.raises(SimulationError, match=f"thread body has no coroutine twin: .*{reason}"):
+                backend.run([body], ["body"])
+            assert backend.steps == 0
+
+    def test_a_body_that_awaits_nothing_never_suspends(self):
+        backend = SimulationBackend(seed=0, record_trace=True)
+        locks = [backend.create_lock()]
+        counted = []
+
+        def awaits_nothing():
+            counted.append(len(locks))
+
+        assert inspect.iscoroutinefunction(coroutine_twin(awaits_nothing))
+        backend.run([awaits_nothing, awaits_nothing])
+        assert counted == [1, 1]
+        # One decision to start each thread, none in between.
+        assert [point.reason for point in backend.schedule_trace] == ["start", "exit"]
 
     def test_fields_and_helpers_are_checked_before_they_run_synchronously(self):
         class Tally(AutoSynchMonitor):

@@ -135,7 +135,14 @@ class TestMonitorTracing:
         tracer = Tracer()
         backend = SimulationBackend(seed=3)
         cell = TracedCell(backend=backend, tracer=tracer, signalling="baseline")
-        backend.run([cell.take, lambda: cell.put("x")], ["consumer", "producer"])
+
+        def consumer():
+            cell.take()
+
+        def producer():
+            cell.put("x")
+
+        backend.run([consumer, producer], ["consumer", "producer"])
         assert tracer.count("signal_all") > 0
 
 
@@ -144,7 +151,14 @@ class TestValidationMode:
         backend = SimulationBackend(seed=6)
         cell = TracedCell(backend=backend, signalling="autosynch", validate=True)
         results = []
-        backend.run([lambda: results.append(cell.take()), lambda: cell.put(9)])
+
+        def consumer():
+            results.append(cell.take())
+
+        def producer():
+            cell.put(9)
+
+        backend.run([consumer, producer])
         assert results == [9]
 
     def test_validation_detects_a_missed_signal(self):
@@ -159,7 +173,7 @@ class TestValidationMode:
         def producer():
             cell.put(5)
 
-        def saboteur():
+        async def saboteur():
             # Empty the tag index behind the condition manager's back so the
             # relay search can no longer find the waiting consumer.
             manager = cell.condition_manager

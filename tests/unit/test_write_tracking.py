@@ -213,13 +213,23 @@ class TestMonitorIntegration:
         assert reader.write_tracker is not None
         constructed = reader.stats.tracked_writes
         results = []
+
+        def read():
+            results.append(reader.read())
+
+        def wait_positive():
+            results.append(reader.wait_positive())
+
+        def set_five():
+            reader.set(5)
+
         names.clear()
-        backend.run([lambda: results.append(reader.read())])
+        backend.run([read])
         assert results == [0]
         assert names == []
         assert reader.stats.tracked_writes == constructed
 
-        backend.run([lambda: results.append(reader.wait_positive()), lambda: reader.set(5)])
+        backend.run([wait_positive, set_five])
         assert results == [0, 5]
         assert reader.stats.waits >= 1
         assert "_owner_id" not in names
@@ -230,7 +240,14 @@ class TestMonitorIntegration:
         # fields only.
         names.clear()
         buffer = Buffer(backend=backend)
-        backend.run([buffer.take, buffer.put])
+
+        def take():
+            buffer.take()
+
+        def put():
+            buffer.put()
+
+        backend.run([take, put])
         assert buffer.stats.waits == 1
         assert names == ["count", "capacity", "count", "count"]
 
