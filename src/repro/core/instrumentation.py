@@ -83,6 +83,8 @@ class MonitorStats:
     #: — dataclass field introspection per call shows up in exploration
     #: throughput measurements.
     _SNAPSHOT_FIELDS: ClassVar[tuple] = ()
+    #: Every counter at zero, for :meth:`reset`.
+    _ZEROS: ClassVar[dict] = {}
 
     def snapshot(self) -> Dict[str, int]:
         """Return all counters as a plain dictionary."""
@@ -91,8 +93,7 @@ class MonitorStats:
 
     def reset(self) -> None:
         """Zero every counter."""
-        for name in MonitorStats._SNAPSHOT_FIELDS:
-            setattr(self, name, 0)
+        self.__dict__.update(MonitorStats._ZEROS)
 
     def merge(self, other: "MonitorStats") -> None:
         """Accumulate *other* into this object (used to aggregate repetitions)."""
@@ -101,3 +102,4 @@ class MonitorStats:
 
 
 MonitorStats._SNAPSHOT_FIELDS = tuple(f.name for f in fields(MonitorStats))
+MonitorStats._ZEROS = dict.fromkeys(MonitorStats._SNAPSHOT_FIELDS, 0)

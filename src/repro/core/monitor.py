@@ -215,6 +215,17 @@ class MonitorBase:
         """Hook invoked, with the lock held, every time a thread leaves the
         monitor through an entry method return."""
 
+    def _restart(self) -> None:
+        """Put the framework state back as a fresh construction left it.
+
+        For a workload restored between schedules (see
+        :mod:`repro.explore.restore`), which restores the user's fields
+        afterwards: the stats are zeroed and nobody is inside.  The lock
+        (and an explicit monitor's conditions) are the kernel's to reset.
+        """
+        self._stats.reset()
+        _raw_setattr(self, "_owner_id", None)
+
     def _require_monitor_held(self, operation: str) -> None:
         if not self._holds_monitor():
             raise MonitorUsageError(
@@ -298,10 +309,7 @@ class AutoSynchMonitor(MonitorBase):
         _raw_setattr(self, "_wait_timeout", wait_timeout)
         _raw_setattr(self, "_inactive_capacity", inactive_capacity)
         _raw_setattr(self, "_predicate_cache", {})
-        # The write tracker: None when incremental relay is off or write
-        # tracking is unsupported for this class.
-        tracking = incremental_enabled() and self._write_tracking_supported()
-        _raw_setattr(self, "_write_tracker", WriteTracker() if tracking else None)
+        _raw_setattr(self, "_write_tracker", self._new_write_tracker())
         # Fault-injection hook (a :class:`repro.faults.FaultInjector`),
         # consulted before every compiled predicate evaluation.
         _raw_setattr(self, "_fault_hook", None)
@@ -336,6 +344,13 @@ class AutoSynchMonitor(MonitorBase):
         if tracker is not None and not name.startswith("_"):
             tracker.bump(name)
             self._stats.tracked_writes += 1
+
+    def _new_write_tracker(self) -> Optional[WriteTracker]:
+        """A fresh write tracker, or None when incremental relay is off or
+        write tracking is unsupported for this class."""
+        if incremental_enabled() and self._write_tracking_supported():
+            return WriteTracker()
+        return None
 
     def _write_tracking_supported(self) -> bool:
         """Whether this class's shared-variable writes all reach our
@@ -424,6 +439,21 @@ class AutoSynchMonitor(MonitorBase):
 
     def _before_release(self) -> None:
         self._policy.on_monitor_exit()
+
+    def _restart(self) -> None:
+        """Also: no fault hook, a fresh write tracker and the policy bound
+        afresh, so its condition manager starts empty.  Compiled predicates
+        stay cached, except quarantined ones: a fresh build would compile
+        those afresh."""
+        super()._restart()
+        _raw_setattr(self, "_fault_hook", None)
+        _raw_setattr(self, "_write_tracker", self._new_write_tracker())
+        policy = self._policy
+        policy.rebind()
+        _raw_setattr(self, "_cond_mgr", policy.condition_manager)
+        cache = self._predicate_cache
+        for key in [key for key, compiled in cache.items() if compiled.ever_quarantined]:
+            del cache[key]
 
     # -- services the signalling policies build on -------------------------------
 

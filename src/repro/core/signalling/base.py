@@ -79,6 +79,16 @@ class SignallingPolicy(abc.ABC):
         self._monitor = monitor
         self._setup(monitor)
 
+    def rebind(self) -> None:
+        """Bind again to the same monitor, as a workload restored between
+        schedules needs: :meth:`_setup` builds the per-monitor state afresh
+        (a relay policy's condition manager starts empty).  A kernel object
+        the build made, such as the broadcast policy's condition, is kept,
+        as the restore registers it with the kernel again (see
+        ``SimulationBackend.adopt``)."""
+        monitor, self._monitor = self._monitor, None
+        self.bind(monitor)
+
     def _setup(self, monitor: "AutoSynchMonitor") -> None:
         """Create per-monitor state (condition variables, manager, ...)."""
 

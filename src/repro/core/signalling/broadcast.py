@@ -30,7 +30,8 @@ class BroadcastPolicy(SignallingPolicy):
         self._condition = None
 
     def _setup(self, monitor) -> None:
-        self._condition = monitor._create_condition()
+        if self._condition is None:  # a rebind keeps the build's condition
+            self._condition = monitor._create_condition()
 
     def _broadcast(self) -> None:
         stats = self.monitor.stats

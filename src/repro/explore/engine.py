@@ -3,7 +3,8 @@
 A *schedule* is fully determined by the sequence of decisions the kernel's
 scheduler makes (see :meth:`~repro.runtime.simulation.schedulers.ScheduleTrace.choices`:
 one index into the sorted runnable set per decision point).  The engine runs
-one schedule at a time with a fresh backend and monitor, evaluates the
+one schedule at a time on a backend and monitor in their initial state
+(built once per task and seed, restored between schedules), evaluates the
 problem's oracles at every decision point, and classifies the result:
 
 ================  ==============================================================
@@ -32,12 +33,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from time import perf_counter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import MonitorError, RelayInvarianceError, WaitTimeout
 from repro.core.monitor import AutoSynchMonitor, MonitorBase
+from repro.explore.restore import WorkloadState
 from repro.harness.execution import FrozenMapping, create_executor
+from repro.preprocessor.twins import coroutine_bodies
 from repro.problems import get_problem
+from repro.problems.base import WorkloadSpec
 from repro.runtime.simulation import (
     DeadlockError,
     MonitorAbandonedError,
@@ -242,10 +246,11 @@ class ScheduleOutcome:
     monitor_stats: dict = field(default_factory=dict)
     #: Fault firings recorded by the injector, in order (empty without one).
     fault_events: Tuple[dict, ...] = ()
-    #: Per-stage wall-clock seconds for this run: ``build`` (problem/monitor
-    #: construction up to the workload start), ``run`` (workload execution +
-    #: verify), ``classify`` (verdict classification and outcome assembly)
-    #: and ``oracle`` (per-decision oracle checks, a sub-bucket of ``run``).
+    #: Per-stage wall-clock seconds for this run: ``build`` (backend
+    #: recycle and the workload's restore or build, up to the workload
+    #: start), ``run`` (workload execution + verify), ``classify``
+    #: (verdict classification and outcome assembly) and ``oracle``
+    #: (per-decision oracle checks, a sub-bucket of ``run``).
     timings: Mapping[str, float] = field(default_factory=dict)
 
     @cached_property
@@ -412,13 +417,35 @@ def _waiter_autopsy(monitor: MonitorBase) -> Callable[[], Optional[str]]:
     return inspect
 
 
+class _Workload(NamedTuple):
+    """A task's built workload: the spec, the bodies the kernel steps, the
+    state to restore them to, and the seed the build drew on.  Until the
+    seed is run a second time there is no state, and the bodies are the
+    spec's targets; after, they are their coroutine twins, made once."""
+
+    spec: WorkloadSpec
+    bodies: List[Callable]
+    state: Optional[WorkloadState]
+    seed: int
+
+
 class TaskRuntime:
     """Run-invariant artifacts of one :class:`ExploreTask`.
 
-    Exploring a task runs the same configuration thousands of times; the
-    resolved problem, the parsed fault plan and — most importantly — a
-    recyclable :class:`SimulationBackend` are identical across those runs.  A ``TaskRuntime`` holds them so a run
-    only pays backend reset + workload execution instead of a cold build.
+    Exploring a task runs the same configuration thousands of times.  A
+    ``TaskRuntime`` holds what those runs share: the resolved problem, the
+    parsed fault plan, one recyclable :class:`SimulationBackend`, and the
+    workload built on it — the monitor, the bodies' coroutine twins and the
+    recorded initial state (:class:`~repro.explore.restore.WorkloadState`).
+    Every run recycles the backend.  Builds draw on the seed, so a run
+    with a seed the runtime has not just served builds the workload afresh
+    on it; the second run of a seed builds it once more and records its
+    initial state, and every later run of that seed restores the workload
+    in place, paying neither ``problem.build`` nor twin generation.  A DFS
+    or DPOR exploration (one seed, thousands of runs) thus builds twice;
+    swarm and chaos probes (one runtime, a new seed per probe) build once
+    each, as without the cache, and pay no recording they would never
+    restore.
 
     Normally obtained through the process-wide seed-normalized cache
     (:func:`task_runtime`); tests construct one directly to compare cached
@@ -435,41 +462,67 @@ class TaskRuntime:
 
             self._fault_plan = create_fault_plan(task.fault_plan)
         self._backend: Optional[SimulationBackend] = None
+        self._workload: Optional[_Workload] = None
 
     def build_injector(self):
         """A fresh fault injector from the (pre-parsed) plan, or None."""
         return self._fault_plan.build() if self._fault_plan is not None else None
 
-    def acquire_backend(self, scheduler: Scheduler, seed: int) -> SimulationBackend:
-        """The pooled backend, recycled for this run — or a fresh one.
-
-        Recycling resets the backend to fresh-construction state (see
-        :meth:`SimulationBackend.recycle`), so traces and digests compare
-        bit-for-bit with an uncached run's.
-        """
+    def acquire(
+        self, scheduler: Scheduler, seed: int
+    ) -> Tuple[SimulationBackend, _Workload]:
+        """The backend and workload for one run, as a fresh build on a
+        fresh backend would leave them."""
         backend, self._backend = self._backend, None
-        if backend is not None:
+        previous, self._workload = self._workload, None
+        repeat = previous is not None and previous.seed == seed
+        if backend is None:
+            # The first run, or the last one raised: its workload was built
+            # on a backend that is gone.
+            kwargs = {}
+            if self.task.run_timeout is not None:
+                kwargs["run_timeout"] = self.task.run_timeout
+            backend = SimulationBackend(
+                seed=seed,
+                policy=scheduler,
+                max_steps=self.task.max_steps,
+                record_trace=True,
+                **kwargs,
+            )
+        else:
             backend.recycle(seed=seed, policy=scheduler)
-            return backend
-        kwargs = {}
-        if self.task.run_timeout is not None:
-            kwargs["run_timeout"] = self.task.run_timeout
-        return SimulationBackend(
+            if repeat and previous.state is not None:
+                previous.state.restore()
+                self._workload = previous
+                return backend, previous
+        task = self.task
+        spec = self.problem.build(
+            task.mechanism,
+            backend,
+            threads=task.threads,
+            total_ops=task.total_ops,
             seed=seed,
-            policy=scheduler,
-            max_steps=self.task.max_steps,
-            record_trace=True,
-            **kwargs,
+            validate=task.validate,
+            **self.params,
         )
+        if repeat:
+            bodies = coroutine_bodies(spec.targets, spec.names)
+            state = WorkloadState(spec, backend)
+        else:
+            # Run once, probably: the kernel twins the targets itself.
+            bodies, state = spec.targets, None
+        self._workload = workload = _Workload(spec, bodies, state, seed)
+        return backend, workload
 
     def release_backend(self, backend: SimulationBackend) -> None:
         """Park *backend* for the next run of this task."""
         self._backend = backend
 
     def close(self) -> None:
-        """Drop the parked backend.  A simulation backend holds no OS
-        resources, so closing only lets it be collected."""
+        """Drop the parked backend and workload.  A simulation backend holds
+        no OS resources, so closing only lets them be collected."""
         self._backend = None
+        self._workload = None
 
 
 #: Process-wide TaskRuntime cache, keyed by the task's serialized form with
@@ -527,20 +580,23 @@ def run_schedule(
 ) -> ScheduleOutcome:
     """Run one schedule of *task* under *scheduler* and classify the result.
 
-    Builds a fresh monitor on a recycled backend (schedules are only
-    comparable when nothing leaks between runs; recycling is
-    bit-equivalent to a fresh backend), records the decision trace, and
-    checks the problem's oracles at every decision point.
+    Runs the task's workload as a fresh build would start it: the runtime
+    restores the workload it built onto the recycled backend, or builds it
+    afresh (see :class:`TaskRuntime`; schedules are only comparable when
+    nothing leaks between runs, and a restored workload records the traces
+    and digests of a fresh build).  It
+    records the decision trace and checks the problem's oracles at every
+    decision point.
 
-    ``instrument``, when given, is called with the fresh backend and built
+    ``instrument``, when given, is called with the backend and the
     workload before the run; the object it returns may expose ``observe(point)``
     (chained after the oracles at every decision).  An ``observe`` that raises
     :class:`StopRun` ends the run as ``ok`` at that decision, without
     ``verify()``.  The DPOR explorer uses this to build abstract
     configurations at every decision point and to stop at explored ones.
 
-    ``runtime`` supplies the task's cached build artifacts; None uses the
-    process-wide cache (:func:`task_runtime`).
+    ``runtime`` supplies the task's built workload and backend; None uses
+    the process-wide cache (:func:`task_runtime`).
 
     ``verified_depth`` marks the first *verified_depth* decisions as a
     shared prefix whose states the parent run already oracle-checked:
@@ -552,16 +608,8 @@ def run_schedule(
     if runtime is None:
         runtime = task_runtime(task)
     problem = runtime.problem
-    backend = runtime.acquire_backend(scheduler, task.seed)
-    spec = problem.build(
-        task.mechanism,
-        backend,
-        threads=task.threads,
-        total_ops=task.total_ops,
-        seed=task.seed,
-        validate=task.validate,
-        **runtime.params,
-    )
+    backend, workload = runtime.acquire(scheduler, task.seed)
+    spec = workload.spec
     if task.wait_timeout is not None and isinstance(spec.monitor, AutoSynchMonitor):
         # Only the automatic monitor has (and reads) the slot; on any other
         # monitor the write would land in vars(monitor), among the user's
@@ -613,7 +661,7 @@ def run_schedule(
     t_built = perf_counter()
     status, kind, message = "ok", "ok", ""
     try:
-        backend.run(spec.targets, spec.names)
+        backend.run(workload.bodies, spec.names)
         spec.verify()
     except StopRun as exc:
         message = str(exc)

@@ -288,6 +288,12 @@ class CompiledPredicate:
         """Whether the compiled closure has been quarantined."""
         return self._quarantined
 
+    @property
+    def ever_quarantined(self) -> bool:
+        """Whether this predicate or its cached shared form was quarantined."""
+        form = self._shared_form
+        return self._quarantined or (form is not None and form.quarantined)
+
     def evaluate(
         self, state: object, local_values: Optional[Mapping[str, object]] = None
     ) -> bool:

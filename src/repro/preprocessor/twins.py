@@ -724,9 +724,11 @@ def coroutine_twin(fn: Callable) -> Optional[Callable]:
     blocking kernel primitives it can see (a lock's ``acquire``, a
     condition's ``wait``, the backend's ``yield_control``), are awaited;
     every other call must be known not to block (see the module notes),
-    judged on the values *fn* sees now.  The twin is rebuilt over *fn*'s own
-    cells on every call (cheap: the compiled code is cached per code object
-    and value shapes), so each workload build gets a twin of its own body.
+    judged on the values *fn* sees now.  Each call instantiates a twin over
+    *fn*'s own cells (the compiled code is cached per code object and value
+    shapes).  The schedule explorer makes a workload's twins when it builds
+    the workload and reuses them for every schedule it restores that
+    workload for, restoring the cells they share with *fn*.
     """
     try:
         return _body_twin(fn, {})

@@ -30,7 +30,7 @@ import enum
 import threading
 import types
 from time import monotonic
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.runtime.api import Backend, BackendMetrics, ThreadHandle
 from repro.runtime.simulation.schedulers import (
@@ -64,6 +64,30 @@ RECOVERY_ATTEMPT_LIMIT = 32
 
 #: How many trailing schedule decisions a hang autopsy reports.
 HANG_AUTOPSY_DECISIONS = 10
+
+#: How many times an aborted run resumes one thread to let it unwind before
+#: it closes the thread's coroutine instead.  A body unwinds in a handful of
+#: resumptions (each ``finally`` block that enters the monitor may ask for
+#: one void decision); one that catches ``BaseException`` around a primitive
+#: in a loop would otherwise be resumed forever.
+UNWIND_RESUME_LIMIT = 100
+
+
+def _keep_forever(coro: types.CoroutineType) -> None:
+    """Keep a coroutine that survived ``close()`` from ever being finalized.
+
+    Finalizing closes it again, wherever its last reference happens to go:
+    at the next :meth:`SimulationBackend.recycle`, in a garbage collection
+    during another run, or at interpreter shutdown, which clears module
+    globals (so a module-level list would not do).  Outside its own run
+    every primitive it calls raises, and a body that swallows every
+    exception in a loop then spins forever.  So the coroutine gets one
+    reference the interpreter never releases: it stays suspended, with what
+    it references, for the life of the process.
+    """
+    import ctypes
+
+    ctypes.pythonapi.Py_IncRef(ctypes.py_object(coro))
 
 
 class SimulationError(Exception):
@@ -401,10 +425,9 @@ class SimulationBackend(Backend):
             # (same construction order, e.g. the explorer's fresh backend
             # per run) assign the same labels, so block reasons — and hence
             # recorded schedule traces — compare equal across runs and
-            # processes, unlike the id()-based fallback.  The counter is
-            # monotonic for the backend's lifetime, so reusing one backend
-            # for several monitors keeps labels unique but not aligned with
-            # a fresh backend's.
+            # processes, unlike the id()-based fallback.  The counter only
+            # goes back on recycle() (to 0, or past the conditions adopt()
+            # registers again), so labels stay unique on one backend.
             label = f"cond-{self._condition_count}"
         self._condition_count += 1
         condition = SimCondition(self, lock, label=label)
@@ -478,6 +501,13 @@ class SimulationBackend(Backend):
                 f"simulation did not finish within {self._run_timeout} "
                 f"seconds\n{autopsy}"
             )
+        if self._unkillable:
+            raise SimulationHangError(
+                f"simulated thread(s) {', '.join(self._unkillable)} kept running "
+                f"after the run was aborted ({UNWIND_RESUME_LIMIT} resumptions) "
+                "and survived close(): a body that catches BaseException must "
+                "re-raise it"
+            )
         if self._abandonment_message is not None:
             raise MonitorAbandonedError(self._abandonment_message)
         if self._deadlock_message is not None:
@@ -503,8 +533,8 @@ class SimulationBackend(Backend):
             self._trace = ScheduleTrace()
 
     def _clear_run_fields(self) -> None:
-        """Reset the per-run scheduling and verdict state (shared by
-        construction, :meth:`run` and :meth:`recycle`)."""
+        """Reset the per-run scheduling and verdict state (at construction
+        and at the start of every :meth:`run`)."""
         self._runnable: List[int] = []
         self._current: Optional[int] = None
         self._abort = False
@@ -520,6 +550,8 @@ class SimulationBackend(Backend):
         #: :class:`_InjectedDeath` at their next kernel primitive.
         self._doomed: set = set()
         self._recovery_attempts = 0
+        #: Names of threads that survived ``close()`` while unwinding.
+        self._unkillable: List[str] = []
 
     def shutdown(self) -> None:
         """Do nothing: a simulation backend holds no OS resources.
@@ -539,12 +571,13 @@ class SimulationBackend(Backend):
 
         After recycling, the backend behaves exactly like a newly
         constructed ``SimulationBackend(seed=..., policy=..., ...)``: thread
-        ids restart at 0, condition labels restart at ``cond-0``, metrics
-        are zeroed, and all observers/inspectors/injectors are cleared — so
-        recorded traces and digests compare bit-for-bit with a fresh
-        backend's.  The schedule explorer recycles one backend across the
-        thousands of runs of a task instead of paying construction every
-        run.
+        ids restart at 0, condition labels restart at ``cond-0``, no lock or
+        condition is registered, metrics are zeroed, and all
+        observers/inspectors/injectors are cleared — so recorded traces and
+        digests compare bit-for-bit with a fresh backend's.  The schedule
+        explorer recycles one backend across the thousands of runs of a task
+        instead of paying construction every run.  The per-run scheduling
+        state is cleared when the next :meth:`run` starts.
 
         Raises :class:`SimulationError` if a run is in progress.
         """
@@ -565,8 +598,34 @@ class SimulationBackend(Backend):
         self._conditions = []
         self._threads = {}
         self._next_tid = 0
-        self._clear_run_fields()
         self.metrics = BackendMetrics()
+
+    def sync_objects(self) -> Tuple[Tuple[SimLock, ...], Tuple[SimCondition, ...]]:
+        """The locks and conditions created on this backend since it was
+        constructed or last recycled, in creation order."""
+        return tuple(self._locks), tuple(self._conditions)
+
+    def adopt(self, objects: Tuple[Tuple[SimLock, ...], Tuple[SimCondition, ...]]) -> None:
+        """Register again locks and conditions that :meth:`sync_objects`
+        returned before this backend was recycled: each free and with empty
+        queues, in their order, so the next default condition label follows
+        theirs.  A workload built once and restored between runs (see
+        :mod:`repro.explore.restore`) keeps its build's locks and conditions
+        this way, and the backend then looks as it did right after the build.
+
+        Raises :class:`SimulationError` unless the backend was just recycled.
+        """
+        if self._running or self._locks or self._conditions:
+            raise SimulationError("adopt() needs a freshly recycled backend")
+        locks, conditions = objects
+        for lock in locks:
+            lock.owner = None
+            lock.queue.clear()
+        for condition in conditions:
+            condition.waiters.clear()
+        self._locks = list(locks)
+        self._conditions = list(conditions)
+        self._condition_count = len(conditions)
 
     def _create_thread_locked(
         self, target: Callable[[], object], name: Optional[str]
@@ -658,17 +717,44 @@ class SimulationBackend(Backend):
         *first* — the thread whose request ended the run — unwinds first,
         then the rest in thread-id order, each resumed until it exits (its
         next primitive raises :class:`_SimulationAbort`; a decision it asks
-        for on the way out is void).
+        for on the way out is void).  A thread still running after
+        :data:`UNWIND_RESUME_LIMIT` resumptions has its coroutine closed;
+        one that survives even that is named in ``_unkillable``.
         """
         order = list(self._threads.values())
         if first is not None:
             order.remove(first)
             order.insert(0, first)
         for sim_thread in order:
-            while sim_thread.state is not _State.FINISHED:
+            for _ in range(UNWIND_RESUME_LIMIT):
+                if sim_thread.state is _State.FINISHED:
+                    break
                 if self._resume(sim_thread) is None:
                     with self._lock:
                         self._finish_locked(sim_thread)
+            if sim_thread.state is not _State.FINISHED:
+                self._close(sim_thread)
+
+    def _close(self, sim_thread: _SimThread) -> None:
+        """Close the coroutine of a thread that would not unwind.
+
+        A body that swallows the ``GeneratorExit`` too stays suspended: it
+        is named in ``_unkillable`` and its coroutine is never finalized
+        (:func:`_keep_forever`).
+        """
+        self._tls.sim_thread = sim_thread
+        coro = sim_thread.coro
+        try:
+            coro.close()
+        except Exception as exc:
+            if coro.cr_frame is None:  # the exit raised this on its way out
+                self._record_failure(exc)
+        if coro.cr_frame is not None:
+            # "coroutine ignored GeneratorExit": it asked for another decision.
+            self._unkillable.append(sim_thread.name)
+            _keep_forever(coro)
+        with self._lock:
+            self._finish_locked(sim_thread)
 
     def _abort_hung(self, sim_thread: _SimThread) -> str:
         """The wall-clock net fired with *sim_thread* chosen to run next:

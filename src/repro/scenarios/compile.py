@@ -333,16 +333,23 @@ class ScenarioProblem(Problem):
                 )
                 names.append(f"{role.name}-{index}")
 
+        # verify() closes over plain data only (the parsed expressions, not
+        # their CompiledPredicate wrappers), so the explorer can restore the
+        # workload between schedules instead of rebuilding it.
         post_checks = tuple(
-            (source, compile_predicate(source, spec.state_names(), frozenset(env)))
+            (
+                source,
+                compile_predicate(source, spec.state_names(), frozenset(env)).expr,
+            )
             for source in spec.post
         )
         frozen_env = dict(env)
+        scenario_name = spec.name
 
         def verify() -> None:
-            for source, compiled in post_checks:
-                assert evaluate_bool(compiled.expr, monitor, frozen_env), (
-                    f"scenario {spec.name!r} post-condition {source!r} failed"
+            for source, expr in post_checks:
+                assert evaluate_bool(expr, monitor, frozen_env), (
+                    f"scenario {scenario_name!r} post-condition {source!r} failed"
                 )
 
         return WorkloadSpec(

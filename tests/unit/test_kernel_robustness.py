@@ -1,7 +1,13 @@
 """Kernel robustness: thread-crash abandonment, hang autopsy, self-healing hook,
-and counters of runs an observer aborts."""
+counters of runs an observer aborts, and bodies that will not unwind."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,8 @@ from repro.runtime.simulation import (
     SimulationError,
     SimulationHangError,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestAbandonmentDetection:
@@ -222,3 +230,139 @@ class TestAbortedRunCounters:
         assert first[0]["context_switches"] == len(prefix)
         for _ in range(19):
             assert self._aborted_run(prefix) == first
+
+
+def _stubborn(backend, honour_close=False):
+    """A body that catches ``BaseException`` around a primitive in a loop."""
+
+    async def stubborn():
+        while True:
+            try:
+                await backend.yield_async()
+            except GeneratorExit:
+                if honour_close:
+                    return
+            except BaseException:
+                pass
+
+    return stubborn
+
+
+def _within(seconds, call):
+    """*call*'s result or exception, from a daemon thread given *seconds*:
+    an unbounded unwinding fails the test instead of hanging the suite."""
+    result = []
+
+    def drive():
+        try:
+            result.append(call())
+        except BaseException as exc:
+            result.append(exc)
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    driver.join(seconds)
+    assert not driver.is_alive(), "the aborted run kept resuming the stubborn body"
+    return result[0]
+
+
+#: Runs stubborn bodies in a process of its own, so that a body that spins
+#: once it is finalized (during a recycle, a collection or the interpreter's
+#: shutdown) fails the test by timing out instead of hanging the suite.
+_STUBBORN_SCRIPT = """
+import gc
+
+from repro.explore.engine import ExploreTask, TaskRuntime, run_prefix
+from repro.problems import PROBLEMS, Problem, WorkloadSpec
+from repro.problems.bounded_buffer import AutoBoundedBuffer
+from repro.runtime import SimulationBackend
+from repro.runtime.simulation import SimulationHangError
+
+
+def stubborn_body(backend):
+    async def stubborn():
+        while True:
+            try:
+                await backend.yield_async()
+            except BaseException:
+                pass
+
+    return stubborn
+
+
+backend = SimulationBackend(seed=0, max_steps=5)
+try:
+    backend.run([stubborn_body(backend)])
+except SimulationHangError:
+    print("named")
+backend.recycle()
+gc.collect()
+backend.run([])
+print("ran again")
+
+
+class StubbornProblem(Problem):
+    name = "stubborn"
+
+    def build(self, mechanism, backend, threads, total_ops, seed=0,
+              validate=False, **params):
+        monitor = AutoBoundedBuffer(1, **self.monitor_kwargs(mechanism, backend, validate))
+        return WorkloadSpec(monitor, [stubborn_body(backend)], ["stubborn"])
+
+
+# Build, rebuild and record, then restore: each schedule's aborted body
+# outlives its run and the runtime's recycling of the backend.
+PROBLEMS["stubborn"] = StubbornProblem()
+task = ExploreTask("stubborn", "autosynch", max_steps=20)
+runtime = TaskRuntime(task)
+print(*[run_prefix(task, (), runtime=runtime).kind for _ in range(3)])
+runtime.close()
+gc.collect()
+"""
+
+
+class TestUnwindingStubbornBodies:
+    """The kernel resumes an aborted body a bounded number of times, then
+    closes its coroutine; one that survives even that is named in a
+    :class:`SimulationHangError` and never finalized (finalizing would run
+    its loop again outside any run, where every primitive raises)."""
+
+    def _run(self, body):
+        backend = SimulationBackend(seed=0)
+
+        async def worker():
+            for _ in range(10):
+                await backend.yield_async()
+
+        def observer(point):
+            if point.step == 3:
+                raise _StopAt()
+
+        backend.set_observer(observer)
+
+        def run():
+            try:
+                backend.run([body(backend), worker], ["stubborn", "worker"])
+            except BaseException as exc:
+                error = type(exc), str(exc)
+            return error, {t.state.value for t in backend._threads.values()}
+
+        error, states = _within(10.0, run)
+        assert states == {"finished"}
+        return error
+
+    def test_body_that_ignores_close_is_named(self):
+        kind, message = self._run(_stubborn)
+        assert kind is SimulationHangError
+        assert "stubborn" in message and "survived close()" in message
+
+    def test_body_that_honours_close_ends_the_run_with_its_verdict(self):
+        assert self._run(lambda b: _stubborn(b, honour_close=True))[0] is _StopAt
+
+    def test_bodies_that_survive_close_are_never_finalized(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", _STUBBORN_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "named\nran again\nhang hang hang\n"), (
+            done.stderr
+        )

@@ -142,6 +142,30 @@ class TestAbortUnwinding:
         backend.run(spec.targets, spec.names)
         spec.verify()
 
+    def test_adopt_registers_a_build_again(self):
+        # A build's locks and conditions, adopted on the recycled backend,
+        # come back free and empty; later labels follow theirs.
+        def build(backend):
+            lock = backend.create_lock(label="monitor")
+            return lock, backend.create_condition(lock)
+
+        backend = SimulationBackend(seed=0)
+        lock, condition = build(backend)
+        built = backend.sync_objects()
+        lock.owner = 0
+        lock.queue.append(1)
+        condition.waiters.append(2)
+        backend.create_condition(lock)
+        with pytest.raises(SimulationError, match="freshly recycled"):
+            backend.adopt(built)
+        backend.recycle()
+        assert backend.sync_objects() == ((), ())
+        backend.adopt(built)
+        fresh = SimulationBackend(seed=0)
+        build(fresh)
+        assert backend.sync_state() == fresh.sync_state()
+        assert backend.create_condition(lock).label == "cond-1"
+
 
 class TestThreadCrash:
     def _run(self, injector_step=0):
