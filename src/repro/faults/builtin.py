@@ -54,7 +54,7 @@ class SpuriousWakeupFault(Fault):
     def on_decision(self, injector, kernel, step: int) -> None:
         if not self._armed or step < self.at_step:
             return
-        tid = kernel.inject_wake_one_waiter_locked()
+        tid = kernel.inject_wake_one_waiter()
         if tid is not None:
             self._armed = False
             injector.record(self, step, f"spuriously woke thread {tid}")
@@ -132,7 +132,7 @@ class DelayedSignalFault(Fault):
         self._seen += 1
         if self._seen != self.nth:
             return False
-        tid = kernel.inject_detach_waiter_locked(condition)
+        tid = kernel.inject_detach_waiter(condition)
         if tid is None:
             return False
         due = kernel.steps + self.delay
@@ -146,14 +146,14 @@ class DelayedSignalFault(Fault):
     def on_decision(self, injector, kernel, step: int) -> None:
         while self._pending and self._pending[0][0] <= step:
             _, condition, tid = self._pending.pop(0)
-            if kernel.inject_deliver_waiter_locked(condition, tid):
+            if kernel.inject_deliver_waiter(condition, tid):
                 injector.record(self, step, f"delivered delayed signal to thread {tid}")
 
     def on_no_runnable(self, injector, kernel) -> bool:
         delivered = False
         while self._pending:
             _, condition, tid = self._pending.pop(0)
-            if kernel.inject_deliver_waiter_locked(condition, tid):
+            if kernel.inject_deliver_waiter(condition, tid):
                 injector.record(
                     self, kernel.steps,
                     f"force-delivered delayed signal to thread {tid} (idle run)",
@@ -198,7 +198,7 @@ class ThreadCrashFault(Fault):
     def on_decision(self, injector, kernel, step: int) -> None:
         if not self._armed or step < self.at_step:
             return
-        tid = kernel.inject_doom_lock_owner_locked()
+        tid = kernel.inject_doom_lock_owner()
         if tid is not None:
             self._armed = False
             injector.record(self, step, f"doomed lock-owning thread {tid}")

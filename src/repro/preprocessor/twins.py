@@ -1,13 +1,14 @@
 """Coroutine twins: ``async def`` copies of synchronous monitor code.
 
 The simulation kernel steps every simulated thread as a coroutine on one OS
-thread (:mod:`repro.runtime.simulation.kernel`).  This module lets plain
-synchronous thread bodies — the built-in workloads, tests, user code — run
-there without a second, hand-written copy of any of them: it generates a
-*twin* from the existing synchronous source with the preprocessor's AST
-machinery, awaiting every operation that may block.  The kernel asks for the
-twins itself (:func:`coroutine_bodies`) whenever it is handed a plain
-function.
+thread (:mod:`repro.runtime.simulation.kernel`), and the asyncio backend runs
+every thread as a task on one event loop
+(:mod:`repro.runtime.asyncio_backend`).  This module lets plain synchronous
+thread bodies — the built-in workloads, tests, user code — run there without
+a second, hand-written copy of any of them: it generates a *twin* from the
+existing synchronous source with the preprocessor's AST machinery, awaiting
+every operation that may block.  Both backends ask for the twins themselves
+(:func:`coroutine_bodies`) whenever they are handed a plain function.
 
 * **Monitor twins** (:func:`monitor_twins`) — for each entry method of a
   monitor class, ``self.wait_until(...)`` becomes ``await
@@ -21,14 +22,15 @@ function.
 * **Thread-body twins** (:func:`coroutine_twin`) — in a workload's thread
   body, ``monitor.entry(...)`` and ``getattr(monitor, name)(...)`` on a
   monitor the body can see (a closure variable or global) await the
-  monitor's twin of that entry, and the blocking primitives of a kernel
-  lock, condition or backend it can see await their ``*_async`` forms.
+  monitor's twin of that entry, and the blocking primitives of a kernel or
+  asyncio-backend lock, condition or backend it can see await their
+  ``*_async`` forms.
 
-A simulated thread cannot block synchronously, so a twin is made
+A coroutine cannot block synchronously, so a twin is made
 only when every call it keeps synchronous is known not to block: a safe
 builtin (``len``, ``range``, a builtin exception, ...), a method of a plain
 data object (a list, dict, set, deque, ``random.Random``, ...), a
-non-blocking method of a kernel primitive or of the monitor framework
+non-blocking method of a backend primitive or of the monitor framework
 (``release``, ``notify``, ``signal``, ...), or a method of the monitor's
 own class that is itself checked the same way.  A call on a local variable,
 on an attribute or subscript of anything but ``self``, of a user function,
@@ -40,7 +42,7 @@ per instance: the field must hold a plain data object when the twin is
 made.  Code reached implicitly — a property, an operator's dunder method,
 a key function handed to ``sorted`` — is not followed.  A body whose calls
 all stay synchronous is still twinned: it runs as a coroutine that never
-suspends.  The kernel refuses a body without a twin, naming the reason the
+suspends.  Both backends refuse a body without a twin, naming the reason the
 generator gave; such a body can be written as an ``async def`` that awaits
 the primitives itself (:mod:`repro.core.async_driver` for monitor entries).
 
@@ -69,24 +71,31 @@ from repro.core.async_driver import (
     wait_until_async,
 )
 from repro.core.monitor import MonitorBase
+from repro.runtime.asyncio_backend import AsyncioBackend, _AsyncioCondition, _AsyncioLock
 from repro.runtime.simulation import SimulationBackend, SimulationError
 from repro.runtime.simulation.sync import SimCondition, SimLock
 
 __all__ = ["coroutine_bodies", "coroutine_twin", "monitor_twins"]
 
-#: Kernel objects a thread body may block on directly: type -> blocking
+#: Backend objects a thread body may block on directly: type -> blocking
 #: method -> the awaitable method a twin calls instead.
 _PRIMITIVES = {
     SimLock: {"acquire": "acquire_async"},
     SimCondition: {"wait": "wait_async"},
     SimulationBackend: {"yield_control": "yield_async"},
+    _AsyncioLock: {"acquire": "acquire_async"},
+    _AsyncioCondition: {"wait": "wait_async"},
+    AsyncioBackend: {},
 }
 
-#: Methods of those kernel objects that never block.
+#: Methods of those backend objects that never block.
 _PRIMITIVE_SAFE = {
     SimLock: frozenset({"release"}),
     SimCondition: frozenset({"notify", "notify_n", "notify_all", "waiter_count"}),
     SimulationBackend: frozenset({"current_id", "current_name", "now", "spawn"}),
+    _AsyncioLock: frozenset({"release"}),
+    _AsyncioCondition: frozenset({"notify", "notify_n", "notify_all", "waiter_count"}),
+    AsyncioBackend: frozenset({"current_id", "now", "spawn"}),
 }
 
 #: Monitor-framework methods an entry may call synchronously.
@@ -212,7 +221,7 @@ def _is_getattr_call(func: ast.expr) -> bool:
 
 
 def _value_shape(value: object) -> Optional[object]:
-    """How a twin may use *value*, when it is not a monitor: a kernel
+    """How a twin may use *value*, when it is not a monitor: a backend
     primitive (its type), a plain data object, a safe callable, or None."""
     kind = type(value)
     if kind in _PRIMITIVES:
@@ -721,7 +730,7 @@ def coroutine_twin(fn: Callable) -> Optional[Callable]:
     """The coroutine twin of thread body *fn*, or None when it has none.
 
     Calls of monitor entry methods on monitors *fn* can see, and of the
-    blocking kernel primitives it can see (a lock's ``acquire``, a
+    blocking backend primitives it can see (a lock's ``acquire``, a
     condition's ``wait``, the backend's ``yield_control``), are awaited;
     every other call must be known not to block (see the module notes),
     judged on the values *fn* sees now.  Each call instantiates a twin over
@@ -736,13 +745,19 @@ def coroutine_twin(fn: Callable) -> Optional[Callable]:
         return None
 
 
-def coroutine_bodies(targets: Sequence[Callable], names: Sequence[str]) -> List[Callable]:
-    """*targets* as the coroutine functions the simulation kernel steps: a
-    coroutine function as it is, any other target as its :func:`coroutine_twin`,
+def coroutine_bodies(
+    targets: Sequence[Callable],
+    names: Sequence[str],
+    error: Callable[[str], Exception] = SimulationError,
+) -> List[Callable]:
+    """*targets* as the coroutine functions a backend hosts (the simulation
+    kernel steps them, the asyncio backend runs them as tasks): a coroutine
+    function as it is, any other target as its :func:`coroutine_twin`,
     judging each monitor they share once (a workload's bodies share one).
 
-    Raises :class:`~repro.runtime.simulation.SimulationError` naming the
-    first target (by its thread name in *names*) that has no twin, and why.
+    Raises *error* (by default
+    :class:`~repro.runtime.simulation.SimulationError`) naming the first
+    target (by its thread name in *names*) that has no twin, and why.
     """
     judged: Dict[tuple, Union[tuple, str]] = {}
     bodies = []
@@ -758,8 +773,8 @@ def coroutine_bodies(targets: Sequence[Callable], names: Sequence[str]) -> List[
         try:
             bodies.append(_body_twin(target, judged))
         except _Untwinnable as reason:
-            raise SimulationError(
-                f"simulated thread {name} has no coroutine twin: {reason}; write "
+            raise error(
+                f"thread {name} has no coroutine twin: {reason}; write "
                 "it as an async def body that awaits the *_async primitives "
                 "(repro.core.async_driver drives monitor entries)"
             ) from None

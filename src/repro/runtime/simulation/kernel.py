@@ -19,6 +19,11 @@ refused before the run's first decision.  The blocking ``acquire``/``wait``/
 :meth:`SimulationBackend.yield_control` forms raise :class:`SimulationError`
 when called from a simulated thread.
 
+Only the OS thread running :meth:`SimulationBackend.run` may touch the
+kernel's state, and only while the run lasts: every primitive checks that
+with one compare of thread idents and raises :class:`SimulationError`
+otherwise.  So no kernel state is guarded by a lock.
+
 The kernel also owns the run-wide metrics: every hand-off of control is one
 context switch, every condition wait and notification is counted, which gives
 the exact quantities the paper's evaluation reasons about.
@@ -27,8 +32,8 @@ the exact quantities the paper's evaluation reasons about.
 from __future__ import annotations
 
 import enum
-import threading
 import types
+from threading import get_ident
 from time import monotonic
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -51,9 +56,10 @@ __all__ = [
     "SimulationBackend",
 ]
 
-#: ``observer(point)`` — called once per scheduling decision, with the kernel
-#: lock held, right after the decision was recorded; an exception raised by
-#: the observer aborts the run and surfaces from :meth:`SimulationBackend.run`.
+#: ``observer(point)`` — called once per scheduling decision, on the stepper
+#: between two resumptions, right after the decision was recorded; an
+#: exception raised by the observer aborts the run and surfaces from
+#: :meth:`SimulationBackend.run`.
 DecisionObserver = Callable[[SchedulePoint], None]
 
 #: Maximum times the deadlock-recovery hook (see
@@ -270,10 +276,12 @@ class SimulationBackend(Backend):
         self._locks: List[SimLock] = []
         self._conditions: List[SimCondition] = []
 
-        self._lock = threading.Lock()
+        #: The ident of the OS thread running :meth:`run`, None between runs:
+        #: the only thread that may call a primitive.
+        self._owner: Optional[int] = None
         #: Serves :meth:`current_thread`: the simulated thread the stepper
-        #: is acting for, on the OS thread that runs the stepper.
-        self._tls = threading.local()
+        #: is acting for.
+        self._acting: Optional[_SimThread] = None
         self._threads: Dict[int, _SimThread] = {}
         self._next_tid = 0
         self._running = False
@@ -316,9 +324,9 @@ class SimulationBackend(Backend):
     def blocked_threads(self) -> tuple:
         """``(tid, name, block_reason)`` for every currently blocked thread.
 
-        Lock-free snapshot intended for decision observers (which already run
-        under the kernel lock) and for post-mortem inspection after
-        :meth:`run` returned; do not call from unrelated threads mid-run.
+        A snapshot for decision observers (which run on the stepper) and for
+        post-mortem inspection after :meth:`run` returned; do not call from
+        other OS threads mid-run.
         """
         return tuple(
             (t.tid, t.name, t.block_reason or "blocked")
@@ -386,7 +394,7 @@ class SimulationBackend(Backend):
     ) -> None:
         """Install a self-healing hook consulted when a deadlock is imminent.
 
-        The hook runs with the kernel lock held, after timed waits have been
+        The hook runs on the stepper, after timed waits have been
         expired but before the deadlock is declared.  It must not call any
         kernel primitive; instead it may repair its own bookkeeping (e.g.
         re-promise a lost signal, demote a corrupt write tracker) and return
@@ -403,8 +411,8 @@ class SimulationBackend(Backend):
         The injector's ``on_decision`` hook runs at every scheduling
         decision, ``on_notify`` intercepts condition notifications, and
         ``on_no_runnable`` gets a last word before deadlock handling —
-        all with the kernel lock held, restricted to the ``inject_*``
-        kernel methods below.
+        all on the stepper, restricted to the ``inject_*`` kernel methods
+        below.
         """
         self._fault_injector = injector
 
@@ -441,16 +449,18 @@ class SimulationBackend(Backend):
         while a run is in progress (called from a simulated thread) the new
         thread becomes runnable immediately.  A plain function is hosted as
         its coroutine twin; one without a twin raises
-        :class:`SimulationError` here.
+        :class:`SimulationError` here, as does a call from outside the
+        run's simulated threads while a run is in progress.
         """
         from repro.preprocessor.twins import coroutine_bodies  # twins imports this module
 
+        if self._running:
+            self.current_thread()
         target = coroutine_bodies([target], [name or f"sim-{self._next_tid}"])[0]
-        with self._lock:
-            sim_thread = self._create_thread_locked(target, name)
-            if self._running:
-                sim_thread.state = _State.RUNNABLE
-                self._runnable.append(sim_thread.tid)
+        sim_thread = self._create_thread(target, name)
+        if self._running:
+            sim_thread.state = _State.RUNNABLE
+            self._runnable.append(sim_thread.tid)
         return _SimHandle(sim_thread)
 
     # ------------------------------------------------------------------
@@ -479,21 +489,21 @@ class SimulationBackend(Backend):
         names = [names[index] if names else f"sim-{index}" for index in range(len(targets))]
         bodies = coroutine_bodies(targets, names)
 
-        with self._lock:
-            for body, name in zip(bodies, names):
-                self._create_thread_locked(body, name)
-            pending = list(self._threads.values())
-            if not pending:
-                return
-            self._running = True
-            for sim_thread in pending:
-                sim_thread.state = _State.RUNNABLE
-                self._runnable.append(sim_thread.tid)
-            first = self._pick_next_locked()
+        for body, name in zip(bodies, names):
+            self._create_thread(body, name)
+        pending = list(self._threads.values())
+        if not pending:
+            return
+        self._running = True
+        self._owner = get_ident()
+        for sim_thread in pending:
+            sim_thread.state = _State.RUNNABLE
+            self._runnable.append(sim_thread.tid)
         try:
-            autopsy = self._step(first)
+            autopsy = self._step(self._pick_next())
         finally:
-            self._tls.sim_thread = None
+            self._acting = None
+            self._owner = None
             self._running = False
 
         if autopsy is not None:
@@ -627,7 +637,7 @@ class SimulationBackend(Backend):
         self._conditions = list(conditions)
         self._condition_count = len(conditions)
 
-    def _create_thread_locked(
+    def _create_thread(
         self, target: Callable[[], object], name: Optional[str]
     ) -> _SimThread:
         tid = self._next_tid
@@ -639,9 +649,8 @@ class SimulationBackend(Backend):
 
     def _record_failure(self, exc: BaseException) -> None:
         """An exception escaped a simulated thread: abort the run with it."""
-        with self._lock:
-            self._failures.append(exc)
-            self._abort = True
+        self._failures.append(exc)
+        self._abort = True
 
     # ------------------------------------------------------------------
     # The stepper
@@ -662,11 +671,10 @@ class SimulationBackend(Backend):
                 return self._abort_hung(sim_thread)
             last = sim_thread
             reason = self._resume(sim_thread)
-            with self._lock:
-                if reason is None:
-                    sim_thread = self._finish_locked(sim_thread)
-                else:
-                    sim_thread = self._pick_next_locked(reason)
+            if reason is None:
+                sim_thread = self._finish(sim_thread)
+            else:
+                sim_thread = self._pick_next(reason)
         if self._abort:
             self._unwind(last)
         return None
@@ -674,7 +682,7 @@ class SimulationBackend(Backend):
     def _resume(self, sim_thread: _SimThread) -> Optional[str]:
         """Run *sim_thread* until its next request: a decision reason, or
         None once it finished."""
-        self._tls.sim_thread = sim_thread
+        self._acting = sim_thread
         try:
             coro = sim_thread.coro
             if coro is None:
@@ -702,14 +710,14 @@ class SimulationBackend(Backend):
             self._record_failure(exc)
             return None
 
-    def _finish_locked(self, sim_thread: _SimThread) -> Optional[_SimThread]:
+    def _finish(self, sim_thread: _SimThread) -> Optional[_SimThread]:
         """*sim_thread* exited: the next thread to resume, if any."""
         sim_thread.state = _State.FINISHED
         if self._current == sim_thread.tid:
             self._current = None
         if self._abort:
             return None
-        return self._pick_next_locked(reason="exit")
+        return self._pick_next(reason="exit")
 
     def _unwind(self, first: Optional[_SimThread]) -> None:
         """Finish every thread of an aborted run, one at a time.
@@ -730,8 +738,7 @@ class SimulationBackend(Backend):
                 if sim_thread.state is _State.FINISHED:
                     break
                 if self._resume(sim_thread) is None:
-                    with self._lock:
-                        self._finish_locked(sim_thread)
+                    self._finish(sim_thread)
             if sim_thread.state is not _State.FINISHED:
                 self._close(sim_thread)
 
@@ -742,7 +749,7 @@ class SimulationBackend(Backend):
         is named in ``_unkillable`` and its coroutine is never finalized
         (:func:`_keep_forever`).
         """
-        self._tls.sim_thread = sim_thread
+        self._acting = sim_thread
         coro = sim_thread.coro
         try:
             coro.close()
@@ -753,18 +760,16 @@ class SimulationBackend(Backend):
             # "coroutine ignored GeneratorExit": it asked for another decision.
             self._unkillable.append(sim_thread.name)
             _keep_forever(coro)
-        with self._lock:
-            self._finish_locked(sim_thread)
+        self._finish(sim_thread)
 
     def _abort_hung(self, sim_thread: _SimThread) -> str:
         """The wall-clock net fired with *sim_thread* chosen to run next:
         diagnose, abort, unwind, and return the autopsy."""
-        with self._lock:
-            # Autopsy first: the unwinding below dismantles the very
-            # bookkeeping (block reasons, waiter queues, predicate entries)
-            # the diagnosis needs.
-            autopsy = self._hang_autopsy_locked()
-            self._abort = True
+        # Autopsy first: the unwinding below dismantles the very
+        # bookkeeping (block reasons, waiter queues, predicate entries)
+        # the diagnosis needs.
+        autopsy = self._hang_autopsy()
+        self._abort = True
         self._unwind(sim_thread)
         return autopsy
 
@@ -775,13 +780,14 @@ class SimulationBackend(Backend):
     def current_thread(self) -> _SimThread:
         """Return the simulated thread corresponding to the calling thread.
 
-        Every simulation primitive (lock, condition, yield) starts here, so
-        the lookup is served from a ``threading.local`` — no global lock, no
-        dict lookup.  Any other caller (code outside a simulated thread,
-        another OS thread) gets :class:`SimulationError`.
+        Every simulation primitive (lock, condition, yield) starts here.
+        Only the OS thread running :meth:`run` may use them, so the check is
+        one compare of thread idents and the answer a plain attribute.  Any
+        other caller (code outside a run, another OS thread) gets
+        :class:`SimulationError`.
         """
-        sim_thread = getattr(self._tls, "sim_thread", None)
-        if sim_thread is None:
+        sim_thread = self._acting
+        if sim_thread is None or get_ident() != self._owner:
             raise SimulationError(
                 "simulation primitives may only be used from inside a simulated thread"
             )
@@ -804,7 +810,7 @@ class SimulationBackend(Backend):
     def current_id(self) -> object:
         return self.current_thread().tid
 
-    def _pick_next_locked(self, reason: str = "start") -> Optional[_SimThread]:
+    def _pick_next(self, reason: str = "start") -> Optional[_SimThread]:
         """Choose, dequeue and dispatch-mark the next runnable thread.
 
         *reason* records why control was up for grabs (the previous thread
@@ -814,26 +820,26 @@ class SimulationBackend(Backend):
         if self._abort:
             return None
         if self._timed_waits:
-            self._expire_due_waits_locked()
+            self._expire_due_waits()
         if self._fault_injector is not None:
             try:
                 self._fault_injector.on_decision(self, self._steps)
             except BaseException as exc:
-                self._fail_locked(exc)
+                self._fail(exc)
                 return None
         if self._max_steps is not None and self._steps >= self._max_steps:
             self._limit_exceeded = True
             self._abort = True
             return None
         if not self._runnable:
-            return self._handle_no_runnable_locked()
+            return self._handle_no_runnable()
         try:
             index = self._scheduler.choose(self._runnable)
         except BaseException as exc:
-            self._fail_locked(exc)
+            self._fail(exc)
             return None
         if not 0 <= index < len(self._runnable):
-            self._fail_locked(
+            self._fail(
                 SimulationError(
                     f"scheduler {self._scheduler.name!r} chose index {index} "
                     f"but only {len(self._runnable)} threads are runnable"
@@ -862,11 +868,11 @@ class SimulationBackend(Backend):
             try:
                 self._observer(point)
             except BaseException as exc:
-                self._fail_locked(exc)
+                self._fail(exc)
                 return None
         return sim_thread
 
-    def _fail_locked(self, exc: BaseException) -> None:
+    def _fail(self, exc: BaseException) -> None:
         """Abort the run with *exc* from inside the scheduling machinery.
 
         Scheduler, observer and fault-injection callbacks run in the
@@ -877,7 +883,7 @@ class SimulationBackend(Backend):
         self._failures.append(exc)
         self._abort = True
 
-    def _handle_no_runnable_locked(self) -> Optional[_SimThread]:
+    def _handle_no_runnable(self) -> Optional[_SimThread]:
         live = [t for t in self._threads.values() if t.state is not _State.FINISHED]
         blocked = [t for t in live if t.state is _State.BLOCKED]
         self._current = None
@@ -886,7 +892,7 @@ class SimulationBackend(Backend):
         if not blocked:
             # Live threads that are neither runnable nor blocked: only a
             # kernel bug leaves the stepper nothing to resume like this.
-            self._fail_locked(
+            self._fail(
                 SimulationError("internal error: live threads but none runnable or blocked")
             )
             return None
@@ -894,28 +900,28 @@ class SimulationBackend(Backend):
         # time jumps to the earliest pending deadline (real time would pass
         # anyway) and the expired waiter gets the monitor back.
         if self._timed_waits:
-            self._expire_earliest_waits_locked()
+            self._expire_earliest_waits()
             if self._runnable:
-                return self._pick_next_locked(reason="wait timeout")
-            return self._handle_no_runnable_locked()
+                return self._pick_next(reason="wait timeout")
+            return self._handle_no_runnable()
         # Fault injection gets a last word (e.g. a delayed signal still in
         # flight is force-delivered rather than reported as a deadlock).
         if self._fault_injector is not None:
             try:
                 rescued = self._fault_injector.on_no_runnable(self)
             except BaseException as exc:
-                self._fail_locked(exc)
+                self._fail(exc)
                 return None
             if rescued:
                 if self._runnable:
-                    return self._pick_next_locked(reason="delayed signal")
-                return self._handle_no_runnable_locked()
+                    return self._pick_next(reason="delayed signal")
+                return self._handle_no_runnable()
         details = ", ".join(
             f"{t.name} ({t.block_reason or 'blocked'})" for t in sorted(blocked, key=lambda t: t.tid)
         )
         # A lock owned by a finished thread can never be released: classify
         # as monitor abandonment, not a generic deadlock.
-        abandoned = self._find_abandoned_lock_locked()
+        abandoned = self._find_abandoned_lock()
         if abandoned is not None:
             lock, owner = abandoned
             label = lock.label or "monitor lock"
@@ -939,10 +945,10 @@ class SimulationBackend(Backend):
                 condition = None
             if condition is not None and condition.waiters:
                 waiter_tid = condition.waiters.popleft()
-                self._grant_lock_to_waiter_locked(condition, waiter_tid)
+                self._grant_lock_to_waiter(condition, waiter_tid)
                 if self._runnable:
-                    return self._pick_next_locked(reason="self-heal")
-                return self._handle_no_runnable_locked()
+                    return self._pick_next(reason="self-heal")
+                return self._handle_no_runnable()
         message = (
             f"deadlock: all {len(blocked)} live simulated threads are blocked — {details}"
         )
@@ -960,7 +966,7 @@ class SimulationBackend(Backend):
         self._abort = True
         return None
 
-    def _make_runnable_locked(self, tid: int) -> None:
+    def _make_runnable(self, tid: int) -> None:
         sim_thread = self._threads[tid]
         if sim_thread.state is _State.FINISHED:
             raise SimulationError(f"cannot make finished thread {sim_thread.name} runnable")
@@ -969,7 +975,7 @@ class SimulationBackend(Backend):
         self._runnable.append(tid)
 
     @staticmethod
-    def _block_locked(sim_thread: _SimThread, reason: str) -> str:
+    def _block(sim_thread: _SimThread, reason: str) -> str:
         sim_thread.state = _State.BLOCKED
         sim_thread.block_reason = reason
         return reason
@@ -987,10 +993,9 @@ class SimulationBackend(Backend):
     async def yield_async(self) -> None:
         """Voluntarily hand control to another runnable thread (if any)."""
         sim_thread = self.current_thread()
-        with self._lock:
-            self._check_doomed_locked(sim_thread)
-            self._runnable.append(sim_thread.tid)
-            sim_thread.state = _State.RUNNABLE
+        self._check_doomed(sim_thread)
+        self._runnable.append(sim_thread.tid)
+        sim_thread.state = _State.RUNNABLE
         await _decide("yield")
         self._resumed()
 
@@ -1006,45 +1011,42 @@ class SimulationBackend(Backend):
         """Take *lock* if it is free; otherwise queue the thread on it and
         ask for the decision that eventually hands it over."""
         sim_thread = self.current_thread()
-        with self._lock:
-            self._check_doomed_locked(sim_thread)
-            if lock.owner is None:
-                lock.owner = sim_thread.tid
-                self.metrics.lock_acquisitions += 1
-                return
-            if lock.owner == sim_thread.tid:
-                raise SimulationError(
-                    f"thread {sim_thread.name} attempted to re-acquire a lock it already holds"
-                )
-            lock.queue.append(sim_thread.tid)
-            self.metrics.lock_contentions += 1
-            reason = self._block_locked(
-                sim_thread, f"waiting for lock {lock.label}" if lock.label else "waiting for lock"
+        self._check_doomed(sim_thread)
+        if lock.owner is None:
+            lock.owner = sim_thread.tid
+            self.metrics.lock_acquisitions += 1
+            return
+        if lock.owner == sim_thread.tid:
+            raise SimulationError(
+                f"thread {sim_thread.name} attempted to re-acquire a lock it already holds"
             )
+        lock.queue.append(sim_thread.tid)
+        self.metrics.lock_contentions += 1
+        reason = self._block(
+            sim_thread, f"waiting for lock {lock.label}" if lock.label else "waiting for lock"
+        )
         await _decide(reason)
         self._resumed()
-        with self._lock:
-            if lock.owner != sim_thread.tid:
-                raise SimulationError(
-                    "internal error: thread resumed from lock wait without ownership"
-                )
-            self.metrics.lock_acquisitions += 1
+        if lock.owner != sim_thread.tid:
+            raise SimulationError(
+                "internal error: thread resumed from lock wait without ownership"
+            )
+        self.metrics.lock_acquisitions += 1
 
     def lock_release(self, lock: SimLock) -> None:
         sim_thread = self.current_thread()
-        with self._lock:
-            self._check_doomed_locked(sim_thread)
-            if lock.owner != sim_thread.tid:
-                raise SimulationError(
-                    f"thread {sim_thread.name} released a lock it does not hold"
-                )
-            self._release_lock_locked(lock)
+        self._check_doomed(sim_thread)
+        if lock.owner != sim_thread.tid:
+            raise SimulationError(
+                f"thread {sim_thread.name} released a lock it does not hold"
+            )
+        self._release_lock(lock)
 
-    def _release_lock_locked(self, lock: SimLock) -> None:
+    def _release_lock(self, lock: SimLock) -> None:
         if lock.queue:
             next_tid = lock.queue.popleft()
             lock.owner = next_tid
-            self._make_runnable_locked(next_tid)
+            self._make_runnable(next_tid)
         else:
             lock.owner = None
 
@@ -1064,31 +1066,29 @@ class SimulationBackend(Backend):
         """Park the thread on *condition*, releasing its lock, until it is
         notified and holds the lock again; False when *timeout* expired."""
         sim_thread = self.current_thread()
-        with self._lock:
-            self._check_doomed_locked(sim_thread)
-            if condition.lock.owner != sim_thread.tid:
-                raise SimulationError(
-                    f"thread {sim_thread.name} called wait() without holding the monitor lock"
-                )
-            condition.waiters.append(sim_thread.tid)
-            self.metrics.condition_waits += 1
-            if timeout is not None:
-                # Deadlines are measured in scheduling steps (see now());
-                # expiry happens at the next scheduling decision at or past
-                # the deadline, or immediately when nothing else can run.
-                self._timed_waits[sim_thread.tid] = (condition, self._steps + timeout)
-            self._release_lock_locked(condition.lock)
-            label = condition.label if condition.label is not None else f"{id(condition):#x}"
-            reason = self._block_locked(sim_thread, f"waiting on condition {label}")
+        self._check_doomed(sim_thread)
+        if condition.lock.owner != sim_thread.tid:
+            raise SimulationError(
+                f"thread {sim_thread.name} called wait() without holding the monitor lock"
+            )
+        condition.waiters.append(sim_thread.tid)
+        self.metrics.condition_waits += 1
+        if timeout is not None:
+            # Deadlines are measured in scheduling steps (see now());
+            # expiry happens at the next scheduling decision at or past
+            # the deadline, or immediately when nothing else can run.
+            self._timed_waits[sim_thread.tid] = (condition, self._steps + timeout)
+        self._release_lock(condition.lock)
+        label = condition.label if condition.label is not None else f"{id(condition):#x}"
+        reason = self._block(sim_thread, f"waiting on condition {label}")
         await _decide(reason)
         self._resumed()
-        with self._lock:
-            timed_out = sim_thread.timed_out
-            sim_thread.timed_out = False
-            if condition.lock.owner != sim_thread.tid:
-                raise SimulationError(
-                    "internal error: thread resumed from condition wait without the lock"
-                )
+        timed_out = sim_thread.timed_out
+        sim_thread.timed_out = False
+        if condition.lock.owner != sim_thread.tid:
+            raise SimulationError(
+                "internal error: thread resumed from condition wait without the lock"
+            )
         return not timed_out
 
     def condition_notify(
@@ -1102,42 +1102,41 @@ class SimulationBackend(Backend):
         notify drops the whole batch exactly like a lost ``notify(n)``.
         """
         sim_thread = self.current_thread()
-        with self._lock:
-            if self._abort:
-                # Threads unwinding an aborted run pass through the
-                # monitor's exit relay; their notifications are neither
-                # counted nor delivered, so an aborted run's counters stop
-                # at the decision that aborted it.
-                raise _SimulationAbort()
-            self._check_doomed_locked(sim_thread)
-            if condition.lock.owner != sim_thread.tid:
-                raise SimulationError(
-                    f"thread {sim_thread.name} called notify without holding the monitor lock"
+        if self._abort:
+            # Threads unwinding an aborted run pass through the
+            # monitor's exit relay; their notifications are neither
+            # counted nor delivered, so an aborted run's counters stop
+            # at the decision that aborted it.
+            raise _SimulationAbort()
+        self._check_doomed(sim_thread)
+        if condition.lock.owner != sim_thread.tid:
+            raise SimulationError(
+                f"thread {sim_thread.name} called notify without holding the monitor lock"
+            )
+        if wake_all:
+            self.metrics.notify_alls += 1
+            count = len(condition.waiters)
+        else:
+            self.metrics.notifies += 1
+            count = min(count, len(condition.waiters))
+        if count and self._fault_injector is not None:
+            try:
+                suppressed = self._fault_injector.on_notify(
+                    self, condition, wake_all
                 )
-            if wake_all:
-                self.metrics.notify_alls += 1
-                count = len(condition.waiters)
-            else:
-                self.metrics.notifies += 1
-                count = min(count, len(condition.waiters))
-            if count and self._fault_injector is not None:
-                try:
-                    suppressed = self._fault_injector.on_notify(
-                        self, condition, wake_all
-                    )
-                except BaseException as exc:
-                    self._fail_locked(exc)
-                    raise _SimulationAbort()
-                if suppressed:
-                    # The fault swallowed (or detached, for delayed delivery)
-                    # this notification; the waiters stay parked.
-                    return
-            for _ in range(count):
-                waiter_tid = condition.waiters.popleft()
-                self.metrics.notified_threads += 1
-                self._grant_lock_to_waiter_locked(condition, waiter_tid)
+            except BaseException as exc:
+                self._fail(exc)
+                raise _SimulationAbort()
+            if suppressed:
+                # The fault swallowed (or detached, for delayed delivery)
+                # this notification; the waiters stay parked.
+                return
+        for _ in range(count):
+            waiter_tid = condition.waiters.popleft()
+            self.metrics.notified_threads += 1
+            self._grant_lock_to_waiter(condition, waiter_tid)
 
-    def _grant_lock_to_waiter_locked(
+    def _grant_lock_to_waiter(
         self, condition: SimCondition, waiter_tid: int
     ) -> None:
         """Move a dequeued waiter to the lock's entry queue (or grant the
@@ -1152,19 +1151,15 @@ class SimulationBackend(Backend):
         # to the lock's entry queue.
         if condition.lock.owner is None:
             condition.lock.owner = waiter_tid
-            self._make_runnable_locked(waiter_tid)
+            self._make_runnable(waiter_tid)
         else:
             condition.lock.queue.append(waiter_tid)
-
-    def condition_waiter_count(self, condition: SimCondition) -> int:
-        with self._lock:
-            return len(condition.waiters)
 
     # ------------------------------------------------------------------
     # Timed waits
     # ------------------------------------------------------------------
 
-    def _expire_due_waits_locked(self) -> None:
+    def _expire_due_waits(self) -> None:
         """Expire every timed wait whose deadline has passed (in step time)."""
         due = sorted(
             (deadline, tid)
@@ -1172,9 +1167,9 @@ class SimulationBackend(Backend):
             if deadline <= self._steps
         )
         for _, tid in due:
-            self._expire_wait_locked(tid)
+            self._expire_wait(tid)
 
-    def _expire_earliest_waits_locked(self) -> None:
+    def _expire_earliest_waits(self) -> None:
         """Jump simulation time to the earliest pending deadline and expire
         every wait due then.  Called only when nothing is runnable."""
         earliest = min(deadline for (_, deadline) in self._timed_waits.values())
@@ -1184,9 +1179,9 @@ class SimulationBackend(Backend):
             if deadline <= earliest
         )
         for _, tid in due:
-            self._expire_wait_locked(tid)
+            self._expire_wait(tid)
 
-    def _expire_wait_locked(self, tid: int) -> None:
+    def _expire_wait(self, tid: int) -> None:
         condition, _ = self._timed_waits.pop(tid)
         sim_thread = self._threads.get(tid)
         if sim_thread is None or sim_thread.state is not _State.BLOCKED:
@@ -1200,31 +1195,31 @@ class SimulationBackend(Backend):
         sim_thread.timed_out = True
         if condition.lock.owner is None:
             condition.lock.owner = tid
-            self._make_runnable_locked(tid)
+            self._make_runnable(tid)
         else:
             condition.lock.queue.append(tid)
 
     # ------------------------------------------------------------------
-    # Fault injection surface (called by repro.faults with the kernel
-    # lock held, from injector hooks only)
+    # Fault injection surface (called by repro.faults from injector hooks
+    # only, on the stepper)
     # ------------------------------------------------------------------
 
-    def _check_doomed_locked(self, sim_thread: _SimThread) -> None:
+    def _check_doomed(self, sim_thread: _SimThread) -> None:
         if self._doomed and sim_thread.tid in self._doomed:
             self._doomed.discard(sim_thread.tid)
             raise _InjectedDeath()
 
-    def inject_wake_one_waiter_locked(self) -> Optional[int]:
+    def inject_wake_one_waiter(self) -> Optional[int]:
         """Spuriously wake the longest waiter of the first populated
         condition; returns its tid, or None when nobody is waiting."""
         for condition in self._conditions:
             if condition.waiters:
                 waiter_tid = condition.waiters.popleft()
-                self._grant_lock_to_waiter_locked(condition, waiter_tid)
+                self._grant_lock_to_waiter(condition, waiter_tid)
                 return waiter_tid
         return None
 
-    def inject_doom_lock_owner_locked(self) -> Optional[int]:
+    def inject_doom_lock_owner(self) -> Optional[int]:
         """Mark the first live lock owner for death at its next kernel
         primitive; returns its tid, or None when no lock is held."""
         for lock in self._locks:
@@ -1237,15 +1232,15 @@ class SimulationBackend(Backend):
                 return owner
         return None
 
-    def inject_detach_waiter_locked(self, condition: SimCondition) -> Optional[int]:
+    def inject_detach_waiter(self, condition: SimCondition) -> Optional[int]:
         """Remove (without waking) the longest waiter of *condition*;
         returns its tid, or None.  The delayed-signal fault re-delivers the
-        detached waiter later via :meth:`inject_deliver_waiter_locked`."""
+        detached waiter later via :meth:`inject_deliver_waiter`."""
         if condition.waiters:
             return condition.waiters.popleft()
         return None
 
-    def inject_deliver_waiter_locked(self, condition: SimCondition, tid: int) -> bool:
+    def inject_deliver_waiter(self, condition: SimCondition, tid: int) -> bool:
         """Deliver a previously detached waiter back into *condition*'s lock
         queue, as if its notification just arrived.  Returns False when the
         thread is gone or already runnable (e.g. its timed wait expired)."""
@@ -1255,14 +1250,14 @@ class SimulationBackend(Backend):
         if condition.lock.owner == tid or tid in condition.lock.queue:
             return False
         self.metrics.notified_threads += 1
-        self._grant_lock_to_waiter_locked(condition, tid)
+        self._grant_lock_to_waiter(condition, tid)
         return True
 
     # ------------------------------------------------------------------
     # Hang autopsy and abandonment detection
     # ------------------------------------------------------------------
 
-    def _find_abandoned_lock_locked(self) -> Optional[tuple]:
+    def _find_abandoned_lock(self) -> Optional[tuple]:
         """A ``(lock, owner)`` pair where the owner finished while threads
         still queue behind the lock (directly or via its conditions)."""
         for lock in self._locks:
@@ -1277,7 +1272,7 @@ class SimulationBackend(Backend):
                 return (lock, owner)
         return None
 
-    def _hang_autopsy_locked(self) -> str:
+    def _hang_autopsy(self) -> str:
         """Diagnose a wall-clock hang: who is parked, why, and what the
         scheduler last did.  Built *before* the abort unwinds the waiters."""
         live = [t for t in self._threads.values() if t.state is not _State.FINISHED]

@@ -1,7 +1,7 @@
 """Lock and condition-variable objects for the simulation backend.
 
 These are thin data holders; all queueing and scheduling logic lives in the
-kernel so that every state change happens under the kernel's own lock.  A
+kernel, which changes it only on the OS thread running the simulation.  A
 simulated thread is a coroutine, so it awaits the blocking operations in
 their ``acquire_async``/``wait_async`` forms; the plain ``acquire``/``wait``
 of the lock and condition interfaces raise ``SimulationError`` inside a
@@ -86,4 +86,4 @@ class SimCondition(ConditionAPI):
         self._kernel.condition_notify(self, wake_all=True)
 
     def waiter_count(self) -> int:
-        return self._kernel.condition_waiter_count(self)
+        return len(self.waiters)

@@ -4,10 +4,12 @@ The asyncio backend must be a drop-in execution substrate: for every
 builtin problem and declarative scenario, a validate-mode run (relay
 invariance checked at every step) must complete with the problem's own
 invariants verified, produce the same operation count as the threading
-backend, and never lose a signal.  Workloads here are sync entry methods —
-the asyncio backend bridges them onto threads — so this sweep pins the
-backend's lock/condition semantics, not the coroutine driver (which has
-its own suite).
+backend, and never lose a signal.  Workloads here are plain synchronous
+bodies: real OS threads on the threading backend, their generated coroutine
+twins as tasks on the asyncio backend's one event loop.  So this sweep pins
+the backend's lock/condition semantics under the automatic monitors and,
+on every problem with a hand-written explicit-signal monitor, under entries
+that call ``condition.wait()`` and ``notify`` themselves.
 """
 
 from __future__ import annotations
@@ -15,19 +17,27 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.saturation import make_backend, run_workload
+from repro.problems.base import EXPLICIT_MECHANISM
 from repro.problems.registry import available_problems, get_problem
 
 #: Small but non-trivial sweep: enough threads to force real contention.
 THREADS = 4
 TOTAL_OPS = 24
 
+#: Problems with a hand-written explicit-signal monitor.
+EXPLICIT_PROBLEMS = [
+    name
+    for name in available_problems()
+    if EXPLICIT_MECHANISM in get_problem(name).supported_mechanisms()
+]
 
-def _run(problem_name, backend_name):
+
+def _run(problem_name, backend_name, mechanism="autosynch"):
     problem = get_problem(problem_name)
     backend = make_backend(backend_name)
     return run_workload(
         problem,
-        "autosynch",
+        mechanism,
         backend,
         threads=THREADS,
         total_ops=TOTAL_OPS,
@@ -40,8 +50,18 @@ def _run(problem_name, backend_name):
 def test_asyncio_matches_threading_in_validate_mode(problem_name):
     """Same verdict on both backends: runs complete, invariants verified,
     identical operation counts (the conserved quantity of the sweep)."""
-    threading_result = _run(problem_name, "threading")
-    asyncio_result = _run(problem_name, "asyncio")
+    _assert_same_verdict(problem_name, "autosynch")
+
+
+@pytest.mark.parametrize("problem_name", EXPLICIT_PROBLEMS)
+def test_explicit_signalling_matches_threading(problem_name):
+    """The explicit monitors' own waits and notifies hold on asyncio too."""
+    _assert_same_verdict(problem_name, EXPLICIT_MECHANISM)
+
+
+def _assert_same_verdict(problem_name, mechanism):
+    threading_result = _run(problem_name, "threading", mechanism)
+    asyncio_result = _run(problem_name, "asyncio", mechanism)
 
     assert threading_result.backend == "threading"
     assert asyncio_result.backend == "asyncio"

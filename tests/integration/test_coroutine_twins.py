@@ -260,7 +260,7 @@ def test_bodies_reaching_a_monitor_unseen_are_refused(make_producer, reason, see
         run_workload(problem, "autosynch", backend, threads=1, total_ops=4)
     message = str(excinfo.value)
     assert message.startswith(
-        f"simulated thread producer has no coroutine twin: {reason}; "
+        f"thread producer has no coroutine twin: {reason}; "
     ), message
     assert "async def" in message and "repro.core.async_driver" in message
     assert backend.steps == 0

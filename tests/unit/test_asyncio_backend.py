@@ -5,8 +5,9 @@ Coroutine waiters go through :mod:`repro.core.async_driver` —
 the signalling policy's own ``wait_steps`` generator with awaitable
 primitives, so relay semantics are shared with the blocking path by
 construction.  These tests exercise the asyncio-specific surface: task
-waiters, the coroutine/thread hybrid run, failure propagation, the
-loop-thread blocking guard, and timeouts inside coroutines.
+waiters, plain bodies hosted as their coroutine twins, failure
+propagation, the refusal of blocking primitives and of calls from other OS
+threads, and timeouts inside coroutines.
 """
 
 from __future__ import annotations
@@ -44,15 +45,114 @@ class TestBackendBasics:
         with pytest.raises(RuntimeError):
             backend.spawn(body)
 
-    def test_sync_targets_run_as_bridged_threads(self):
+    def test_plain_targets_run_as_twins_on_the_loop(self, monkeypatch):
         backend = AsyncioBackend()
         seen = []
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
 
         def body():
-            seen.append(threading.get_ident())
+            seen.append(backend.current_id())
 
         backend.run([body, body])
         assert len(seen) == 2
+        assert all(isinstance(task, asyncio.Task) for task in seen)
+        assert seen[0] is not seen[1]
+        assert started == []
+
+    def test_plain_bodies_await_the_primitives_they_see(self):
+        """A plain body's twin awaits the lock and condition it can see:
+        acquire and wait become acquire_async and wait_async."""
+        backend = AsyncioBackend()
+        lock = backend.create_lock()
+        condition = backend.create_condition(lock)
+        box = []
+        woken = []
+
+        def consumer():
+            lock.acquire()
+            while not box:
+                condition.wait()
+            woken.append(box.pop())
+            lock.release()
+
+        def producer():
+            lock.acquire()
+            box.append("item")
+            condition.notify()
+            lock.release()
+
+        backend.run([consumer, producer])
+        assert woken == ["item"]
+        assert backend.metrics.condition_waits == 1
+        assert backend.metrics.notified_threads == 1
+
+    def test_plain_body_without_twin_is_refused_before_any_task_starts(self):
+        backend = AsyncioBackend()
+        started = []
+
+        def helper():
+            return None
+
+        async def ready():
+            started.append("ready")
+
+        def unseen():
+            started.append("unseen")
+            helper()
+
+        with pytest.raises(
+            RuntimeError,
+            match=r"^thread unseen has no coroutine twin: call that may block "
+            r"unseen \(line \d+\): helper; write it as an async def",
+        ):
+            backend.run([ready, unseen], names=["ready", "unseen"])
+        assert started == []
+        assert backend.metrics.threads_spawned == 0
+
+    def test_primitives_from_another_os_thread_are_rejected(self):
+        """Only the OS thread running ``run`` may use the primitives: the
+        main thread outside a run, a plain OS thread started mid-run and a
+        task using another backend's lock all get the same RuntimeError."""
+        backend = AsyncioBackend()
+        lock = backend.create_lock()
+        condition = backend.create_condition(lock)
+        expected = "may only be used inside AsyncioBackend.run, from the OS thread running it"
+        with pytest.raises(RuntimeError, match=expected):
+            lock.release()
+        other = AsyncioBackend().create_lock()
+        messages = []
+
+        def probe(*calls):
+            for call in calls:
+                try:
+                    call()
+                except RuntimeError as error:
+                    messages.append(str(error))
+
+        async def worker():
+            await lock.acquire_async()
+            plain = threading.Thread(
+                daemon=True,
+                target=probe,
+                args=(
+                    lock.release,
+                    condition.notify_all,
+                    backend.current_id,
+                    lambda: asyncio.run(lock.acquire_async()),
+                ),
+            )
+            plain.start()
+            plain.join(timeout=10)
+            assert not plain.is_alive()
+            probe(other.release)
+            assert lock.locked
+            lock.release()
+
+        backend.run([worker])
+        assert len(messages) == 5
+        assert all(expected in message for message in messages)
+        assert backend.metrics.notify_alls == 0
 
     def test_coroutine_failure_propagates(self):
         backend = AsyncioBackend()
@@ -75,27 +175,28 @@ class TestBackendBasics:
         assert ids[0] is not ids[1]
 
     def test_blocking_acquire_on_loop_thread_is_rejected(self):
-        """A coroutine must never block the loop: a *contended* sync acquire
-        from the loop thread raises instead of deadlocking the loop."""
+        """A task must never block the loop: the blocking acquire and wait
+        raise, even uncontended, and name the form to await instead."""
         backend = AsyncioBackend()
         lock = backend.create_lock()
+        condition = backend.create_condition(lock)
         errors = []
 
-        async def holder():
-            await lock.acquire_async()
-
         async def blocker():
-            try:
-                lock.acquire()
-            except RuntimeError as error:
-                errors.append(error)
-            finally:
-                if lock.locked:
-                    lock.release()
+            for call in (lock.acquire, condition.wait):
+                try:
+                    call()
+                except RuntimeError as error:
+                    errors.append(str(error))
 
-        backend.run([holder, blocker])
-        assert len(errors) == 1
-        assert "event-loop thread" in str(errors[0])
+        backend.run([blocker])
+        assert errors == [
+            f"every thread of an asyncio-backend run is a task on its event loop "
+            f"and must await the {name}_async primitive instead of calling the "
+            f"blocking {name}()"
+            for name in ("acquire", "wait")
+        ]
+        assert not lock.locked
 
     def test_wrong_lock_type_rejected(self):
         backend = AsyncioBackend()
@@ -162,9 +263,10 @@ class TestCoroutineMonitorDriver:
         assert sorted(observed) == [1, 2, 3, 4, 5]
         assert monitor.stats.waits >= 1
 
-    def test_coroutines_and_threads_share_one_monitor(self):
-        """Bridged sync threads and coroutine tasks interleave on the same
-        monitor: threads block in wait_until, tasks await wait_until_async."""
+    def test_twins_and_coroutines_share_one_monitor(self):
+        """A plain body's twin and a hand-written coroutine interleave on the
+        same monitor: the twin awaits the entry's twin of wait_until, the
+        coroutine awaits wait_until_async."""
         backend = AsyncioBackend()
         monitor = Counter(backend=backend, signalling="autosynch")
         woken = []

@@ -1,5 +1,5 @@
 """Deadlock diagnostics: thread names and block reasons must survive the
-trip from the kernel's ``_handle_no_runnable_locked`` through
+trip from the kernel's ``_handle_no_runnable`` through
 ``run_workload`` to the caller."""
 
 from __future__ import annotations

@@ -189,9 +189,13 @@ class TestAsyncioNotifyN:
         backend = AsyncioBackend()
         lock = backend.create_lock()
         condition = backend.create_condition(lock)
-        lock.acquire()
-        condition.notify_n(0)
-        lock.release()
+
+        def body():
+            lock.acquire()
+            condition.notify_n(0)
+            lock.release()
+
+        backend.run([body])
         assert backend.metrics.snapshot()["notifies"] == 0
 
     def test_negative_raises(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.runtime import SimulationBackend
@@ -51,6 +53,28 @@ class TestSpawn:
         backend.run([parent], ["parent"])
         assert "child" in log
         assert log[0] == "parent-before"
+
+    def test_spawn_from_another_os_thread_mid_run_is_refused(self):
+        backend = SimulationBackend(seed=1)
+        errors = []
+
+        def probe():
+            try:
+                backend.spawn(idle, name="intruder")
+            except SimulationError as error:
+                errors.append(str(error))
+
+        async def parent():
+            plain = threading.Thread(target=probe, daemon=True)
+            plain.start()
+            plain.join(timeout=10)
+            assert not plain.is_alive()
+
+        backend.run([parent], ["parent"])
+        assert errors == [
+            "simulation primitives may only be used from inside a simulated thread"
+        ]
+        assert backend.metrics.threads_spawned == 1
 
     def test_handle_reports_completion(self):
         backend = SimulationBackend(seed=1)
