@@ -1,36 +1,37 @@
 """Coroutine drivers for monitor entry: ``await`` instead of blocking.
 
 Monitor code is synchronous — entry methods block in ``wait_until`` through
-``ConditionAPI.wait``.  A coroutine waiter on the asyncio backend must
-suspend instead of blocking the event loop, so this module re-drives the
-exact entry protocol with ``await``-able primitives:
+``ConditionAPI.wait``.  A coroutine waiter on the asyncio backend or the
+simulation kernel must suspend instead of blocking its OS thread, so this
+module re-drives the exact entry protocol with ``await``-able primitives:
 
 * :func:`monitor_entry` — async context manager mirroring
   ``MonitorBase._enter`` / ``_leave`` (stats, owner bookkeeping, traces,
   and the policy's ``on_monitor_exit`` relay on the way out), with
   :func:`enter_async` as its entry half;
-* :func:`wait_until_async` — ``AutoSynchMonitor.wait_until`` driven over
-  the signalling policy's :meth:`~repro.core.signalling.SignallingPolicy.
-  wait_steps` generator, awaiting ``condition.wait_async`` at each park;
-* :func:`wait_on_async` — ``ExplicitMonitor.wait_on``, awaiting the
-  condition instead of blocking on it;
+* :func:`wait_until_async` — ``AutoSynchMonitor.wait_until``: the same
+  preamble (``_wait_steps``) and the signalling policy's one wait loop
+  (:meth:`~repro.core.signalling.SignallingPolicy.wait_steps`);
+* :func:`wait_on_async` — ``ExplicitMonitor.wait_on``: the same single
+  park request (``_wait_on_steps``);
 * :func:`run_action` — one compiled scenario action (binds → pre → guard
   → effects), the coroutine twin of the generated entry methods.
 
-Because the wait loop itself lives in ``wait_steps`` — shared verbatim with
-the blocking ``on_wait`` driver — relay ordering, spurious-wakeup handling,
-timeout deadlines and validate-mode checks cannot diverge between sync and
-coroutine waiters.  Requires a backend whose primitives expose
-``acquire_async`` / ``wait_async`` (the asyncio backend and the simulation
-kernel); anything else fails fast with
-:class:`~repro.core.errors.MonitorUsageError`.  The coroutine twins the
-simulation kernel steps (:mod:`repro.preprocessor.twins`) are built on
-these drivers.
+A wait is a generator of ``(condition, timeout)`` park requests, and two
+drivers run it: ``MonitorBase._park_blocking`` blocks on
+``condition.wait``, and :func:`_park` here awaits ``condition.wait_async``.
+So relay ordering, spurious-wakeup handling, timeout deadlines and
+validate-mode checks cannot diverge between blocking and coroutine
+waiters.  Requires a backend whose primitives expose ``acquire_async`` /
+``wait_async`` (the asyncio backend and the simulation kernel); anything
+else fails fast with :class:`~repro.core.errors.MonitorUsageError`.  The
+coroutine twins both backends run (:mod:`repro.preprocessor.twins`) are
+built on these drivers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Awaitable, Optional
 
 from repro.core.errors import MonitorUsageError
 from repro.core.monitor import _raw_setattr
@@ -87,67 +88,56 @@ class monitor_entry:
         return False
 
 
-async def wait_until_async(
-    monitor, predicate: str, timeout: Optional[float] = None, **local_values: object
-) -> None:
-    """``monitor.wait_until(...)`` for a coroutine holding the monitor.
+async def _park(monitor, steps) -> None:
+    """The awaiting driver of a wait: run *steps*, a generator of
+    ``(condition, timeout)`` park requests (None: nothing to wait for).
 
-    Must be called inside :func:`monitor_entry` (the monitor lock held by
-    the current task).  Semantics — globalization, relay-before-wait,
-    spurious wakeups, ``WaitTimeout`` in the backend's time units — are the
-    signalling policy's own ``wait_steps`` generator, so they are identical
-    to the blocking path by construction.
-
-    Each park request is awaited inline — the coroutine twin of
-    ``_block_on``: drop ownership, await ``condition.wait_async``, take
-    ownership back — rather than through a helper coroutine, so a parked
-    waiter keeps one coroutine frame fewer alive (on the asyncio backend
-    and for the simulation kernel's simulated threads alike).
+    The coroutine twin of ``MonitorBase._park_blocking``: each park drops
+    ownership, awaits ``condition.wait_async``, takes ownership back and
+    sends the ``notified`` flag to the generator.  It is the only coroutine
+    frame a parked waiter keeps for its wait, beside the condition's own
+    ``wait_async``.
     """
-    monitor._require_monitor_held("wait_until")
-    compiled = monitor._compiled(predicate, local_values)
-    if monitor._predicate_holds(compiled, local_values):
+    if steps is None:
         return
-    if timeout is None:
-        timeout = monitor._wait_timeout
-    steps = monitor.signalling_policy.wait_steps(
-        compiled, local_values, timeout=timeout
-    )
+    notified = None
     try:
-        try:
-            condition, remaining = next(steps)
-        except StopIteration:
-            return
         while True:
+            try:
+                condition, timeout = steps.send(notified)
+            except StopIteration:
+                return
             _require_async_backend(monitor, condition, "wait_async")
             _raw_setattr(monitor, "_owner_id", None)
             try:
-                notified = await condition.wait_async(remaining)
+                notified = await condition.wait_async(timeout)
             finally:
                 _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
-            try:
-                condition, remaining = steps.send(notified)
-            except StopIteration:
-                return
     finally:
         steps.close()
 
 
-async def wait_on_async(monitor, condition) -> None:
+def wait_until_async(
+    monitor, predicate: str, timeout: Optional[float] = None, **local_values: object
+) -> Awaitable[None]:
+    """``monitor.wait_until(...)`` for a coroutine holding the monitor.
+
+    Must be called inside :func:`monitor_entry` (the monitor lock held by
+    the current task), and awaited.  Semantics — globalization,
+    relay-before-wait, spurious wakeups, ``WaitTimeout`` in the backend's
+    time units — are the monitor's own ``_wait_steps`` and the signalling
+    policy's ``wait_steps`` loop, so they are identical to the blocking
+    path by construction.  A plain function: the coroutine it returns is
+    :func:`_park`'s, so a parked waiter keeps no frame of its own here.
+    """
+    return _park(monitor, monitor._wait_steps(predicate, timeout, local_values))
+
+
+def wait_on_async(monitor, condition) -> Awaitable[None]:
     """``monitor.wait_on(condition)`` for a coroutine holding an explicit
-    monitor: the same stats and traces, awaiting the condition."""
-    monitor._require_monitor_held("wait_on")
-    monitor.stats.waits += 1
-    label = monitor._condition_label(condition)
-    monitor._trace("wait", predicate=label)
-    _require_async_backend(monitor, condition, "wait_async")
-    _raw_setattr(monitor, "_owner_id", None)
-    try:
-        await condition.wait_async()
-    finally:
-        _raw_setattr(monitor, "_owner_id", monitor.backend.current_id())
-    monitor.stats.wakeups += 1
-    monitor._trace("wakeup", predicate=label)
+    monitor, to be awaited: the same stats and traces, through the same
+    park request (``ExplicitMonitor._wait_on_steps``)."""
+    return _park(monitor, monitor._wait_on_steps(condition))
 
 
 async def run_action(monitor, action: str, **local_values: object) -> None:

@@ -232,6 +232,34 @@ class MonitorBase:
                 f"{operation} may only be used from inside a monitor entry method"
             )
 
+    def _park_blocking(self, steps) -> None:
+        """The blocking driver of a wait: run *steps*, a generator of
+        ``(condition, timeout)`` park requests (None: nothing to wait for).
+
+        Each park releases the monitor and blocks on the condition (owner
+        bookkeeping included), then sends back whether the wake-up was a
+        notification (False: the timed wait expired), with the monitor lock
+        re-held.  ``async_driver._park`` is the awaiting twin.
+        """
+        if steps is None:
+            return
+        notified = None
+        try:
+            while True:
+                try:
+                    condition, timeout = steps.send(notified)
+                except StopIteration:
+                    return
+                _raw_setattr(self, "_owner_id", None)
+                try:
+                    notified = condition.wait(timeout)
+                finally:
+                    _raw_setattr(self, "_owner_id", self._backend.current_id())
+        finally:
+            # Closing is idempotent; on an abnormal exit from a park it runs
+            # the generator's cleanup (waiter deregistration).
+            steps.close()
+
 
 #: Names on monitor base classes that must never be treated as entry methods.
 _NEVER_WRAPPED = frozenset(
@@ -429,13 +457,26 @@ class AutoSynchMonitor(MonitorBase):
 
         Must be called from inside an entry method.
         """
+        self._park_blocking(self._wait_steps(predicate, timeout, local_values))
+
+    def _wait_steps(
+        self,
+        predicate: str,
+        timeout: Optional[float],
+        local_values: Mapping[str, object],
+    ):
+        """What both ``wait_until`` drivers share: check the caller holds
+        the monitor, compile *predicate* and test it once.  Returns None
+        when it already holds, else the policy's wait loop (its
+        :meth:`~repro.core.signalling.SignallingPolicy.wait_steps`) under
+        *timeout* or the monitor-wide default."""
         self._require_monitor_held("wait_until")
         compiled = self._compiled(predicate, local_values)
         if self._predicate_holds(compiled, local_values):
-            return
+            return None
         if timeout is None:
             timeout = self._wait_timeout
-        self._policy.on_wait(compiled, local_values, timeout=timeout)
+        return self._policy.wait_steps(compiled, local_values, timeout)
 
     def _before_release(self) -> None:
         self._policy.on_monitor_exit()
@@ -520,20 +561,6 @@ class AutoSynchMonitor(MonitorBase):
     def _create_condition(self) -> ConditionAPI:
         """Create a condition variable tied to the monitor lock."""
         return self._backend.create_condition(self._mutex)
-
-    def _block_on(
-        self, condition: ConditionAPI, timeout: Optional[float] = None
-    ) -> bool:
-        """Release the monitor and block on *condition* (owner bookkeeping
-        included).
-
-        Returns whether the wake-up was a notification (False: the timed
-        wait expired); either way the monitor lock is re-held."""
-        _raw_setattr(self, "_owner_id", None)
-        try:
-            return condition.wait(timeout)
-        finally:
-            _raw_setattr(self, "_owner_id", self._backend.current_id())
 
     def try_self_heal(self) -> Optional[ConditionAPI]:
         """Attempt to recover from an imminent deadlock (pure bookkeeping).
@@ -621,16 +648,18 @@ class ExplicitMonitor(MonitorBase):
 
     def wait_on(self, condition: ConditionAPI) -> None:
         """Wait on *condition* (the monitor lock is released while waiting)."""
+        self._park_blocking(self._wait_on_steps(condition))
+
+    def _wait_on_steps(self, condition: ConditionAPI):
+        """``wait_on`` as one park request, for either driver."""
         self._require_monitor_held("wait_on")
-        self._stats.waits += 1
-        self._trace("wait", predicate=self._condition_label(condition))
-        _raw_setattr(self, "_owner_id", None)
-        try:
-            condition.wait()
-        finally:
-            _raw_setattr(self, "_owner_id", self._backend.current_id())
-        self._stats.wakeups += 1
-        self._trace("wakeup", predicate=self._condition_label(condition))
+        stats = self._stats
+        label = self._condition_label(condition)
+        stats.waits += 1
+        self._trace("wait", predicate=label)
+        yield condition, None
+        stats.wakeups += 1
+        self._trace("wakeup", predicate=label)
 
     def signal(self, condition: ConditionAPI) -> None:
         """Wake one thread waiting on *condition*."""

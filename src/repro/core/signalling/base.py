@@ -2,19 +2,26 @@
 
 A :class:`SignallingPolicy` decides *which waiting thread wakes up when* for
 one :class:`~repro.core.monitor.AutoSynchMonitor` instance.  The monitor owns
-the lock, the stats and the predicate compiler; the policy owns the blocking
-protocol.  Four hooks cover the whole lifecycle:
+the lock, the stats, the predicate compiler and the two drivers that park a
+waiter (one blocking, one awaiting); the policy owns the one wait loop,
+:meth:`~SignallingPolicy.wait_steps`, and fills it in through four hooks:
 
-* :meth:`on_wait` — a ``wait_until`` predicate evaluated to false; block the
-  calling thread until it holds (the policy implements the full wait loop,
-  including spurious-wakeup handling).
-* :meth:`on_monitor_exit` — a thread is leaving the monitor through an entry
-  method return; hand the monitor on to waiting threads as the policy sees
-  fit (relay one, relay a batch, broadcast, ...).
-* :meth:`consume` — a woken waiter consumed one promised signal (only
-  meaningful for policies that track pending signals through a
-  :class:`~repro.core.condition_manager.ConditionManager`).
-* :meth:`describe` — a one-line human-readable label used by harness reports.
+* :meth:`~SignallingPolicy._enlist` — a ``wait_until`` predicate evaluated
+  to false; say where the waiter parks, its trace label, what a wakeup
+  re-checks (and with which locals) and its predicate entry, if any;
+* :meth:`~SignallingPolicy._delist` — the wait is over (satisfied, timed
+  out or abandoned); undo the registration;
+* :meth:`~SignallingPolicy._hand_off` — a thread is leaving the monitor,
+  by an entry method return or by going to wait; pass the monitor on to
+  waiting threads as the policy sees fit (relay one, relay a batch,
+  broadcast, ...);
+* :meth:`~SignallingPolicy.consume` — a notified waiter consumed one
+  promised signal (only meaningful for policies that track pending signals
+  through a :class:`~repro.core.condition_manager.ConditionManager`).
+
+:meth:`~SignallingPolicy.on_monitor_exit` (an entry method return; by
+default one hand-off) and :meth:`~SignallingPolicy.describe` (a one-line
+label used by harness reports) round off the interface.
 
 Policies are registered by name in :mod:`repro.core.signalling.registry`;
 ``AutoSynchMonitor(signalling=...)`` accepts a registered name, a policy
@@ -95,34 +102,39 @@ class SignallingPolicy(abc.ABC):
     # -- the strategy hooks --------------------------------------------------
 
     @abc.abstractmethod
-    def on_wait(
-        self,
-        compiled: "CompiledPredicate",
-        local_values: Mapping[str, object],
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Block the calling thread until *compiled* holds.
+    def _enlist(
+        self, compiled: "CompiledPredicate", local_values: Mapping[str, object]
+    ) -> tuple:
+        """Register a waiter on *compiled* (false with *local_values*).
 
-        Called with the monitor lock held, after the predicate evaluated to
-        false once.  Must return with the lock held and the predicate true.
-        With a *timeout* (in the backend's time units), the wait must raise
-        :class:`~repro.core.errors.WaitTimeout` — lock re-held — once the
-        deadline passes with the predicate still false.
+        Returns ``(condition, label, recheck, recheck_locals, entry)``: the
+        condition the waiter parks on, the predicate text its traces carry,
+        the predicate a wakeup re-evaluates with ``recheck_locals``, and the
+        predicate entry handed to :meth:`consume` and :meth:`_delist` (None
+        for a policy without one).
         """
 
-    @abc.abstractmethod
-    def on_monitor_exit(self) -> None:
-        """A thread is leaving the monitor: pass it on to waiting threads."""
+    def _delist(self, entry: Optional["PredicateEntry"]) -> None:
+        """The wait on *entry* is over: undo what :meth:`_enlist` did."""
 
-    def consume(self, entry: "PredicateEntry") -> None:
-        """A woken waiter on *entry* consumed one promised signal."""
+    @abc.abstractmethod
+    def _hand_off(self) -> None:
+        """A thread is leaving the monitor (returning or going to wait):
+        pass it on to waiting threads."""
+
+    def on_monitor_exit(self) -> None:
+        """A thread is returning from an entry method: hand the monitor on."""
+        self._hand_off()
+
+    def consume(self, entry: Optional["PredicateEntry"]) -> None:
+        """A notified waiter on *entry* consumed one promised signal."""
 
     def describe(self) -> str:
         """One-line label used by reports and the CLI (defaults to
         :attr:`description`, falling back to the policy name)."""
         return self.description or self.name
 
-    # -- the wait protocol, split from the blocking primitive ------------------
+    # -- the wait loop ---------------------------------------------------------
 
     def wait_steps(
         self,
@@ -130,46 +142,58 @@ class SignallingPolicy(abc.ABC):
         local_values: Mapping[str, object],
         timeout: Optional[float] = None,
     ):
-        """The wait loop as a generator of park requests.
+        """The ``waituntil`` loop as a generator of park requests.
 
-        Yields ``(condition, remaining_timeout)`` each time the calling
-        thread must block, and receives the park's ``notified`` flag back
-        via ``send()``.  Returns (``StopIteration``) once the predicate
+        Called with the monitor lock held, after *compiled* evaluated to
+        false once.  Yields ``(condition, remaining_timeout)`` each time the
+        calling thread must park, and receives the park's ``notified`` flag
+        back via ``send()``.  Returns (``StopIteration``) once the predicate
         holds; raises :class:`~repro.core.errors.WaitTimeout` when the
-        deadline passes.  All bookkeeping — relay-before-wait, stats,
-        deadline arithmetic in the backend's :meth:`Backend.now` units,
-        waiter registration/removal — lives in the generator, so sync and
-        coroutine drivers cannot diverge: :meth:`on_wait` drives it with
-        ``monitor._block_on`` and the asyncio driver with
-        ``await condition.wait_async``.
-
-        The base implementation reports the policy as not generator-driven;
-        policies overriding only :meth:`on_wait` keep working on blocking
-        backends but cannot host coroutine waiters.
+        deadline (in the backend's :meth:`Backend.now` units) passes with
+        the predicate still false.  Every park is preceded by a
+        :meth:`_hand_off`, and the registration is undone in ``finally``
+        however the wait ends.  The monitor's two drivers run it —
+        ``MonitorBase._park_blocking`` and ``async_driver._park`` — so
+        blocking and coroutine waiters cannot diverge.
         """
-        raise MonitorUsageError(
-            f"signalling policy {self.name!r} does not implement the wait_steps "
-            "protocol; it cannot drive coroutine waiters"
-        )
-
-    def _drive_wait(self, steps) -> None:
-        """Run a :meth:`wait_steps` generator on a blocking backend."""
         monitor = self.monitor
+        stats = monitor.stats
+        backend = monitor.backend
+        condition, label, recheck, recheck_locals, entry = self._enlist(
+            compiled, local_values
+        )
+        # The single place deadlines are computed: backend.now() units on
+        # both ends, so no driver (or backend) can mix clocks.
+        deadline = backend.now() + timeout if timeout is not None else None
         try:
-            try:
-                condition, remaining = next(steps)
-            except StopIteration:
-                return
             while True:
-                notified = monitor._block_on(condition, timeout=remaining)
-                try:
-                    condition, remaining = steps.send(notified)
-                except StopIteration:
+                # Going to wait is a monitor exit too: hand the monitor on
+                # first (the relay rule, or a broadcast).
+                self._hand_off()
+                stats.waits += 1
+                monitor._trace("wait", predicate=label)
+                remaining = (
+                    max(deadline - backend.now(), 0.0)
+                    if deadline is not None
+                    else None
+                )
+                notified = yield condition, remaining
+                stats.wakeups += 1
+                if notified:
+                    # An expired wait consumed no signal; a promise made to
+                    # this entry stays valid for its remaining waiters.
+                    self.consume(entry)
+                if monitor._predicate_holds(recheck, recheck_locals):
+                    monitor._trace("wakeup", predicate=label)
                     return
+                if deadline is not None and backend.now() >= deadline:
+                    stats.wait_timeouts += 1
+                    monitor._trace("wait_timeout", predicate=label)
+                    raise WaitTimeout(compiled.source, timeout)
+                stats.spurious_wakeups += 1
+                monitor._trace("spurious_wakeup", predicate=label)
         finally:
-            # Closing is idempotent; on an abnormal exit from _block_on it
-            # runs the generator's cleanup (waiter deregistration).
-            steps.close()
+            self._delist(entry)
 
 
 class RelayPolicyBase(SignallingPolicy):
@@ -211,74 +235,25 @@ class RelayPolicyBase(SignallingPolicy):
 
     # -- hook implementations --------------------------------------------------
 
-    def on_wait(
-        self,
-        compiled: "CompiledPredicate",
-        local_values: Mapping[str, object],
-        timeout: Optional[float] = None,
-    ) -> None:
-        self._drive_wait(self.wait_steps(compiled, local_values, timeout))
-
-    def wait_steps(
-        self,
-        compiled: "CompiledPredicate",
-        local_values: Mapping[str, object],
-        timeout: Optional[float] = None,
-    ):
-        monitor = self.monitor
-        manager = self._manager
-        stats = monitor.stats
-        backend = monitor.backend
+    def _enlist(self, compiled, local_values):
         globalized = compiled.globalized(local_values)
         if globalized.from_template:
-            stats.template_globalizations += 1
+            self._monitor._stats.template_globalizations += 1
+        manager = self._manager
         entry = manager.acquire_entry(
             globalized, from_shared_predicate=compiled.is_shared
         )
         manager.add_waiter(entry)
-        # The single place deadlines are computed: backend.now() units on
-        # both ends, so no driver (or backend) can mix clocks.
-        deadline = backend.now() + timeout if timeout is not None else None
-        try:
-            while True:
-                # Relay rule: a thread about to wait passes the monitor on to
-                # waiting threads whose predicates already hold, if any exist.
-                self._relay_checked()
-                stats.waits += 1
-                monitor._trace("wait", predicate=entry.canonical)
-                remaining = (
-                    max(deadline - backend.now(), 0.0)
-                    if deadline is not None
-                    else None
-                )
-                notified = yield entry.condition, remaining
-                stats.wakeups += 1
-                if notified:
-                    # An expired wait consumed no signal; a promise made to
-                    # this entry stays valid for its remaining waiters.
-                    self.consume(entry)
-                if monitor._predicate_holds(globalized):
-                    monitor._trace("wakeup", predicate=entry.canonical)
-                    return
-                if deadline is not None and backend.now() >= deadline:
-                    stats.wait_timeouts += 1
-                    monitor._trace("wait_timeout", predicate=entry.canonical)
-                    raise WaitTimeout(compiled.source, timeout)
-                stats.spurious_wakeups += 1
-                monitor._trace("spurious_wakeup", predicate=entry.canonical)
-        finally:
-            manager.remove_waiter(entry)
+        return entry.condition, entry.canonical, globalized, None, entry
 
-    def on_monitor_exit(self) -> None:
-        self._relay_checked()
+    def _delist(self, entry: "PredicateEntry") -> None:
+        self._manager.remove_waiter(entry)
 
     def consume(self, entry: "PredicateEntry") -> None:
         self._manager.consume_signal(entry)
 
-    def _relay_checked(self) -> bool:
+    def _hand_off(self) -> None:
         """One relay step, with the monitor's validate-mode invariance check."""
         monitor = self.monitor
-        signalled = self.relay()
-        if monitor._validate and not signalled:
+        if not self.relay() and monitor._validate:
             monitor._check_no_missed_signal()
-        return signalled

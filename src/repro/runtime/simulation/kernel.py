@@ -284,7 +284,6 @@ class SimulationBackend(Backend):
         self._acting: Optional[_SimThread] = None
         self._threads: Dict[int, _SimThread] = {}
         self._next_tid = 0
-        self._running = False
         self._clear_run_fields()
 
     # ------------------------------------------------------------------
@@ -454,11 +453,11 @@ class SimulationBackend(Backend):
         """
         from repro.preprocessor.twins import coroutine_bodies  # twins imports this module
 
-        if self._running:
+        if self._owner is not None:
             self.current_thread()
         target = coroutine_bodies([target], [name or f"sim-{self._next_tid}"])[0]
         sim_thread = self._create_thread(target, name)
-        if self._running:
+        if self._owner is not None:
             sim_thread.state = _State.RUNNABLE
             self._runnable.append(sim_thread.tid)
         return _SimHandle(sim_thread)
@@ -483,7 +482,7 @@ class SimulationBackend(Backend):
         """
         from repro.preprocessor.twins import coroutine_bodies  # twins imports this module
 
-        if self._running:
+        if self._owner is not None:
             raise SimulationError("run() called while a simulation is already in progress")
         self._reset_run_state()
         names = [names[index] if names else f"sim-{index}" for index in range(len(targets))]
@@ -494,7 +493,6 @@ class SimulationBackend(Backend):
         pending = list(self._threads.values())
         if not pending:
             return
-        self._running = True
         self._owner = get_ident()
         for sim_thread in pending:
             sim_thread.state = _State.RUNNABLE
@@ -504,7 +502,6 @@ class SimulationBackend(Backend):
         finally:
             self._acting = None
             self._owner = None
-            self._running = False
 
         if autopsy is not None:
             raise SimulationHangError(
@@ -591,7 +588,7 @@ class SimulationBackend(Backend):
 
         Raises :class:`SimulationError` if a run is in progress.
         """
-        if self._running:
+        if self._owner is not None:
             raise SimulationError("recycle() called while a simulation is in progress")
         if seed is not None:
             self._seed = seed
@@ -625,7 +622,7 @@ class SimulationBackend(Backend):
 
         Raises :class:`SimulationError` unless the backend was just recycled.
         """
-        if self._running or self._locks or self._conditions:
+        if self._owner is not None or self._locks or self._conditions:
             raise SimulationError("adopt() needs a freshly recycled backend")
         locks, conditions = objects
         for lock in locks:
@@ -646,11 +643,6 @@ class SimulationBackend(Backend):
         self._threads[tid] = sim_thread
         self.metrics.threads_spawned += 1
         return sim_thread
-
-    def _record_failure(self, exc: BaseException) -> None:
-        """An exception escaped a simulated thread: abort the run with it."""
-        self._failures.append(exc)
-        self._abort = True
 
     # ------------------------------------------------------------------
     # The stepper
@@ -707,7 +699,7 @@ class SimulationBackend(Backend):
             # this handler) reports that.
             return None
         except BaseException as exc:
-            self._record_failure(exc)
+            self._fail(exc)
             return None
 
     def _finish(self, sim_thread: _SimThread) -> Optional[_SimThread]:
@@ -755,7 +747,7 @@ class SimulationBackend(Backend):
             coro.close()
         except Exception as exc:
             if coro.cr_frame is None:  # the exit raised this on its way out
-                self._record_failure(exc)
+                self._fail(exc)
         if coro.cr_frame is not None:
             # "coroutine ignored GeneratorExit": it asked for another decision.
             self._unkillable.append(sim_thread.name)
@@ -820,7 +812,7 @@ class SimulationBackend(Backend):
         if self._abort:
             return None
         if self._timed_waits:
-            self._expire_due_waits()
+            self._expire_waits(self._steps)
         if self._fault_injector is not None:
             try:
                 self._fault_injector.on_decision(self, self._steps)
@@ -873,11 +865,10 @@ class SimulationBackend(Backend):
         return sim_thread
 
     def _fail(self, exc: BaseException) -> None:
-        """Abort the run with *exc* from inside the scheduling machinery.
-
-        Scheduler, observer and fault-injection callbacks run in the
-        stepper's decisions, outside any simulated thread's code, so their
-        exceptions are funnelled through the failure list and surface from
+        """Abort the run with *exc*: an exception that escaped a simulated
+        thread, or one raised by a scheduler, observer or fault-injection
+        callback in the stepper's decisions, outside any simulated thread's
+        code.  Both are funnelled through the failure list and surface from
         :meth:`run`.
         """
         self._failures.append(exc)
@@ -900,7 +891,9 @@ class SimulationBackend(Backend):
         # time jumps to the earliest pending deadline (real time would pass
         # anyway) and the expired waiter gets the monitor back.
         if self._timed_waits:
-            self._expire_earliest_waits()
+            self._expire_waits(
+                min(deadline for _, deadline in self._timed_waits.values())
+            )
             if self._runnable:
                 return self._pick_next(reason="wait timeout")
             return self._handle_no_runnable()
@@ -1159,24 +1152,13 @@ class SimulationBackend(Backend):
     # Timed waits
     # ------------------------------------------------------------------
 
-    def _expire_due_waits(self) -> None:
-        """Expire every timed wait whose deadline has passed (in step time)."""
+    def _expire_waits(self, cutoff: float) -> None:
+        """Expire every timed wait whose deadline is at or before *cutoff*
+        (in step time), earliest first."""
         due = sorted(
             (deadline, tid)
             for tid, (_, deadline) in self._timed_waits.items()
-            if deadline <= self._steps
-        )
-        for _, tid in due:
-            self._expire_wait(tid)
-
-    def _expire_earliest_waits(self) -> None:
-        """Jump simulation time to the earliest pending deadline and expire
-        every wait due then.  Called only when nothing is runnable."""
-        earliest = min(deadline for (_, deadline) in self._timed_waits.values())
-        due = sorted(
-            (deadline, tid)
-            for tid, (_, deadline) in self._timed_waits.items()
-            if deadline <= earliest
+            if deadline <= cutoff
         )
         for _, tid in due:
             self._expire_wait(tid)
@@ -1193,11 +1175,7 @@ class SimulationBackend(Backend):
             # Notified concurrently with expiry: the notification wins.
             return
         sim_thread.timed_out = True
-        if condition.lock.owner is None:
-            condition.lock.owner = tid
-            self._make_runnable(tid)
-        else:
-            condition.lock.queue.append(tid)
+        self._grant_lock_to_waiter(condition, tid)
 
     # ------------------------------------------------------------------
     # Fault injection surface (called by repro.faults from injector hooks

@@ -24,6 +24,17 @@ from repro.problems.registry import available_problems, get_problem
 THREADS = 4
 TOTAL_OPS = 24
 
+#: Explicit-monitor sizes where the default one parks no condition waiter
+#: on asyncio: the bounded buffer's tasks all get through at 4 / 24, and
+#: park 6 waiters at 8 / 48.
+EXPLICIT_SIZES = {"bounded_buffer": (8, 48)}
+
+#: Problems whose asyncio runs park no condition waiter at any size, under
+#: either mechanism: a task is never preempted between its start and end
+#: entries, so no reader ever meets a writer inside and no philosopher
+#: finds a fork taken.  Their explicit waits run only on threads.
+NEVER_PARK_ON_ASYNCIO = {"readers_writers", "dining_philosophers"}
+
 #: Problems with a hand-written explicit-signal monitor.
 EXPLICIT_PROBLEMS = [
     name
@@ -32,15 +43,16 @@ EXPLICIT_PROBLEMS = [
 ]
 
 
-def _run(problem_name, backend_name, mechanism="autosynch"):
+def _run(problem_name, backend_name, mechanism="autosynch",
+         threads=THREADS, total_ops=TOTAL_OPS):
     problem = get_problem(problem_name)
     backend = make_backend(backend_name)
     return run_workload(
         problem,
         mechanism,
         backend,
-        threads=THREADS,
-        total_ops=TOTAL_OPS,
+        threads=threads,
+        total_ops=total_ops,
         verify=True,       # problem invariants / conservation oracles
         validate=True,     # relay-invariance checking at every step
     )
@@ -55,13 +67,17 @@ def test_asyncio_matches_threading_in_validate_mode(problem_name):
 
 @pytest.mark.parametrize("problem_name", EXPLICIT_PROBLEMS)
 def test_explicit_signalling_matches_threading(problem_name):
-    """The explicit monitors' own waits and notifies hold on asyncio too."""
-    _assert_same_verdict(problem_name, EXPLICIT_MECHANISM)
+    """The explicit monitors' own waits and notifies hold on asyncio too,
+    and every problem that can park a condition waiter there does."""
+    size = EXPLICIT_SIZES.get(problem_name, (THREADS, TOTAL_OPS))
+    asyncio_result = _assert_same_verdict(problem_name, EXPLICIT_MECHANISM, *size)
+    if problem_name not in NEVER_PARK_ON_ASYNCIO:
+        assert asyncio_result.backend_metrics["condition_waits"] > 0
 
 
-def _assert_same_verdict(problem_name, mechanism):
-    threading_result = _run(problem_name, "threading", mechanism)
-    asyncio_result = _run(problem_name, "asyncio", mechanism)
+def _assert_same_verdict(problem_name, mechanism, *size):
+    threading_result = _run(problem_name, "threading", mechanism, *size)
+    asyncio_result = _run(problem_name, "asyncio", mechanism, *size)
 
     assert threading_result.backend == "threading"
     assert asyncio_result.backend == "asyncio"
@@ -69,6 +85,7 @@ def _assert_same_verdict(problem_name, mechanism):
     # Both backends drove the full workload through the monitor.
     assert asyncio_result.monitor_stats["entries"] > 0
     assert threading_result.monitor_stats["entries"] > 0
+    return asyncio_result
 
 
 @pytest.mark.parametrize("problem_name", ["resource_pool", "fifo_semaphore"])

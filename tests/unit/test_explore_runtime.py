@@ -46,9 +46,15 @@ class TestBackendRecycling:
 
     def test_recycle_refused_mid_run(self):
         backend = SimulationBackend(seed=0)
-        backend._running = True
-        with pytest.raises(SimulationError, match="in progress"):
-            backend.recycle()
+        refusals = []
+
+        async def recycles_mid_run():
+            with pytest.raises(SimulationError, match="in progress") as refused:
+                backend.recycle()
+            refusals.append(refused.value)
+
+        backend.run([recycles_mid_run])
+        assert len(refusals) == 1
 
     def test_runtime_recycles_one_backend_until_closed(self):
         runtime = TaskRuntime(TASK)

@@ -24,7 +24,7 @@ from repro.core.signalling import (
     unregister_policy,
 )
 from repro.predicates import compile_predicate
-from repro.runtime import SimulationBackend
+from repro.runtime import SimulationBackend, create_backend
 
 EXPECTED_POLICIES = (
     "autosynch",
@@ -62,6 +62,40 @@ class Scoreboard(AutoSynchMonitor):
     def wait_for(self, threshold):
         self.wait_until("score >= threshold", threshold=threshold)
         return self.score
+
+
+class Buffer(AutoSynchMonitor):
+    def __init__(self, capacity, **kwargs):
+        super().__init__(**kwargs)
+        self.items = []
+        self.capacity = capacity
+
+    def put(self, item):
+        self.wait_until("len(items) < capacity")
+        self.items.append(item)
+
+    def take(self):
+        self.wait_until("len(items) > 0")
+        return self.items.pop(0)
+
+
+class HooksOnlyPolicy(SignallingPolicy):
+    """A policy written against the two required hooks alone: every waiter
+    parks on one condition, made at the first wait, and every hand-off
+    wakes them all.  The wait loop, its timeouts and the monitor-exit hook
+    are the base class's."""
+
+    name = "hooks_only_test"
+    _condition = None
+
+    def _enlist(self, compiled, local_values):
+        if self._condition is None:
+            self._condition = self.monitor._create_condition()
+        return self._condition, compiled.source, compiled, local_values, None
+
+    def _hand_off(self):
+        if self._condition is not None:
+            self._condition.notify_all()
 
 
 class TestRegistry:
@@ -191,6 +225,57 @@ class TestMonitorIntegration:
         assert taken == list(range(10))
         assert cell.stats.waits > 0
         assert cell.stats.signal_alls_sent == 0
+
+
+class TestOneWaitLoop:
+    @pytest.mark.parametrize("backend_name", ["threading", "asyncio", "simulation"])
+    def test_a_hooks_only_policy_runs_on_every_backend(self, backend_name):
+        """One wait loop serves the blocking driver (threading) and the
+        awaiting one (asyncio tasks, simulated threads) alike."""
+        backend = create_backend(backend_name)
+        buffer = Buffer(2, backend=backend, signalling=HooksOnlyPolicy)
+        taken = []
+
+        def producer():
+            for item in range(20):
+                buffer.put(item)
+
+        def consumer():
+            for _ in range(10):
+                taken.append(buffer.take())
+
+        backend.run([producer, consumer, consumer], ["producer", "c0", "c1"])
+        assert sorted(taken) == list(range(20))
+        assert buffer.stats.waits > 0
+        assert buffer.stats.wakeups == buffer.stats.waits
+
+    def test_parking_hands_off_without_on_monitor_exit(self):
+        """``on_monitor_exit`` is for entry returns only: a policy that
+        overrides it (the seeded lossy relays do) sees one call per entry,
+        however many times the wait loop parks and hands off."""
+
+        class CountingExits(RelayTaggedPolicy):
+            name = "counting_exits_test"
+            exits = 0
+
+            def on_monitor_exit(self):
+                self.exits += 1
+                super().on_monitor_exit()
+
+        backend = SimulationBackend(seed=11)
+        cell = Cell(backend=backend, signalling=CountingExits)
+
+        def consumer():
+            for _ in range(10):
+                cell.take()
+
+        def producer():
+            for value in range(10):
+                cell.put(value)
+
+        backend.run([consumer, producer], ["consumer", "producer"])
+        assert cell.stats.waits > 0
+        assert cell.signalling_policy.exits == cell.stats.entries == 20
 
 
 class TestBatchedRelay:
