@@ -15,33 +15,30 @@ thread whose predicate is currently true and notify it.  With ``use_tags``
 disabled the manager degenerates into the paper's *AutoSynch-T* variant: the
 same relay rule, but every active predicate is checked exhaustively.
 
-Every search pass (``_relay_search``, ``relay_signal_fifo``,
-``find_missed_waiter``) evaluates predicates through a per-pass
-:class:`~repro.predicates.evaluator.EvalContext` — a single pooled instance
-reset per pass, so the relay loop does not allocate one (plus its two memo
-dicts) per hand-off: the monitor lock is held
-for the whole pass, so shared state cannot change mid-pass, and the context
-memoizes shared-variable and shared-expression reads — a batch of N entries
-over the same shared expression costs one read instead of N.  The context
-runs each predicate's codegen closure (:mod:`repro.predicates.codegen`),
-falls back to the tree walker where codegen declined or quarantined it, and
-attributes both counts to the monitor stats.
+``relay_signal`` and ``signal_many(limit)`` (the batched-relay policy) run
+one search pass: the tag structures, then, only while an untagged entry is
+active, the untagged entries.  ``_untagged_candidates`` is the one source of
+those; with a write tracker it leaves out entries proved false and unwritten
+since.  ``relay_signal_fifo`` (the FIFO-fair policy) walks the same
+candidates and signals the true entry whose waiter enqueued first.
 
-Two generalizations serve the pluggable signalling policies
-(:mod:`repro.core.signalling`): ``signal_many(limit)`` amortizes one search
-pass over up to *limit* wake-ups (the batched-relay policy; like every
-pass it evaluates candidates one at a time and stops at the entry that
-fills the limit), and
-``relay_signal_fifo`` breaks ties among true predicates by the longest
-waiting thread, using the per-waiter enqueue sequence numbers stamped by
-``add_waiter`` (the FIFO-fair policy).
+Every pass evaluates predicates through one pooled, per-pass
+:class:`~repro.predicates.evaluator.EvalContext`, reset per pass: the
+monitor lock is held for the whole pass, so shared state cannot change
+mid-pass, and the context memoizes shared-variable reads — N predicates over
+one monitor field cost one read.  It runs each predicate's codegen closure
+(:mod:`repro.predicates.codegen`), falls back to the tree walker where
+codegen declined or quarantined it, and attributes both counts to the
+monitor stats.  ``find_missed_waiter`` stays a separate exhaustive walk over
+the whole table: it is the reference validate mode and self-healing check
+the search against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.errors import MonitorUsageError
 from repro.core.heaps import LOWER_BOUND_OPS, ThresholdHeap, UPPER_BOUND_OPS
@@ -454,7 +451,19 @@ class ConditionManager:
             return 0
         ctx = self._eval_context()
         try:
-            signalled = self._relay_search_pass(limit, ctx)
+            signalled = 0
+            if self.use_tags:
+                for index in self._indices.values():
+                    signalled += self._search_index(index, limit - signalled, ctx)
+                    if signalled >= limit:
+                        break
+            # No untagged entry active: the dirty names stay undrained, as
+            # they could only re-pend entries parked later, which start
+            # pending anyway.
+            if signalled < limit and self._untagged:
+                signalled += self._signal_true(
+                    self._untagged_candidates(), limit - signalled, ctx, untagged=True
+                )
         finally:
             self._release_context(ctx)
         if self._tracer is not None:
@@ -465,56 +474,36 @@ class ConditionManager:
             )
         return signalled
 
-    def _relay_search_pass(self, limit: int, ctx: EvalContext) -> int:
-        signalled = 0
-        if self.use_tags:
-            for index in self._indices.values():
-                signalled += self._search_index(index, limit - signalled, ctx)
-                if signalled >= limit:
-                    break
-        if signalled < limit:
-            signalled += self._search_untagged(limit - signalled, ctx)
-        return signalled
-
     def relay_signal_fifo(self) -> bool:
         """Signal the true-predicate entry with the longest-waiting thread.
 
-        The FIFO-fair relay primitive: evaluates every active predicate with
-        un-signalled waiters and, among the true ones, signals the entry
-        whose oldest un-promised waiter has the smallest enqueue sequence
-        number.  No tag pruning, but with a write tracker the pass still
-        skips entries proved false and untouched since — skipping known-false
-        entries cannot change which true entry wins the tie-break, so relay
+        The FIFO-fair relay primitive, for a manager built without tags
+        (every active entry is untagged): evaluates every active predicate
+        with un-signalled waiters and, among the true ones, signals the
+        entry whose oldest un-promised waiter has the smallest enqueue
+        sequence number.  With a write tracker the pass still skips entries
+        proved false and untouched since — skipping known-false entries
+        cannot change which true entry wins the tie-break, so relay
         invariance holds exactly as for :meth:`relay_signal`.
         """
+        if self.use_tags:
+            raise MonitorUsageError("relay_signal_fifo needs use_tags=False")
         self._stats.relay_signal_calls += 1
         if self._active_count == 0:
             return False  # nobody waiting: trivially exhaustive
+        tracker = self._tracker
         ctx = self._eval_context()
         try:
             best: Optional[PredicateEntry] = None
             best_seq: Optional[int] = None
-            incremental = self._tracker is not None and not self.use_tags
-            if incremental:
-                entries, clock = self._untagged_candidates()
-                self._stats.relay_entries_skipped += (
-                    len(self._untagged) - len(entries)
-                )
-            else:
-                clock = 0
-                # Without tags every active entry lives in _untagged, which
-                # skips the retired/shared entries _table keeps around; with
-                # tags the table is the only complete view.
-                entries = (
-                    self._table.values() if self.use_tags else self._untagged.values()
-                )
-            for entry in entries:
+            clock = tracker.clock if tracker is not None else 0
+            for entry in self._untagged_candidates():
                 if not entry.active or entry.unsignalled_waiters <= 0:
                     continue
                 self._stats.exhaustive_checks += 1
                 self._stats.predicate_evaluations += 1
                 if not ctx.holds(entry.globalized):
-                    if incremental:
+                    if tracker is not None:
                         self._mark_clean(entry, ctx, clock)
                     continue
                 seq = entry.next_unsignalled_seq
@@ -590,7 +579,7 @@ class ConditionManager:
         self, index: _ExpressionIndex, limit: int, ctx: EvalContext
     ) -> int:
         try:
-            value = ctx.evaluate_shared(index.shared_expr, index.expr_key)
+            value = ctx.evaluate_shared(index.shared_expr)
         except EvaluationError:
             # The shared expression cannot currently be evaluated (e.g. a
             # field was deleted); fall back to exhaustive search for safety.
@@ -599,8 +588,13 @@ class ConditionManager:
         signalled = 0
         if index.equivalence:
             self._stats.tag_hash_lookups += 1
-            bucket = self._equivalence_bucket(index, value)
-            if bucket:
+            try:
+                bucket = index.equivalence.get(value)
+            except TypeError:  # unhashable shared-expression value
+                bucket = None
+            if bucket is not None:
+                if type(bucket) is not list:
+                    bucket = (bucket,)
                 signalled += self._signal_true(bucket, limit, ctx)
         if signalled < limit:
             signalled += self._search_heap(
@@ -611,17 +605,6 @@ class ConditionManager:
                 index.upper_heap, value, limit - signalled, ctx
             )
         return signalled
-
-    def _equivalence_bucket(
-        self, index: _ExpressionIndex, value: object
-    ) -> Optional[Sequence[PredicateEntry]]:
-        try:
-            bucket = index.equivalence.get(value)
-        except TypeError:  # unhashable shared-expression value
-            return None
-        if bucket is None or type(bucket) is list:
-            return bucket
-        return (bucket,)
 
     def _search_heap(
         self, heap: ThresholdHeap, value: object, limit: int, ctx: EvalContext
@@ -654,87 +637,82 @@ class ConditionManager:
                 heap.push_node(node)
         return signalled
 
-    # -- exhaustive / dirty-set search ---------------------------------------
+    # -- untagged / dirty-set search -----------------------------------------
 
-    def _search_untagged(self, limit: int, ctx: EvalContext) -> int:
-        if self._tracker is None:
-            return self._signal_true(
-                self._untagged.values(), limit, ctx, count_as_exhaustive=True
-            )
-        ordered, clock = self._untagged_candidates()
-        self._stats.relay_entries_skipped += len(self._untagged) - len(ordered)
-        eligible = [
-            entry
-            for entry in ordered
-            if entry.active and entry.unsignalled_waiters > 0
-        ]
-        if not eligible:
-            return 0
-        return self._signal_candidates(
-            eligible, limit, ctx, count_as_exhaustive=True, clock=clock
-        )
+    def _untagged_candidates(self) -> Iterable[PredicateEntry]:
+        """The untagged entries a pass evaluates, in activation order.
 
-    def _untagged_candidates(self) -> tuple:
-        """Drain dirty names into the pending set and return it in order.
-
-        Returns ``(entries, clock)`` where *entries* are the pending untagged
-        entries sorted by activation order (matching the insertion order an
-        exhaustive walk over ``_untagged`` would use) and *clock* is the
-        tracker clock the whole pass evaluates at (shared state cannot change
-        mid-pass: the monitor lock is held).
+        Without a write tracker that is every untagged entry.  With one, the
+        dirty names written since the last drain re-pend the entries that
+        read them, every entry left out of the pending set counts as
+        skipped, and the pending entries come back sorted by activation
+        order — the insertion order of ``_untagged``, so both paths visit
+        entries alike.
         """
         tracker = self._tracker
-        clock = tracker.clock
-        dirty = tracker.drain()
+        if tracker is None:
+            return self._untagged.values()
         pending = self._untagged_pending
+        dirty = tracker.drain()
         if dirty:
             by_name = self._untagged_by_name
             for name in dirty:
                 bucket = by_name.get(name)
                 if bucket:
                     pending.update(bucket)
-        if not pending:
-            return [], clock
-        ordered = sorted(pending.values(), key=lambda e: e.order_seq)
-        return ordered, clock
+        self._stats.relay_entries_skipped += len(self._untagged) - len(pending)
+        return sorted(pending.values(), key=lambda e: e.order_seq)
 
     def _signal_true(
         self,
         entries: Iterable[PredicateEntry],
         limit: int,
         ctx: EvalContext,
-        count_as_exhaustive: bool = False,
+        untagged: bool = False,
     ) -> int:
         """Signal waiters of true-predicate entries, up to *limit* in total.
 
-        An entry whose predicate holds may receive several of the batch's
-        signals — one per un-promised waiter — since every one of those
-        waiters is ready by the same evaluation.  Signalling never mutates
+        Entries are evaluated in order, and the pass stops at the entry that
+        fills *limit*; a true entry receives one signal per un-promised
+        waiter, all ready by the same evaluation.  Signalling never mutates
         the tag structures (deactivation happens when the woken waiter
         re-acquires the lock), so iterating the live containers is safe.
 
-        With a write tracker, entries evaluated false at some earlier clock
-        and untouched since are skipped outright (they are still false), and
-        entries evaluated false now are marked clean at the current clock.
+        With a write tracker, entries evaluated false are marked clean at
+        the current clock, and clean tagged entries are skipped outright
+        (they are still false).  *untagged* entries come from
+        :meth:`_untagged_candidates`, which skipped the clean ones already;
+        each of their evaluations counts as an exhaustive check.
         """
         tracker = self._tracker
+        check_clean = tracker is not None and not untagged
         candidates: List[PredicateEntry] = []
         skipped = 0
         for entry in entries:
             if not entry.active or entry.unsignalled_waiters <= 0:
                 continue
-            if tracker is not None and self._is_clean(entry):
+            if check_clean and self._is_clean(entry):
                 skipped += 1
                 continue
             candidates.append(entry)
+        stats = self._stats
         if skipped:
-            self._stats.relay_entries_skipped += skipped
-        if not candidates:
-            return 0
+            stats.relay_entries_skipped += skipped
         clock = tracker.clock if tracker is not None else 0
-        return self._signal_candidates(
-            candidates, limit, ctx, count_as_exhaustive, clock
-        )
+        signalled = 0
+        for entry in candidates:
+            if untagged:
+                stats.exhaustive_checks += 1
+            stats.predicate_evaluations += 1
+            if ctx.holds(entry.globalized):
+                wake = min(entry.unsignalled_waiters, limit - signalled)
+                self._signal(entry, wake)
+                signalled += wake
+                if signalled >= limit:
+                    break
+            elif tracker is not None:
+                self._mark_clean(entry, ctx, clock)
+        return signalled
 
     def _is_clean(self, entry: PredicateEntry) -> bool:
         """True when *entry* was false at ``seen_clock`` and no tracked name
@@ -777,61 +755,18 @@ class ConditionManager:
         entry.seen_clock = clock
         self._untagged_pending.pop(entry.canonical, None)
 
-    def _signal_candidates(
-        self,
-        candidates: List[PredicateEntry],
-        limit: int,
-        ctx: EvalContext,
-        count_as_exhaustive: bool,
-        clock: int,
-    ) -> int:
-        """Evaluate *candidates* (already filtered) and signal the true ones.
-
-        Candidates are evaluated one at a time, in order, and the pass stops
-        at the entry that fills *limit*; entries evaluated false are marked
-        clean at *clock*.
-        """
-        stats = self._stats
-        tracker = self._tracker
-        signalled = 0
-        for entry in candidates:
-            if count_as_exhaustive:
-                stats.exhaustive_checks += 1
-            stats.predicate_evaluations += 1
-            if ctx.holds(entry.globalized):
-                wake = min(entry.unsignalled_waiters, limit - signalled)
-                self._signal_n(entry, wake)
-                signalled += wake
-                if signalled >= limit:
-                    break
-            elif tracker is not None:
-                self._mark_clean(entry, ctx, clock)
-        return signalled
-
-    def _signal(self, entry: PredicateEntry) -> None:
-        entry.condition.notify()
-        entry.pending_signals += 1
-        self._stats.signals_sent += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                "signal", self._backend.current_id(), predicate=entry.canonical
-            )
-
-    def _signal_n(self, entry: PredicateEntry, count: int) -> None:
+    def _signal(self, entry: PredicateEntry, count: int = 1) -> None:
         """Promise and deliver *count* signals to *entry* in one wakeup.
 
         ``count > 1`` goes through the condition's ``notify_n`` bulk path —
-        one batch of wakeups instead of ``count`` independent notify round
-        trips.  The single-signal case stays on :meth:`_signal` so policies
-        and tests that count individual notifications see identical
-        behaviour when batching never applies.
+        one batch of wakeups instead of ``count`` notify round trips; a
+        single signal stays a plain ``notify``, so conditions that count
+        individual notifications see one.
         """
-        if count <= 0:
-            return
         if count == 1:
-            self._signal(entry)
-            return
-        entry.condition.notify_n(count)
+            entry.condition.notify()
+        else:
+            entry.condition.notify_n(count)
         entry.pending_signals += count
         self._stats.signals_sent += count
         if self._tracer is not None:

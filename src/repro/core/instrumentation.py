@@ -46,8 +46,6 @@ class MonitorStats:
     interpreted_evaluations: int = 0
     #: Shared-variable reads answered from an EvalContext's per-pass cache.
     shared_read_cache_hits: int = 0
-    #: Shared-expression evaluations answered from an EvalContext's cache.
-    shared_expr_cache_hits: int = 0
     #: Shared-variable writes observed by the monitor's write tracker.
     tracked_writes: int = 0
     #: EvalContext instances the condition manager actually constructed for

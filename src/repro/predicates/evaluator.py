@@ -21,9 +21,9 @@ Both read shared variables through the same *reader* protocol: a callable
 
 :class:`EvalContext` is the per-relay-pass context the condition manager
 evaluates through: while a monitor exit holds the lock, shared state cannot
-change, so one context caches every shared-variable and shared-expression
-read for the duration of the pass — a batch of N predicates over the same
-shared expression costs one read instead of N.
+change, so one context caches every shared-variable read for the duration
+of the pass — a batch of N predicates over the same monitor field costs one
+read instead of N.
 """
 
 from __future__ import annotations
@@ -290,15 +290,15 @@ def evaluate_bool(
 class EvalContext:
     """Memoizing evaluation context for one relay/search pass.
 
-    The condition manager creates one context per ``relay_signal`` /
+    The condition manager uses one context per ``relay_signal`` /
     ``signal_many`` / ``relay_signal_fifo`` / ``find_missed_waiter`` pass.
     The monitor lock is held for the whole pass, so shared state cannot
-    change mid-pass and it is sound to cache:
-
-    * **shared-variable reads** (:meth:`read_shared`) — N predicates over the
-      same monitor field cost one attribute/mapping read, and
-    * **shared-expression values** (:meth:`evaluate_shared`) — the tag
-      structures' per-column expressions are evaluated once per pass.
+    change mid-pass and it is sound to cache shared-variable reads
+    (:meth:`read_shared`): N predicates over the same monitor field cost one
+    attribute/mapping read.  The tag structures' per-column shared
+    expressions (:meth:`evaluate_shared`) read through the same cache; each
+    is evaluated once per pass by construction, so their values are not
+    kept.
 
     :meth:`holds` evaluates a predicate through its compiled closure, or the
     interpreter where there is none, wiring the memoizing reader into either
@@ -307,24 +307,22 @@ class EvalContext:
     passes.
     """
 
-    __slots__ = ("state", "stats", "_reads", "_shared_exprs")
+    __slots__ = ("state", "stats", "_reads")
 
     def __init__(self, state: object, stats: Optional[object] = None) -> None:
         self.state = state
         self.stats = stats
         self._reads: Dict[str, object] = {}
-        self._shared_exprs: Dict[str, object] = {}
 
     def reset(self) -> None:
-        """Drop both memo caches, making the context safe for a new pass.
+        """Drop the read cache, making the context safe for a new pass.
 
         The pooling alternative to discarding: the condition manager keeps
         one context per manager and resets it at the start of each relay
-        pass, so a high-rate relay loop stops allocating a context (and two
-        dicts) per pass.
+        pass, so a high-rate relay loop stops allocating a context (and its
+        dict) per pass.
         """
         self._reads.clear()
-        self._shared_exprs.clear()
 
     def read_shared(self, state: object, name: str) -> object:
         """Memoized :func:`read_shared` (reader-protocol compatible)."""
@@ -338,21 +336,9 @@ class EvalContext:
         cache[name] = value
         return value
 
-    def evaluate_shared(self, expr: Expr, key: str) -> object:
-        """Evaluate a fully-shared expression, memoized under *key*.
-
-        Used by the tag-directed search for the per-column shared
-        expressions; *key* is the expression's canonical form.
-        """
-        cache = self._shared_exprs
-        if key in cache:
-            stats = self.stats
-            if stats is not None:
-                stats.shared_expr_cache_hits += 1
-            return cache[key]
-        value = evaluate(expr, self.state, None, reader=self.read_shared)
-        cache[key] = value
-        return value
+    def evaluate_shared(self, expr: Expr) -> object:
+        """Evaluate a tag column's fully-shared expression through the cache."""
+        return evaluate(expr, self.state, None, reader=self.read_shared)
 
     def holds(self, globalized) -> bool:
         """Evaluate a :class:`GlobalizedPredicate` through this context.

@@ -27,6 +27,10 @@ primitive takes a lock.  The blocking ``acquire``/``wait`` forms always
 raise, naming their ``*_async`` form.  Real OS threads sharing a monitor
 are the threading backend's to host.  Time is wall-clock seconds
 (:meth:`Backend.now`), the same unit the threading backend uses.
+
+Only a task can wake a parked one, so when every live task is parked with
+no timeout the run is stuck for good: ``run`` then cancels the tasks and
+raises a ``deadlock:`` ``RuntimeError`` naming each and what it waits on.
 """
 
 from __future__ import annotations
@@ -48,6 +52,17 @@ def _set_result_safe(future) -> None:
     # as notified, so a done future just means nothing to do.
     if not future.done():
         future.set_result(True)
+
+
+def _unpark(backend: "AsyncioBackend", queue: Deque, waiter) -> bool:
+    """Take a waiter that stopped waiting (timed out or cancelled) out of
+    its queue; False when a hand-off or notify had already popped it."""
+    try:
+        queue.remove(waiter)
+    except ValueError:
+        return False
+    backend._parked -= 1
+    return True
 
 
 class _AsyncioLock(LockAPI):
@@ -80,7 +95,12 @@ class _AsyncioLock(LockAPI):
         waiter = backend._loop.create_future()
         self._queue.append(waiter)
         backend.metrics.lock_contentions += 1
-        await waiter
+        backend._park()
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            _unpark(backend, self._queue, waiter)
+            raise
         backend.metrics.lock_acquisitions += 1
         backend.metrics.context_switches += 1
 
@@ -90,6 +110,7 @@ class _AsyncioLock(LockAPI):
         if not self._locked:
             raise RuntimeError("release of an unheld asyncio-backend lock")
         if self._queue:
+            self._backend._parked -= 1
             _set_result_safe(self._queue.popleft())  # direct handoff: stays locked
         else:
             self._locked = False
@@ -125,25 +146,31 @@ class _AsyncioCondition(ConditionAPI):
         if get_ident() != backend._owner:
             backend._refuse_foreign()
         backend.metrics.condition_waits += 1
-        waiter = backend._loop.create_future()
-        # Enqueued before the monitor lock is released, so a notify between
-        # release and park can never be missed.
-        self._waiters.append(waiter)
+        # Released before the waiter is enqueued: nothing else runs until
+        # this task awaits, so no notify can fall in between, and a failed
+        # release leaves no waiter behind.
         self._lock.release()
+        waiter = backend._loop.create_future()
+        self._waiters.append(waiter)
         notified = True
         try:
             if timeout is None:
+                backend._park()
                 await waiter
             else:
-                await asyncio.wait_for(waiter, timeout)
+                backend._parked += 1
+                backend._timed += 1
+                try:
+                    await asyncio.wait_for(waiter, timeout)
+                finally:
+                    backend._timed -= 1
         except asyncio.TimeoutError:
-            try:
-                self._waiters.remove(waiter)
-                notified = False
-            except ValueError:
-                # A notify popped the waiter while the timeout was being
-                # delivered: the notification wins.
-                pass
+            # False unless a notify popped the waiter while the timeout was
+            # being delivered: then the notification wins.
+            notified = not _unpark(backend, self._waiters, waiter)
+        except asyncio.CancelledError:
+            _unpark(backend, self._waiters, waiter)
+            raise
         backend.metrics.context_switches += 1
         await self._lock.acquire_async()
         return notified
@@ -171,7 +198,9 @@ class _AsyncioCondition(ConditionAPI):
 
     def _wake(self, count: int) -> None:
         """Resolve the futures of the *count* longest waiters."""
-        self._backend.metrics.notified_threads += count
+        backend = self._backend
+        backend.metrics.notified_threads += count
+        backend._parked -= count
         waiters = self._waiters
         for _ in range(count):
             _set_result_safe(waiters.popleft())
@@ -202,6 +231,20 @@ class _AsyncioTaskHandle(ThreadHandle):
         return not self._task.done()
 
 
+def _parked_on(task: "asyncio.Task") -> Optional[str]:
+    """Name the lock or condition *task* is parked on: the ``self`` of the
+    innermost coroutine it awaits through (None when that is neither)."""
+    coro = task.get_coro()
+    while hasattr(coro.cr_await, "cr_frame"):
+        coro = coro.cr_await
+    frame = coro.cr_frame  # None once the coroutine has returned
+    primitive = frame.f_locals.get("self") if frame is not None else None
+    if not isinstance(primitive, (_AsyncioLock, _AsyncioCondition)):
+        return None
+    kind = "lock" if isinstance(primitive, _AsyncioLock) else "condition"
+    return f"{kind} {primitive.label or f'{id(primitive):#x}'}"
+
+
 class AsyncioBackend(Backend):
     """Backend hosting waiters as coroutine tasks on one event loop."""
 
@@ -224,6 +267,10 @@ class AsyncioBackend(Backend):
         #: ``_task_done`` bound once, and the one context it runs in.
         self._on_task_done: Optional[Callable] = None
         self._done_context: Optional[contextvars.Context] = None
+        #: Futures in lock and condition queues, tasks in a timed wait, and
+        #: the ``deadlock:`` message once every live task is parked for good.
+        self._parked = self._timed = 0
+        self._deadlock: Optional[str] = None
 
     # -- internals ---------------------------------------------------------
 
@@ -239,6 +286,31 @@ class AsyncioBackend(Backend):
             f"loop and must await the {primitive}_async primitive instead of "
             f"calling the blocking {primitive}()"
         )
+
+    def _park(self) -> None:
+        """Count one more future parked with no timeout; if every live task
+        is now parked, check once the loop has run what is ready."""
+        self._parked += 1
+        if self._parked == len(self._live_tasks) and not self._timed:
+            self._loop.call_soon(self._check_deadlock)
+
+    def _check_deadlock(self) -> None:
+        """If every live task is parked with no timeout, record the
+        ``deadlock:`` message and cancel them all (again, should one park
+        anew while it unwinds)."""
+        live = self._live_tasks
+        if not live or self._parked != len(live) or self._timed:
+            return
+        if self._deadlock is None:
+            parked = sorted((task.get_name(), _parked_on(task)) for task in live)
+            if not all(on for _, on in parked):
+                return
+            details = ", ".join(f"{name} (waiting on {on})" for name, on in parked)
+            self._deadlock = (
+                f"deadlock: all {len(parked)} live tasks are parked with no timeout — {details}"
+            )
+        for task in live:
+            task.cancel()
 
     # -- factory API -------------------------------------------------------
 
@@ -289,7 +361,9 @@ class AsyncioBackend(Backend):
             self._failures.append(failure)
         live = self._live_tasks
         live.discard(task)
-        if not live and not self._all_done.done():
+        if live:
+            self._check_deadlock()
+        elif not self._all_done.done():
             self._all_done.set_result(None)
 
     def current_id(self) -> object:
@@ -307,7 +381,8 @@ class AsyncioBackend(Backend):
 
         A plain function runs as its coroutine twin; ``RuntimeError`` names
         the first target without one, and why, before any task starts.  The
-        first exception raised in a task is re-raised here.
+        first exception raised in a task is re-raised here, unless the run
+        deadlocked: that raises its ``deadlock:`` ``RuntimeError`` first.
         """
         from repro.preprocessor.twins import coroutine_bodies  # twins imports this module
 
@@ -316,7 +391,11 @@ class AsyncioBackend(Backend):
         names = [names[index] if names else f"worker-{index}" for index in range(len(targets))]
         bodies = coroutine_bodies(targets, names, RuntimeError)
         self._failures = []
+        self._parked = self._timed = 0
+        self._deadlock = None
         asyncio.run(self._run_async(bodies, names))
+        if self._deadlock is not None:
+            raise RuntimeError(self._deadlock)
         if self._failures:
             raise self._failures[0]
 

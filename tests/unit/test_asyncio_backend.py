@@ -13,10 +13,15 @@ threads, and timeouts inside coroutines.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import AutoSynchMonitor, WaitTimeout
 from repro.core.async_driver import monitor_entry, run_action, wait_until_async
 from repro.core.errors import MonitorUsageError
@@ -236,6 +241,74 @@ class TestBackendBasics:
 
         with pytest.raises(RuntimeError, match="child failed"):
             backend.run([parent])
+
+
+#: Run in a child process so that a backend which never notices the
+#: deadlock fails on the timeout instead of hanging the suite.
+_DEADLOCK_SCRIPT = """
+import time
+from repro.runtime import AsyncioBackend
+
+backend = AsyncioBackend()
+lock = backend.create_lock(label="gate-lock")
+condition = backend.create_condition(lock, label="never-notified")
+
+async def stuck():
+    await lock.acquire_async()
+    await condition.wait_async()
+
+async def blocked():
+    await lock.acquire_async()
+    await lock.acquire_async()
+
+started = time.monotonic()
+for targets, names in (([stuck], ["stuck"]), ([stuck, blocked], ["stuck", "blocked"])):
+    try:
+        backend.run(targets, names=names)
+    except RuntimeError as error:
+        print(error)
+print(f"elapsed {time.monotonic() - started:.3f}")
+"""
+
+
+class TestDeadlock:
+    def test_every_task_parked_without_timeout_fails_the_run_at_once(self):
+        """A task that holds a lock and waits on a condition nobody
+        notifies used to keep ``run`` waiting forever; now ``run`` cancels
+        the tasks and raises a ``deadlock:`` message naming each parked task
+        and what it waits on."""
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", _DEADLOCK_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[:2] == [
+            "deadlock: all 1 live tasks are parked with no timeout — "
+            "stuck (waiting on condition never-notified)",
+            "deadlock: all 2 live tasks are parked with no timeout — "
+            "blocked (waiting on lock gate-lock), "
+            "stuck (waiting on condition never-notified)",
+        ]
+        assert float(lines[2].split()[1]) < 5.0
+
+    def test_a_timed_wait_is_not_a_deadlock(self):
+        backend = AsyncioBackend()
+        lock = backend.create_lock()
+        condition = backend.create_condition(lock)
+        results = []
+
+        async def waiter():
+            await lock.acquire_async()
+            results.append(await condition.wait_async(0.01))
+            lock.release()
+
+        backend.run([waiter])
+        assert results == [False]
 
 
 class TestCoroutineMonitorDriver:

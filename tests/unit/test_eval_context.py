@@ -14,7 +14,6 @@ import pytest
 from repro.core.condition_manager import ConditionManager
 from repro.core.instrumentation import MonitorStats
 from repro.predicates import EvalContext, compile_predicate
-from repro.predicates.ast_nodes import Name, Scope
 from repro.runtime import ThreadingBackend
 
 
@@ -62,16 +61,6 @@ class TestEvalContext:
         EvalContext(state).read_shared(state, "count")
         EvalContext(state).read_shared(state, "count")
         assert state.reads == {"count": 2}
-
-    def test_evaluate_shared_is_memoized(self):
-        state = CountingState(count=7)
-        stats = MonitorStats()
-        ctx = EvalContext(state, stats=stats)
-        expr = Name("count", Scope.SHARED)
-        assert ctx.evaluate_shared(expr, "count") == 7
-        assert ctx.evaluate_shared(expr, "count") == 7
-        assert state.reads == {"count": 1}
-        assert stats.shared_expr_cache_hits == 1
 
     def test_cached_value_is_served_even_if_state_mutates_mid_pass(self):
         # Nothing mutates state mid-pass in the real runtime (the lock is
@@ -188,7 +177,7 @@ def test_relay_batch_wakes_all_with_one_read(path):
     assert all(entry.pending_signals == 1 for entry in entries)
     # One raw read served the tag expression and all three evaluations.
     assert state.reads == {"count": 1}
-    assert stats.shared_read_cache_hits + stats.shared_expr_cache_hits > 0
+    assert stats.shared_read_cache_hits > 0
     assert_evaluated_on(stats, path)
 
 

@@ -74,6 +74,36 @@ class TestDirtySetSearch:
         assert stats.predicate_evaluations == 2
         assert stats.signals_sent == 1
 
+    def test_writes_while_only_tagged_entries_wait_leave_no_stale_skip(self):
+        # While only tagged entries wait, a pass leaves the tracker's dirty
+        # names undrained.  An untagged entry parked afterwards must still be
+        # evaluated once, skipped while clean, and woken by a write.
+        tracker = WriteTracker()
+        owner = FakeMonitor(count=0, flag=1)
+        manager, stats = make_manager(owner, use_tags=True, tracker=tracker)
+        park(manager, "count >= n", {"count"}, {"n": 10})
+        for value in (1, 2, 3):
+            owner.count = value
+            tracker.bump("count")
+            tracker.bump("flag")
+            assert not manager.relay_signal()
+        assert stats.exhaustive_checks == 0
+
+        entry = park(manager, "flag != 1", {"flag"})
+        assert not manager.relay_signal()
+        assert stats.exhaustive_checks == 1
+        assert stats.relay_entries_skipped == 0
+
+        assert not manager.relay_signal()
+        assert stats.exhaustive_checks == 1
+        assert stats.relay_entries_skipped == 1
+
+        owner.flag = 0
+        tracker.bump("flag")
+        assert manager.relay_signal()
+        assert stats.exhaustive_checks == 2
+        assert entry.pending_signals == 1
+
     def test_exhaustive_manager_never_skips(self):
         owner = FakeMonitor(flag=0)
         manager, stats = make_manager(owner, tracker=None)
