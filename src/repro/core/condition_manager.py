@@ -29,16 +29,22 @@ mid-pass, and the context memoizes shared-variable reads — N predicates over
 one monitor field cost one read.  It runs each predicate's codegen closure
 (:mod:`repro.predicates.codegen`), falls back to the tree walker where
 codegen declined or quarantined it, and attributes both counts to the
-monitor stats.  ``find_missed_waiter`` stays a separate exhaustive walk over
-the whole table: it is the reference validate mode and self-healing check
-the search against.
+monitor stats.  Each tag column's shared expression is read the same way,
+by the column's *probe*: its codegen closure, called through the pass's
+memoizing reader.  The interpreter (``EvalContext.evaluate_shared``) reads
+a column only where codegen declined the expression or the probe raised
+something other than ``EvaluationError``, which quarantines the probe for
+the life of the manager.  Probes are not predicate evaluations and are not
+counted as such.  ``find_missed_waiter`` stays a separate exhaustive walk
+over the whole table: it is the reference validate mode and self-healing
+check the search against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.errors import MonitorUsageError
 from repro.core.heaps import LOWER_BOUND_OPS, ThresholdHeap, UPPER_BOUND_OPS
@@ -46,6 +52,8 @@ from repro.core.instrumentation import MonitorStats
 from repro.core.write_tracking import SCALAR_TYPES, WriteTracker
 from repro.predicates import EvalContext, EvaluationError, TagKind
 from repro.predicates.ast_nodes import Expr
+from repro.predicates.codegen import compile_expr
+from repro.predicates.evaluator import _EMPTY_LOCALS
 from repro.predicates.predicate import GlobalizedPredicate
 from repro.runtime.api import Backend, ConditionAPI, LockAPI
 
@@ -113,6 +121,10 @@ class _ExpressionIndex:
 
     expr_key: str
     shared_expr: Expr
+    #: The shared expression's codegen closure, the column's probe (None:
+    #: codegen declined it or the probe was quarantined; the interpreter
+    #: evaluates the expression instead).
+    probe: Optional[Callable]
     #: Entries by equivalence key: the entry itself while it is alone under
     #: its key (the common case, one ticket per waiter), a list once a
     #: second one joins.
@@ -163,6 +175,10 @@ class ConditionManager:
         self._inactive: "OrderedDict[str, PredicateEntry]" = OrderedDict()
         #: per-shared-expression tag structures.
         self._indices: Dict[str, _ExpressionIndex] = {}
+        #: expr_key -> column probe (see ``_ExpressionIndex.probe``), kept
+        #: across the index's drops and re-creations so a quarantined probe
+        #: stays quarantined for the life of the manager.
+        self._probes: Dict[str, Optional[Callable]] = {}
         #: active entries that need exhaustive checking (None-tagged
         #: conjunctions, or every entry when tags are disabled), keyed by
         #: canonical form in insertion order — O(1) add/remove instead of the
@@ -375,7 +391,12 @@ class ConditionManager:
     def _index_for(self, expr_key: str, shared_expr: Expr) -> _ExpressionIndex:
         index = self._indices.get(expr_key)
         if index is None:
-            index = _ExpressionIndex(expr_key=expr_key, shared_expr=shared_expr)
+            probes = self._probes
+            if expr_key in probes:
+                probe = probes[expr_key]
+            else:
+                probe = probes[expr_key] = compile_expr(shared_expr)
+            index = _ExpressionIndex(expr_key, shared_expr, probe)
             self._indices[expr_key] = index
         return index
 
@@ -423,6 +444,8 @@ class ConditionManager:
         Normally the manager's pooled instance, reset for this pass; a
         fresh context only when the pool is mid-pass (re-entrant search) —
         release with :meth:`_release_context` when the pass ends.
+        :meth:`_relay_search` takes the pooled one inline and calls this
+        only to allocate.
         """
         ctx = self._pooled_ctx
         if ctx is not None and not self._pooled_ctx_busy:
@@ -449,7 +472,12 @@ class ConditionManager:
             # workloads, so skipping the evaluation-context set-up here is
             # a measurable win per monitor operation.
             return 0
-        ctx = self._eval_context()
+        ctx = self._pooled_ctx
+        if ctx is None or self._pooled_ctx_busy:
+            ctx = self._eval_context()
+        else:
+            self._pooled_ctx_busy = True
+            ctx.reset()
         try:
             signalled = 0
             if self.use_tags:
@@ -465,7 +493,8 @@ class ConditionManager:
                     self._untagged_candidates(), limit - signalled, ctx, untagged=True
                 )
         finally:
-            self._release_context(ctx)
+            if ctx is self._pooled_ctx:
+                self._pooled_ctx_busy = False
         if self._tracer is not None:
             self._tracer.record(
                 "relay",
@@ -578,12 +607,24 @@ class ConditionManager:
     def _search_index(
         self, index: _ExpressionIndex, limit: int, ctx: EvalContext
     ) -> int:
+        probe = index.probe
         try:
-            value = ctx.evaluate_shared(index.shared_expr)
+            if probe is None:
+                value = ctx.evaluate_shared(index.shared_expr)
+            else:
+                value = probe(ctx.state, ctx.read_shared, _EMPTY_LOCALS)
         except EvaluationError:
             # The shared expression cannot currently be evaluated (e.g. a
             # field was deleted); fall back to exhaustive search for safety.
             return 0
+        except Exception:
+            if probe is None:
+                raise
+            # The closure misbehaved where the interpreter, which shares its
+            # semantics, would not: quarantine it for good, as a predicate's
+            # closure is, and search this column through the interpreter.
+            self._probes[index.expr_key] = index.probe = None
+            return self._search_index(index, limit, ctx)
 
         signalled = 0
         if index.equivalence:
@@ -596,11 +637,11 @@ class ConditionManager:
                 if type(bucket) is not list:
                     bucket = (bucket,)
                 signalled += self._signal_true(bucket, limit, ctx)
-        if signalled < limit:
+        if signalled < limit and index.lower_heap:
             signalled += self._search_heap(
                 index.lower_heap, value, limit - signalled, ctx
             )
-        if signalled < limit:
+        if signalled < limit and index.upper_heap:
             signalled += self._search_heap(
                 index.upper_heap, value, limit - signalled, ctx
             )
@@ -609,21 +650,21 @@ class ConditionManager:
     def _search_heap(
         self, heap: ThresholdHeap, value: object, limit: int, ctx: EvalContext
     ) -> int:
-        """The threshold-tag signalling algorithm of Fig. 4."""
-        if not heap:
+        """The threshold-tag signalling algorithm of Fig. 4, on a heap with
+        a live node.
+
+        The weakest tag is checked once; only when it holds does the search
+        signal its entries and, while they leave *limit* unfilled, remove
+        it temporarily to examine the next-weakest tag.
+        """
+        self._stats.tag_heap_checks += 1
+        node = heap.weakest_satisfied(value)
+        if node is None:
             return 0
         backup = []
         signalled = 0
         try:
-            node = heap.peek()
-            while node is not None and signalled < limit:
-                self._stats.tag_heap_checks += 1
-                try:
-                    satisfied = node.satisfied_by(value)
-                except TypeError:
-                    satisfied = False
-                if not satisfied:
-                    break
+            while True:
                 signalled += self._signal_true(node.entries, limit - signalled, ctx)
                 if signalled >= limit:
                     break
@@ -631,7 +672,12 @@ class ConditionManager:
                 # remove it temporarily so the next-weakest tag can be
                 # examined.
                 backup.append(heap.poll())
-                node = heap.peek()
+                if heap.peek() is None:
+                    break
+                self._stats.tag_heap_checks += 1
+                node = heap.weakest_satisfied(value)
+                if node is None:
+                    break
         finally:
             for node in backup:
                 heap.push_node(node)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -26,6 +27,9 @@ __all__ = ["ThresholdNode", "ThresholdHeap"]
 LOWER_BOUND_OPS = (">", ">=")
 #: Operators handled by a max-heap (upper bounds on the shared expression).
 UPPER_BOUND_OPS = ("<", "<=")
+
+#: ``value op key`` for each threshold operator.
+_TESTS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 @dataclass
@@ -39,15 +43,10 @@ class ThresholdNode:
 
     def satisfied_by(self, value: object) -> bool:
         """True when ``value op key`` holds, i.e. the tag is true."""
-        if self.op == ">":
-            return value > self.key
-        if self.op == ">=":
-            return value >= self.key
-        if self.op == "<":
-            return value < self.key
-        if self.op == "<=":
-            return value <= self.key
-        raise ValueError(f"unknown threshold operator {self.op!r}")
+        test = _TESTS.get(self.op)
+        if test is None:
+            raise ValueError(f"unknown threshold operator {self.op!r}")
+        return test(value, self.key)
 
 
 class ThresholdHeap:
@@ -112,6 +111,24 @@ class ThresholdHeap:
         if not self._heap:
             return None
         return self._heap[0][2]
+
+    def weakest_satisfied(self, value: object) -> Optional[ThresholdNode]:
+        """The weakest live node if its tag holds for *value*, else None.
+
+        The relay search's one check per heap: when the weakest bound fails,
+        so does every other.  A *value* that does not compare with the key
+        (``TypeError``) satisfies no tag.  Prunes dead roots; the heap must
+        hold a live node that is not polled out.
+        """
+        heap = self._heap
+        while not heap[0][2].alive:
+            heapq.heappop(heap)
+        node = heap[0][2]
+        try:
+            satisfied = _TESTS[node.op](value, node.key)
+        except TypeError:
+            return None
+        return node if satisfied else None
 
     def poll(self) -> Optional[ThresholdNode]:
         """Remove and return the weakest live node (for Fig. 4's temporary

@@ -295,10 +295,10 @@ class EvalContext:
     The monitor lock is held for the whole pass, so shared state cannot
     change mid-pass and it is sound to cache shared-variable reads
     (:meth:`read_shared`): N predicates over the same monitor field cost one
-    attribute/mapping read.  The tag structures' per-column shared
-    expressions (:meth:`evaluate_shared`) read through the same cache; each
-    is evaluated once per pass by construction, so their values are not
-    kept.
+    attribute/mapping read.  The tag structures read each column's shared
+    expression once per pass through its compiled closure and
+    :meth:`read_shared`; :meth:`evaluate_shared` is only the fallback for a
+    column codegen declined or whose closure was quarantined.
 
     :meth:`holds` evaluates a predicate through its compiled closure, or the
     interpreter where there is none, wiring the memoizing reader into either
@@ -337,7 +337,8 @@ class EvalContext:
         return value
 
     def evaluate_shared(self, expr: Expr) -> object:
-        """Evaluate a tag column's fully-shared expression through the cache."""
+        """Interpret a tag column's fully-shared expression through the
+        cache: the fallback for a column without a compiled probe."""
         return evaluate(expr, self.state, None, reader=self.read_shared)
 
     def holds(self, globalized) -> bool:

@@ -227,6 +227,37 @@ class GlobalizedPredicate:
         return self.canonical
 
 
+#: Direct writers of the slots :meth:`GlobalizationTemplate.bind` fills
+#: (each slot descriptor's ``__set__``): a bind skips ``__init__``, its
+#: default writes and ``object.__setattr__``'s lookup.
+(
+    _WRITE_SOURCE,
+    _WRITE_TAGS,
+    _WRITE_CANONICAL,
+    _WRITE_TEMPLATE,
+    _WRITE_VALUES,
+    _WRITE_COMPILED_FN,
+    _WRITE_READ_SET,
+    _WRITE_USES_QUERIES,
+    _WRITE_QUARANTINED,
+    _WRITE_FROM_TEMPLATE,
+) = (
+    GlobalizedPredicate.__dict__[name].__set__
+    for name in (
+        "source",
+        "tags",
+        "canonical",
+        "_template",
+        "_values",
+        "_compiled_fn",
+        "_read_set",
+        "_uses_queries",
+        "_quarantined",
+        "from_template",
+    )
+)
+
+
 @dataclass
 class CompiledPredicate:
     """The compiled form of one ``waituntil`` condition source string."""
@@ -505,37 +536,44 @@ class GlobalizationTemplate:
         """The globalized predicate for local *values* (placeholder order).
 
         The form's ``dnf`` and ``expr`` are left to :meth:`bind_dnf` on
-        first read; everything the relay path needs is bound here.
+        first read; everything the relay path needs is bound here, written
+        straight into the form's slots: the template was validated when it
+        was built and its first bind is checked against the pipeline, so a
+        bind runs no constructor.
         """
-        form = GlobalizedPredicate(
-            source=source,
-            expr=None,
-            dnf=None,
-            tags=tuple(
-                [tag if type(tag) is Tag else tag.bind(values) for tag in self._tags]
-            ),
-            canonical="".join(
+        form = object.__new__(GlobalizedPredicate)
+        _WRITE_SOURCE(form, source)
+        _WRITE_TAGS(
+            form,
+            tuple([tag if type(tag) is Tag else tag.bind(values) for tag in self._tags]),
+        )
+        _WRITE_CANONICAL(
+            form,
+            "".join(
                 [
                     piece if type(piece) is str else repr(values[piece])
                     for piece in self._pieces
                 ]
             ),
         )
-        params = tuple(
-            [
-                values[param.index] if type(param) is Placeholder else param
-                for param in self._params
-            ]
-        )
         factory = self._factory
-        _set_slot(form, "_template", self)
-        _set_slot(form, "_values", values)
-        _set_slot(
-            form, "_compiled_fn", factory(*params) if factory is not None else None
+        _WRITE_COMPILED_FN(
+            form,
+            None
+            if factory is None
+            else factory(
+                *[
+                    values[param.index] if type(param) is Placeholder else param
+                    for param in self._params
+                ]
+            ),
         )
-        _set_slot(form, "_read_set", self._read_set)
-        _set_slot(form, "_uses_queries", self._uses_queries)
-        _set_slot(form, "from_template", True)
+        _WRITE_TEMPLATE(form, self)
+        _WRITE_VALUES(form, values)
+        _WRITE_READ_SET(form, self._read_set)
+        _WRITE_USES_QUERIES(form, self._uses_queries)
+        _WRITE_QUARANTINED(form, False)
+        _WRITE_FROM_TEMPLATE(form, True)
         return form
 
 

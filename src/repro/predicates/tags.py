@@ -89,6 +89,13 @@ class Tag:
 
 _NONE_TAG = Tag(TagKind.NONE)
 
+#: Direct writers of a :class:`Tag`'s slots (each slot descriptor's
+#: ``__set__``), for :meth:`KeyedTag.bind`: a template's tags were checked
+#: when it was built, so a bind skips ``__post_init__``'s validation.
+_WRITE_KIND, _WRITE_EXPR_KEY, _WRITE_SHARED_EXPR, _WRITE_KEY, _WRITE_OP = (
+    Tag.__dict__[name].__set__ for name in ("kind", "expr_key", "shared_expr", "key", "op")
+)
+
 
 def _constant_key(local_expr: Expr) -> Optional[object]:
     """Evaluate the local side of a normalized comparison to its constant.
@@ -159,20 +166,25 @@ class KeyedTag:
         self.direct, self.terms = recipe
 
     def bind(self, values: Sequence[object]) -> Tag:
-        """The tag for the template's local *values*."""
+        """The tag for the template's local *values*.
+
+        Its slots are written directly: every field but the key was
+        validated when the template's tags were built, and the template's
+        first bind is checked against the pipeline.
+        """
         if self.direct is not None:
             key = values[self.direct]
         else:
             key = 0
             for sign, index, literal in self.terms:
                 key += sign * (values[index] if index is not None else literal)
-        return Tag(
-            self.kind,
-            expr_key=self.expr_key,
-            shared_expr=self.shared_expr,
-            key=key,
-            op=self.op,
-        )
+        tag = object.__new__(Tag)
+        _WRITE_KIND(tag, self.kind)
+        _WRITE_EXPR_KEY(tag, self.expr_key)
+        _WRITE_SHARED_EXPR(tag, self.shared_expr)
+        _WRITE_KEY(tag, key)
+        _WRITE_OP(tag, self.op)
+        return tag
 
 
 class _KeyRecipe(tuple):

@@ -99,7 +99,10 @@ class _AsyncioLock(LockAPI):
         try:
             await waiter
         except asyncio.CancelledError:
-            _unpark(backend, self._queue, waiter)
+            if not _unpark(backend, self._queue, waiter):
+                # A release had already handed this task the lock: pass it
+                # on, or it stays held by a task that never resumes.
+                self.release()
             raise
         backend.metrics.lock_acquisitions += 1
         backend.metrics.context_switches += 1
@@ -169,7 +172,15 @@ class _AsyncioCondition(ConditionAPI):
             # being delivered: then the notification wins.
             notified = not _unpark(backend, self._waiters, waiter)
         except asyncio.CancelledError:
+            # Unwind holding the lock, as ``asyncio.Condition.wait`` does:
+            # the caller's cleanup (waiter deregistration, the monitor's
+            # exit relay and release) runs as the lock's holder.  A second
+            # cancel while queued for it propagates without the lock, and
+            # so does the cancel of a deadlock's teardown, where the lock
+            # may belong to a task that will never release it.
             _unpark(backend, self._waiters, waiter)
+            if backend._deadlock is None:
+                await self._lock.acquire_async()
             raise
         backend.metrics.context_switches += 1
         await self._lock.acquire_async()

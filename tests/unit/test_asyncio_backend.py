@@ -454,3 +454,112 @@ class TestRunAction:
                 await run_action(monitor, "anything")
 
         backend.run([body])
+
+
+class TestCancellation:
+    def test_lock_handed_to_a_cancelled_task_is_passed_on(self):
+        """``a`` releases the lock to the queued ``b`` and cancels ``b``
+        before it resumes: ``b`` must pass the lock on as it unwinds, or
+        ``c`` parks forever behind a lock nobody holds."""
+        backend = AsyncioBackend()
+        lock = backend.create_lock(label="L")
+        tasks = {}
+        events = []
+
+        async def a():
+            await lock.acquire_async()
+            await asyncio.sleep(0)  # b queues on the lock
+            lock.release()  # handed to b, which has not resumed yet
+            tasks["b"].cancel()
+
+        async def b():
+            tasks["b"] = asyncio.current_task()
+            try:
+                await lock.acquire_async()
+            except asyncio.CancelledError:
+                events.append("b cancelled")
+                return
+            events.append("b acquired")
+            lock.release()
+
+        async def c():
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            await lock.acquire_async()
+            events.append("c acquired")
+            lock.release()
+
+        backend.run([a, b, c], names=["a", "b", "c"])
+        assert events == ["b cancelled", "c acquired"]
+        assert not lock.locked
+
+    @pytest.mark.parametrize("canceller_inside", [False, True])
+    def test_cancelled_wait_until_leaves_holding_the_lock(
+        self, monkeypatch, canceller_inside
+    ):
+        """A task cancelled while parked in ``wait_until`` takes the
+        monitor lock back before it unwinds, so ``run_action``'s exit relay
+        and release run by the lock's holder: the next waiter is still
+        admitted, and no task releases a lock it does not hold."""
+        from repro.runtime.asyncio_backend import _AsyncioLock
+
+        holders = {}
+        foreign_releases = []
+        acquire, release = _AsyncioLock.acquire_async, _AsyncioLock.release
+
+        async def tracked_acquire(self):
+            await acquire(self)
+            holders[self] = asyncio.current_task()
+
+        def tracked_release(self):
+            holder = holders.pop(self, None)
+            if holder is not asyncio.current_task():
+                foreign_releases.append(asyncio.current_task().get_name())
+            release(self)
+
+        monkeypatch.setattr(_AsyncioLock, "acquire_async", tracked_acquire)
+        monkeypatch.setattr(_AsyncioLock, "release", tracked_release)
+
+        from repro.harness.service_load import _build_scenario_monitor
+
+        backend = AsyncioBackend()
+        monitor, _ = _build_scenario_monitor("fifo_semaphore", 1, backend, "autosynch")
+        tasks = {}
+        admitted = []
+
+        def acquirer(name):
+            async def body():
+                tasks[name] = asyncio.current_task()
+                try:
+                    await run_action(monitor, "acquire")
+                except asyncio.CancelledError:
+                    admitted.append(f"{name} cancelled")
+                    return
+                admitted.append(name)
+
+            return body
+
+        async def settle():
+            for _ in range(5):
+                await asyncio.sleep(0)
+
+        async def controller():
+            await settle()  # h admitted with the only permit; w1, w2 parked
+            if canceller_inside:
+                async with monitor_entry(monitor, "cancel"):
+                    tasks["w2"].cancel()
+                    await settle()
+            else:
+                tasks["w2"].cancel()
+            await settle()
+            await run_action(monitor, "release")
+
+        backend.run(
+            [acquirer("h"), acquirer("w1"), acquirer("w2"), controller],
+            names=["h", "w1", "w2", "controller"],
+        )
+        assert admitted == ["h", "w2 cancelled", "w1"]
+        assert foreign_releases == []
+        assert not monitor._mutex.locked
+        assert monitor.acquired == 2 and monitor.available == 0
+        assert monitor.condition_manager._active_count == 0

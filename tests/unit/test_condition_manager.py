@@ -297,6 +297,64 @@ class TestRelaySignalWithTags:
         assert entry.pending_signals == 1
 
 
+class TestColumnProbes:
+    def test_columns_probe_through_the_compiled_closure(self):
+        from repro.predicates.codegen import compile_expr
+
+        monitor = FakeMonitor(count=4)
+        manager, stats, _ = make_manager(monitor)
+        _, form = globalized("count >= num", {"count"}, {"num": 5})
+        manager.add_waiter(manager.acquire_entry(form, False))
+        (index,) = manager._indices.values()
+        assert index.probe is compile_expr(index.shared_expr)
+        assert manager.relay_signal() is False
+        # A probe is no predicate evaluation, compiled or interpreted.
+        assert stats.compiled_evaluations == stats.interpreted_evaluations == 0
+
+    def test_a_misbehaving_probe_is_quarantined_for_good(self):
+        monitor = FakeMonitor(count=10)
+        manager, stats, _ = make_manager(monitor)
+        _, form = globalized("count >= num", {"count"}, {"num": 5})
+        entry = manager.acquire_entry(form, False)
+        manager.add_waiter(entry)
+        (index,) = manager._indices.values()
+        calls = []
+
+        def broken_probe(state, reader, locals_map):
+            calls.append(state)
+            raise TypeError("codegen bug")
+
+        index.probe = broken_probe
+        manager._probes[index.expr_key] = broken_probe
+        # The interpreter serves the pass that quarantined the probe ...
+        assert manager.relay_signal() is True
+        assert entry.pending_signals == 1
+        assert index.probe is None
+        assert len(calls) == 1
+        # ... and every later one, also after the column is dropped and
+        # created again.
+        manager.consume_signal(entry)
+        manager.remove_waiter(entry)
+        assert not manager._indices
+        entry = manager.acquire_entry(form, False)
+        manager.add_waiter(entry)
+        (index,) = manager._indices.values()
+        assert index.probe is None
+        assert manager.relay_signal() is True
+        assert len(calls) == 1
+        assert stats.predicate_quarantines == 0
+
+    def test_probe_evaluation_errors_skip_the_column(self):
+        monitor = FakeMonitor(count=10)
+        manager, _, _ = make_manager(monitor)
+        _, form = globalized("count >= num", {"count"}, {"num": 5})
+        manager.add_waiter(manager.acquire_entry(form, False))
+        del monitor.count
+        assert manager.relay_signal() is False
+        (index,) = manager._indices.values()
+        assert index.probe is not None  # an EvaluationError is not a misbehaviour
+
+
 class TestRelaySignalWithoutTags:
     def test_exhaustive_search_still_finds_true_predicate(self):
         monitor = FakeMonitor(count=10)

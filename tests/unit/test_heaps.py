@@ -120,6 +120,20 @@ class TestDiscard:
         fresh = heap.add(5, ">=", "c")
         assert heap.peek() is fresh
 
+    def test_weakest_satisfied_checks_only_the_weakest_live_node(self):
+        heap = ThresholdHeap("min")
+        heap.add(5, ">=", "a")
+        heap.add(8, ">=", "b")
+        heap.discard(5, ">=", "a")  # a dead root, pruned by the check
+        assert heap.weakest_satisfied(7) is None
+        assert heap.weakest_satisfied(8) is heap.peek()
+        assert heap.weakest_satisfied("not a number") is None
+        upper = ThresholdHeap("max")
+        upper.add(3, "<", "c")
+        upper.add(9, "<=", "d")
+        assert upper.weakest_satisfied(9).key == 9
+        assert upper.weakest_satisfied(10) is None
+
     def test_empty_heap_peek_and_poll(self):
         heap = ThresholdHeap("min")
         assert heap.peek() is None
