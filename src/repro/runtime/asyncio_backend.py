@@ -174,13 +174,17 @@ class _AsyncioCondition(ConditionAPI):
         except asyncio.CancelledError:
             # Unwind holding the lock, as ``asyncio.Condition.wait`` does:
             # the caller's cleanup (waiter deregistration, the monitor's
-            # exit relay and release) runs as the lock's holder.  A second
-            # cancel while queued for it propagates without the lock, and
-            # so does the cancel of a deadlock's teardown, where the lock
-            # may belong to a task that will never release it.
+            # exit relay and release) runs as the lock's holder, however
+            # often the task is cancelled while queued for it.  Only a
+            # deadlock's teardown unwinds without it: there the lock may
+            # belong to a task that will never release it.
             _unpark(backend, self._waiters, waiter)
-            if backend._deadlock is None:
-                await self._lock.acquire_async()
+            while backend._deadlock is None:
+                try:
+                    await self._lock.acquire_async()
+                    break
+                except asyncio.CancelledError:
+                    pass
             raise
         backend.metrics.context_switches += 1
         await self._lock.acquire_async()

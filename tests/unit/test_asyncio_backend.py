@@ -493,14 +493,14 @@ class TestCancellation:
         assert events == ["b cancelled", "c acquired"]
         assert not lock.locked
 
-    @pytest.mark.parametrize("canceller_inside", [False, True])
-    def test_cancelled_wait_until_leaves_holding_the_lock(
-        self, monkeypatch, canceller_inside
-    ):
+    @pytest.mark.parametrize("cancels", ["outside", "inside", "inside, twice"])
+    def test_cancelled_wait_until_leaves_holding_the_lock(self, monkeypatch, cancels):
         """A task cancelled while parked in ``wait_until`` takes the
-        monitor lock back before it unwinds, so ``run_action``'s exit relay
-        and release run by the lock's holder: the next waiter is still
-        admitted, and no task releases a lock it does not hold."""
+        monitor lock back before it unwinds, also when the canceller is
+        inside the monitor and cancels it again while it queues for the
+        lock, so ``run_action``'s exit relay and release run by the lock's
+        holder: the next waiter is still admitted, and no task releases a
+        lock it does not hold."""
         from repro.runtime.asyncio_backend import _AsyncioLock
 
         holders = {}
@@ -545,10 +545,13 @@ class TestCancellation:
 
         async def controller():
             await settle()  # h admitted with the only permit; w1, w2 parked
-            if canceller_inside:
+            if cancels != "outside":
                 async with monitor_entry(monitor, "cancel"):
                     tasks["w2"].cancel()
                     await settle()
+                    if cancels == "inside, twice":
+                        tasks["w2"].cancel()
+                        await settle()
             else:
                 tasks["w2"].cancel()
             await settle()
